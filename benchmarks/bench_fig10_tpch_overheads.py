@@ -8,6 +8,7 @@ generous bound while reporting the measured numbers.
 
 from repro import HEURISTIC_HCN
 from repro.bench.figures import fig10_tpch_overheads
+from repro.exec.operators.base import collect_rows
 from repro.tpch import QUERIES, QUERY_PARAMETERS
 
 from conftest import report
@@ -19,8 +20,7 @@ def _timed_query(fixture, name, heuristic, benchmark):
 
     def run():
         context = database.make_context(QUERY_PARAMETERS[name])
-        for __ in physical.rows(context):
-            pass
+        collect_rows(physical, context)
 
     benchmark(run)
 

@@ -13,6 +13,7 @@ from repro.bench.figures import (
     micro_parameters,
 )
 from repro.bench.harness import AUDIT_NAME
+from repro.exec.operators.base import collect_rows
 from repro.tpch import MICRO_BENCHMARK_QUERY
 
 from conftest import report
@@ -36,8 +37,7 @@ def test_benchmark_leaf_instrumented_run(fixture, benchmark):
 
     def run():
         context = database.make_context(parameters)
-        for __ in physical.rows(context):
-            pass
+        collect_rows(physical, context)
 
     benchmark(run)
 

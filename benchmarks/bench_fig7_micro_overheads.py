@@ -9,6 +9,7 @@ The index nested-loop plan family reproduces that mechanism.
 
 from repro import HEURISTIC_HCN, HEURISTIC_LEAF
 from repro.bench.figures import fig7_micro_overheads, micro_parameters
+from repro.exec.operators.base import collect_rows
 from repro.tpch import MICRO_BENCHMARK_QUERY
 
 from conftest import report
@@ -23,8 +24,7 @@ def _timed_run(fixture, heuristic, benchmark):
 
     def run():
         context = database.make_context(parameters)
-        for __ in physical.rows(context):
-            pass
+        collect_rows(physical, context)
 
     benchmark(run)
 

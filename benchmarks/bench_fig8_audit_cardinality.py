@@ -13,6 +13,7 @@ from repro.bench.figures import (
     micro_parameters,
 )
 from repro import HEURISTIC_HCN
+from repro.exec.operators.base import collect_rows
 from repro.tpch import MICRO_BENCHMARK_QUERY
 
 from conftest import report
@@ -35,8 +36,7 @@ def test_benchmark_hcn_full_table_audit(fixture, benchmark):
 
         def run():
             context = database.make_context(parameters)
-            for __ in physical.rows(context):
-                pass
+            collect_rows(physical, context)
 
         benchmark(run)
     finally:

@@ -10,6 +10,7 @@ offline system must verify. Neither heuristic ever under-reports.
 from repro import HEURISTIC_HCN, OfflineAuditor
 from repro.bench.figures import fig9_tpch_false_positives
 from repro.bench.harness import AUDIT_NAME
+from repro.exec.operators.base import collect_rows
 from repro.tpch import QUERIES, QUERY_PARAMETERS
 
 from conftest import report
@@ -32,8 +33,7 @@ def test_benchmark_hcn_run_q10(fixture, benchmark):
 
     def run():
         context = database.make_context(QUERY_PARAMETERS["Q10"])
-        for __ in physical.rows(context):
-            pass
+        collect_rows(physical, context)
 
     benchmark(run)
 

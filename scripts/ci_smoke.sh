@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI smoke: tier-1 test suite plus one quick end-to-end benchmark.
+# CI smoke: tier-1 test suite plus quick end-to-end differentials.
 #
 # Usage: scripts/ci_smoke.sh
 # Runs from any working directory; exits non-zero on the first failure.
@@ -12,15 +12,12 @@ echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
 echo
-echo "== pipeline benchmark (--quick) =="
-PYTHONPATH=src python benchmarks/bench_pipeline.py --quick
-
-echo
-echo "== columnar three-mode differential (--quick) =="
-# row vs batch vs columnar over the same compiled plans, armed and
-# unarmed; exits non-zero if any cell's results, ACCESSED sets, or
-# audit probe counts diverge across the three execution modes
-PYTHONPATH=src python benchmarks/bench_columnar.py --quick
+echo "== e2e benchmark: its own tests, then one traced workload =="
+# the run's gate checks armed == unarmed rows and micro-join ACCESSED ==
+# offline_audit; the traced pass goes through the staged driver, the one
+# caller of Database.exec_mode / collect_rows(mode=)
+PYTHONPATH=src python -m pytest -q benchmarks/e2e/tests
+python3 benchmarks/e2e/run.py --workload tpch_armed --seed 1 --seconds 5 --trace 1
 
 echo
 echo "== offline lineage-vs-deletion differential (--quick) =="

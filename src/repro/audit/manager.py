@@ -59,11 +59,6 @@ class AuditManager:
         #: (or their views) changes; plan caches include it in their keys
         #: because instrumented plan shapes depend on this configuration
         self.config_version = 0
-        #: set by the database's exec_mode knob: under the columnar
-        #: executor a scan-fused audit probe is one bulk set sweep, so
-        #: 'cost' placement prices those probes cheaper (plan caches tag
-        #: columnar plans apart for exactly this reason)
-        self.columnar_mode = False
         # Serializes registry mutation and the config_version bumps
         # (read-modify-write) against concurrent DDL threads.
         self._lock = threading.RLock()
@@ -223,7 +218,5 @@ class AuditManager:
             instrument_plan(plan, targets, heuristic)
             for heuristic in (HEURISTIC_HCN, HEURISTIC_LEAF)
         ]
-        model = CostModel(
-            self._catalog, self.resolve_view, columnar=self.columnar_mode
-        )
+        model = CostModel(self._catalog, self.resolve_view)
         return min(candidates, key=model.estimate_plan_cost)

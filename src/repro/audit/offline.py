@@ -16,7 +16,7 @@ make it usable:
   database ('auto' | 'lineage' | 'deletion') selects the strategy;
 * **parallel deletion fallback** — candidates the lineage engine leaves
   undecided (or every candidate, for uncertifiable plans) still get the
-  literal deletion test, dispatched as chunked per-ID batches across a
+  literal deletion test, dispatched in per-ID batches across a
   ``concurrent.futures`` thread pool when ``offline_audit_workers`` > 1;
 * **sensitive-free subplan caching** — on the deletion path the same
   physical plan is executed once per candidate with a *tombstone* hiding
@@ -246,7 +246,7 @@ class OfflineAuditor:
         baseline: Counter,
         tuples_by_id: dict[object, list[tuple]],
     ) -> set:
-        """Run ``Q(D − t)`` per candidate tuple; chunked across a thread
+        """Run ``Q(D − t)`` per candidate tuple; split across a thread
         pool when the database's worker knob asks for one."""
         items = list(tuples_by_id.items())
         workers = self._workers or self._database.offline_audit_workers

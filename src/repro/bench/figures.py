@@ -23,6 +23,7 @@ from repro.bench.harness import (
     measure_median,
     overhead_percent,
 )
+from repro.exec.operators.base import collect_rows
 from repro.tpch import MICRO_BENCHMARK_QUERY, QUERIES, QUERY_PARAMETERS
 
 #: the fixed account-balance predicate of the micro-benchmark (§V-A)
@@ -118,8 +119,7 @@ def fig7_micro_overheads(fixture: BenchmarkFixture, repeats: int = 9):
                 MICRO_BENCHMARK_QUERY, heuristic, "index-nl"
             )
             context = fixture.database.make_context(parameters)
-            for __ in physical.rows(context):
-                pass
+            collect_rows(physical, context)
             probes[label] = context.audit_probe_count
         rows.append((
             round(fraction * 100),

@@ -15,6 +15,7 @@ import time
 from typing import Callable, Sequence
 
 from repro import Database
+from repro.exec.operators.base import collect_rows
 from repro.tpch import audit_expression_sql, load_tpch
 
 DEFAULT_SCALE_FACTOR = float(os.environ.get("REPRO_BENCH_SF", "0.005"))
@@ -108,8 +109,7 @@ class BenchmarkFixture:
 
         def run():
             context = database.make_context(parameters)
-            for __ in physical.rows(context):
-                pass
+            collect_rows(physical, context)
 
         run()  # warm-up
         import gc
@@ -153,8 +153,7 @@ class BenchmarkFixture:
 
         def run(physical) -> None:
             context = database.make_context(parameters)
-            for __ in physical.rows(context):
-                pass
+            collect_rows(physical, context)
 
         for physical in plans.values():
             run(physical)  # warm-up

@@ -7,7 +7,7 @@ the offline auditor offers:
   candidate (``offline_audit_mode='lineage'``);
 * ``deletion``          — the literal Definition-2.3 re-runs, one
   ``Q(D − t)`` per candidate tuple, serial;
-* ``deletion_parallel`` — the same re-runs dispatched as chunked per-ID
+* ``deletion_parallel`` — the same re-runs dispatched in per-ID
   batches across a thread pool (``offline_audit_workers`` > 1).
 
 All strategies must return the identical accessed-ID set — the lineage

@@ -5,14 +5,13 @@ at each target sensitive selectivity, and measures — with the
 ``skipping`` knob on vs off:
 
 * *scan-under-audit* — draining the instrumented ``Audit(Scan(customer))``
-  subtree in batch mode (the engine's default execution mode). This
-  isolates the component the block sketches accelerate: with skipping on
+  subtree batch by batch without pivoting rows out. This isolates the component the block sketches accelerate: with skipping on
   the audit operator consults each block's sensitive-ID sketch (a
   zone-range shortcut resolves clustered ID sets in two comparisons) and
   skips the per-row membership pass for blocks provably free of
   sensitive rows;
-* *end-to-end* — the full ``SELECT * FROM customer`` through ``rows()``,
-  where projection cost dominates and the win is proportionally smaller;
+* *end-to-end* — the full ``SELECT * FROM customer`` through
+  ``collect_rows``, where result materialization dominates and the win is proportionally smaller;
 * *offline* — one :class:`OfflineAuditor` audit of the same query, whose
   lineage run skips per-row lineage tagging for candidate-disjoint
   blocks.
@@ -33,6 +32,7 @@ import time
 from repro import Database
 from repro.audit.offline import OfflineAuditor
 from repro.exec.operators.audit import AuditOperator
+from repro.exec.operators.base import collect_rows
 from repro.tpch import load_tpch
 
 #: the paper's evaluation ran at SF 10; the skipping experiment needs
@@ -106,13 +106,12 @@ def _measure_point(
 
         def drain_audit() -> None:
             context = database.make_context()
-            for __ in audit.rows_batched(context):
+            for __ in audit.rows_columnar(context):
                 pass
 
         def drain_query() -> None:
             context = database.make_context()
-            for __ in physical.rows(context):
-                pass
+            collect_rows(physical, context)
 
         entry: dict = {"sensitive_ids": sensitive_upto}
         contexts = {}
@@ -123,7 +122,7 @@ def _measure_point(
             )
             entry[f"query_{label}_s"] = _best_of(drain_query, repeats)
             context = database.make_context()
-            for __ in audit.rows_batched(context):
+            for __ in audit.rows_columnar(context):
                 pass
             contexts[label] = context
             entry[f"probes_{label}"] = context.audit_probe_count

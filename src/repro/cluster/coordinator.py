@@ -86,7 +86,7 @@ from repro.errors import (
     TriggerError,
     UnsupportedSqlError,
 )
-from repro.exec.context import DEFAULT_BATCH_SIZE, ExecutionContext, Session
+from repro.exec.context import ExecutionContext, Session
 from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.exec.operators.sort import _Reversed
 from repro.expr.evaluator import evaluate
@@ -372,9 +372,6 @@ class ClusterDatabase:
         #: coordinator plan cache; entries are tagged with the topology
         #: version so attach/detach/reshard invalidates scatter plans
         self.plan_cache = PlanCache()
-        #: execution mode for fragments AND the merge stage
-        self._exec_mode = "batch"
-        self.batch_size = DEFAULT_BATCH_SIZE
         self.skipping = True
         #: per-fragment artificial stall (ms), slept on the worker thread
         #: before the fragment runs — models per-shard I/O/compute time a
@@ -432,16 +429,6 @@ class ClusterDatabase:
 
     # ------------------------------------------------------------------
     # knobs mirrored across shards
-
-    @property
-    def exec_mode(self) -> str:
-        return self._exec_mode
-
-    @exec_mode.setter
-    def exec_mode(self, mode: str) -> None:
-        for shard in self._shards:
-            shard.exec_mode = mode  # validates; flips columnar costing
-        self._exec_mode = mode
 
     @property
     def audit_enabled(self) -> bool:
@@ -787,7 +774,6 @@ class ClusterDatabase:
             shard0.audit_manager.heuristic,
             self.join_strategy,
             shard0._optimizer.join_reorder,
-            self.exec_mode == "columnar",
         )
 
     def _next_gather_key(self) -> int:
@@ -867,7 +853,6 @@ class ClusterDatabase:
             session=self.session,
             parameters=parameters,
             compile_subquery=shard._optimizer.compile,
-            batch_size=self.batch_size,
         )
         context.data_skipping = self.skipping
         if tombstones:
@@ -895,9 +880,7 @@ class ClusterDatabase:
             context = self._shard_context(shard0, parameters, tombstones)
             try:
                 with shard0._engine_lock.read():
-                    return collect_rows(
-                        entry.single_physical, context, mode=self.exec_mode
-                    )
+                    return collect_rows(entry.single_physical, context)
             finally:
                 _merge_accessed(accessed_out, context.accessed)
         return self._run_scatter(entry, parameters, accessed_out, tombstones)
@@ -1050,9 +1033,7 @@ class ClusterDatabase:
                         interruptible_sleep(fragment_stall, token)
                     with shard._engine_lock.read():
                         return collect_rows(
-                            entry.fragment_physicals[index],
-                            context,
-                            mode=self.exec_mode,
+                            entry.fragment_physicals[index], context
                         )
                 except ReproError:
                     raise
@@ -1211,9 +1192,7 @@ class ClusterDatabase:
         upper_context.gather_rows = {entry.gather_key: merged}
         try:
             with shard0._engine_lock.read():
-                return collect_rows(
-                    entry.upper_physical, upper_context, mode=self.exec_mode
-                )
+                return collect_rows(entry.upper_physical, upper_context)
         finally:
             _merge_accessed(accessed_out, upper_context.accessed)
 

@@ -29,7 +29,6 @@ The engine's concurrency model (DESIGN.md §7) is two-layered:
 
 from repro.concurrency.barrier import SequenceBarrier
 from repro.concurrency.cancel import (
-    CHECK_EVERY_ROWS,
     CancellationToken,
     DeadlineToken,
     interruptible_sleep,
@@ -45,7 +44,6 @@ from repro.concurrency.pipeline import (
 )
 
 __all__ = [
-    "CHECK_EVERY_ROWS",
     "CancellationToken",
     "DeadlineToken",
     "DrainGate",

@@ -5,10 +5,9 @@ running fragment — it can only ask it to stop. A
 :class:`CancellationToken` is that ask: the cluster coordinator installs
 one on each scatter fragment's :class:`~repro.exec.context.
 ExecutionContext`, and :func:`~repro.exec.operators.base.collect_rows`
-checks it at every batch boundary (every :data:`CHECK_EVERY_ROWS` rows
-in row mode). A fragment whose deadline expires therefore unwinds at its
-next checkpoint — releasing its shard read lock — instead of running an
-abandoned query to completion.
+checks it at every batch boundary. A fragment whose deadline expires
+therefore unwinds at its next checkpoint — releasing its shard read
+lock — instead of running an abandoned query to completion.
 
 Cancellation raises :class:`~repro.errors.OperationCancelledError` from
 inside the execution, which the canceller is expected to absorb (it
@@ -23,9 +22,6 @@ import threading
 import time
 
 from repro.errors import OperationCancelledError
-
-#: row-mode executions check the token once per this many rows
-CHECK_EVERY_ROWS = 256
 
 
 class CancellationToken:
@@ -112,7 +108,6 @@ def interruptible_sleep(
 
 
 __all__ = [
-    "CHECK_EVERY_ROWS",
     "CancellationToken",
     "DeadlineToken",
     "interruptible_sleep",

@@ -58,7 +58,7 @@ from repro.errors import (
 )
 from repro.durability.journal import encode_id
 from repro.testing.faults import NO_FAULTS, FaultInjector
-from repro.exec.context import DEFAULT_BATCH_SIZE, ExecutionContext, Session
+from repro.exec.context import ExecutionContext, Session
 from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expression
@@ -129,14 +129,6 @@ class Database:
         self.trigger_manager = TriggerManager(self)
         #: set False to execute queries without audit instrumentation
         self.audit_enabled = True
-        #: execution mode: 'batch' (tuple batches, default), 'row' (the
-        #: classic Volcano loop), or 'columnar' (ColumnBatch exchange
-        #: with selection vectors and one-pass audit probes); all three
-        #: produce identical results, ACCESSED sets, and audit probe
-        #: counts
-        self.exec_mode = "batch"
-        #: rows per batch in batch mode
-        self.batch_size = DEFAULT_BATCH_SIZE
         #: rows per storage block in tables created after the change
         #: (each block keeps zone maps + a sensitive-ID sketch)
         self.block_size = DEFAULT_BLOCK_CAPACITY
@@ -237,20 +229,13 @@ class Database:
 
     @property
     def exec_mode(self) -> str:
-        """Execution mode knob: ``'row'``, ``'batch'``, or ``'columnar'``."""
-        return self._exec_mode
+        """Always ``"columnar"``, read-only: there is one executor.
 
-    @exec_mode.setter
-    def exec_mode(self, mode: str) -> None:
-        if mode not in ("row", "batch", "columnar"):
-            raise ValueError(
-                "exec_mode must be 'row', 'batch', or 'columnar', "
-                f"got {mode!r}"
-            )
-        self._exec_mode = mode
-        # the cost model discounts fused audit probes under the columnar
-        # sweep, so 'cost' placement can shift between modes
-        self.audit_manager.columnar_mode = mode == "columnar"
+        Exists for ``benchmarks/e2e/staged.py``, which passes it to
+        ``collect_rows(mode=)``, and goes when a benchmark change drops
+        that use.
+        """
+        return "columnar"
 
     # ------------------------------------------------------------------
     # concurrency: trigger pipeline and serving knobs
@@ -777,7 +762,6 @@ class Database:
             parameters=parameters,
             compile_subquery=self._optimizer.compile,
             base_outer_rows=base_outer_rows,
-            batch_size=self.batch_size,
         )
         if tombstones:
             context.tombstones = tombstones
@@ -830,7 +814,7 @@ class Database:
         """Run a compiled plan without trigger side effects (auditor use)."""
         context = self.make_context(parameters, tombstones=tombstones)
         with self._engine_lock.read():
-            rows = collect_rows(physical, context, mode=self.exec_mode)
+            rows = collect_rows(physical, context)
         return QueryResult(
             rows=rows,
             accessed={
@@ -1016,10 +1000,6 @@ class Database:
             self.audit_manager.heuristic,
             self.join_strategy,
             self._optimizer.join_reorder,
-            # row and batch modes share compiled plans; columnar is
-            # tagged apart because costed audit placement may differ
-            # under the columnar probe discount
-            self.exec_mode == "columnar",
         )
 
     def _execute_select(
@@ -1065,21 +1045,12 @@ class Database:
     ) -> QueryResult:
         base_rows = (pseudo_row,) if pseudo_row is not None else ()
         context = self.make_context(parameters, base_outer_rows=base_rows)
-        rows: list[tuple] = []
         try:
             # snapshot execution: N threads share the read side; the
             # lock is released *before* trigger firing, which needs the
             # write side for the actions' audit-log INSERTs
             with self._engine_lock.read():
-                if self.exec_mode == "batch":
-                    for batch in physical.rows_batched(context):
-                        rows.extend(batch)
-                elif self.exec_mode == "columnar":
-                    for column_batch in physical.rows_columnar(context):
-                        rows.extend(column_batch.to_rows())
-                else:
-                    for row in physical.rows(context):
-                        rows.append(row)
+                rows = collect_rows(physical, context)
         except BaseException:
             # §II: the (AFTER) action executes even if the query aborts,
             # to account for readers that consume a prefix of the result
@@ -1615,7 +1586,7 @@ class Database:
             context = self.make_context()
             return {
                 row[0]
-                for row in physical.rows(context)
+                for row in collect_rows(physical, context)
                 if row[0] is not None
             }
 

@@ -1,4 +1,4 @@
-"""Physical execution: Volcano-style operators and the execution context."""
+"""Physical execution: columnar pull operators and the execution context."""
 
 from repro.exec.context import ExecutionContext, Session
 from repro.exec.operators.base import PhysicalOperator

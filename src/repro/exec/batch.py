@@ -1,9 +1,9 @@
-"""Columnar batches for the vectorized execution mode.
+"""Columnar batches, the executor's unit of exchange.
 
-A :class:`ColumnBatch` is the unit of exchange between operators in
-``rows_columnar`` mode: one Python list (or tuple) per column, all of the
-same underlying length, plus a *selection vector* — a sequence of row
-indices that are logically alive, in row order. ``selection is None``
+A :class:`ColumnBatch` is what ``rows_columnar`` yields: one sequence of
+values per column, all of the same underlying length, plus a *selection
+vector* — a sequence of row indices that are logically alive, in row
+order. ``selection is None``
 means "all rows", the common case straight out of a scan, so filters can
 narrow a batch without touching the column data: they replace the
 selection vector and leave the columns shared with the upstream batch.
@@ -12,28 +12,30 @@ The layout mirrors the morsel-style columnar engines (one vector of
 values per attribute, late materialization through a selection vector):
 an operator that needs row-tuples (hash join build keys, DISTINCT's seen
 set, sort buffers) pivots with :meth:`ColumnBatch.to_rows` at its
-boundary and re-pivots its output with :meth:`ColumnBatch.from_rows` —
-the documented mode-boundary conversion rule. Everything that can stay
-columnar (filter sweeps, simple projections, the audit probe) operates
-on the columns directly.
+boundary and wraps its output with :meth:`ColumnBatch.from_rows`
+(:func:`row_batches` for a whole materialized list). Everything that
+can stay columnar (filter sweeps, simple projections, the audit probe)
+operates on the columns directly.
 
 Zero-arity rows (a FROM-less ``SELECT``) are represented by an empty
 ``columns`` tuple with a positive ``length`` — ``to_rows`` then yields
 ``length`` empty tuples, so the converters are total.
 
-Scans hand out :class:`LazyColumns` instead of an eager tuple: a wide
-table pivoted eagerly would copy every column out of block storage even
-though a typical query sweeps one or two. The lazy container pivots a
+Scans and ``from_rows`` hand out :class:`LazyColumns` instead of an
+eager tuple: a wide table pivoted eagerly would copy every column out
+of block storage even though a typical query sweeps one or two, and an
+index nested-loop join runs its inner subtree once per outer row, where
+a pivot per one-row batch would dominate. The lazy container pivots a
 column on first touch and keeps the backing row list around so
-``to_rows`` on an unfiltered scan batch is a plain list copy, not a
+``to_rows`` on an unfiltered batch is a plain list copy, not a
 pivot-then-zip round trip.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-__all__ = ["ColumnBatch", "LazyColumns", "columnar_rows"]
+__all__ = ["ColumnBatch", "LazyColumns", "row_batches"]
 
 
 class LazyColumns:
@@ -84,13 +86,17 @@ class ColumnBatch:
         self.selection = selection
 
     # ------------------------------------------------------------------
-    # converters (the row <-> columnar mode boundary)
+    # converters (row-tuples <-> columns)
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple]) -> "ColumnBatch":
-        """Pivot a list of row-tuples into one densely-selected batch."""
+        """Wrap a list of row-tuples as one densely-selected batch.
+
+        Columns are pivoted on first touch (:class:`LazyColumns`), so a
+        consumer that only wants the tuples back pays a list copy.
+        """
         if rows and rows[0]:
-            return cls(tuple(zip(*rows)), len(rows))
+            return cls(LazyColumns(rows, len(rows[0])), len(rows))
         return cls((), len(rows))
 
     def to_rows(self) -> list[tuple]:
@@ -151,7 +157,13 @@ class ColumnBatch:
         return ColumnBatch(self.columns, self.length, selection[:count])
 
 
-def columnar_rows(batches: Iterable[ColumnBatch]) -> Iterator[tuple]:
-    """Flatten a columnar stream into plain row-tuples (result fetch)."""
-    for batch in batches:
-        yield from batch.to_rows()
+def row_batches(
+    rows: Sequence[tuple], batch_size: int
+) -> list[ColumnBatch]:
+    """A materialized row list as dense batches of up to ``batch_size``."""
+    if len(rows) <= batch_size:
+        return [ColumnBatch.from_rows(rows)] if rows else []
+    return [
+        ColumnBatch.from_rows(rows[start:start + batch_size])
+        for start in range(0, len(rows), batch_size)
+    ]

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError
+from repro.exec.operators.base import collect_rows
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.plan.logical import LogicalPlan
@@ -34,9 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 #: compiles a logical plan into a physical one (provided by the engine)
 SubqueryCompiler = Callable[["LogicalPlan"], "PhysicalOperator"]
 
-#: rows per batch in batch-at-a-time execution (tuned for list-comp
-#: filter/project loops; large enough to amortize generator switches,
-#: small enough to keep working sets cache-friendly)
+#: rows per output batch of materializing operators (joins, sorts,
+#: aggregates, index and gather leaves): large enough to amortize
+#: generator switches, small enough to keep working sets cache-friendly
 DEFAULT_BATCH_SIZE = 1024
 
 
@@ -136,7 +137,6 @@ class ExecutionContext:
         parameters: dict[str, object] | None = None,
         compile_subquery: SubqueryCompiler | None = None,
         base_outer_rows: tuple[tuple, ...] = (),
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         self.session = session or Session()
         self._parameters = parameters or {}
@@ -155,8 +155,9 @@ class ExecutionContext:
         self.audit_probe_count = 0
         #: per-audit-expression probe counts (bench harness reads these)
         self.audit_probe_counts: dict[str, int] = {}
-        #: rows per batch for ``rows_batched`` execution
-        self.batch_size = batch_size
+        #: output chunk size of materializing operators; results, ACCESSED
+        #: and probe counts do not depend on it
+        self.batch_size = DEFAULT_BATCH_SIZE
         #: sensitive table whose primary keys ``rows_lineage`` tags rows
         #: with (None = lineage-capturing execution disabled)
         self.lineage_table: str | None = None
@@ -252,7 +253,7 @@ class ExecutionContext:
             self._subquery_plans[plan_key] = physical
         self.push_outer_row(current_row)
         try:
-            rows = list(physical.rows(self))
+            rows = collect_rows(physical, self)
         finally:
             self.pop_outer_row()
         self._subquery_memo[memo_key] = rows

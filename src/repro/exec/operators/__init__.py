@@ -1,11 +1,10 @@
-"""Physical operators (Volcano-style iterators; row, batch, and
-lineage-tagged execution modes)."""
+"""Physical operators (pull-based iterators of column batches, plus the
+lineage-tagged path of the offline auditor)."""
 
 from repro.exec.operators.base import (
     EMPTY_LINEAGE,
     PhysicalOperator,
     collect_rows,
-    rebatch,
 )
 from repro.exec.operators.lineage import LineageFreeOperator
 from repro.exec.operators.scan import TableScan, IndexSeek, IndexRange, OneRowSource
@@ -25,7 +24,6 @@ __all__ = [
     "PhysicalOperator",
     "LineageFreeOperator",
     "collect_rows",
-    "rebatch",
     "TableScan",
     "IndexSeek",
     "IndexRange",

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from repro.exec.batch import ColumnBatch
+from repro.exec.batch import row_batches
 from repro.expr.aggregates import make_accumulator
 from repro.expr.compiler import compile_expression
-from repro.expr.evaluator import evaluate
 from repro.exec.operators.base import PhysicalOperator
 from repro.plan.logical import AggregateSpec
 from repro.expr.nodes import ColumnRef, Expression
@@ -71,37 +70,6 @@ class HashAggregate(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        groups: dict[tuple, list] = {}
-        group_expressions = self._group_expressions
-        specs = self._specs
-        for row in self._child.rows(context):
-            key = tuple(
-                evaluate(expression, row, context)
-                for expression in group_expressions
-            )
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [
-                    make_accumulator(spec.name, spec.distinct)
-                    for spec in specs
-                ]
-                groups[key] = accumulators
-            for spec, accumulator in zip(specs, accumulators):
-                if spec.argument is None:
-                    accumulator.add(1)  # COUNT(*)
-                else:
-                    accumulator.add(evaluate(spec.argument, row, context))
-        if not groups and not group_expressions:
-            accumulators = [
-                make_accumulator(spec.name, spec.distinct) for spec in specs
-            ]
-            groups[()] = accumulators
-        for key, accumulators in groups.items():
-            yield key + tuple(
-                accumulator.result() for accumulator in accumulators
-            )
-
     def _fold_rows(
         self, groups: dict, rows: list, context: "ExecutionContext"
     ) -> None:
@@ -141,20 +109,11 @@ class HashAggregate(PhysicalOperator):
             for key, accumulators in groups.items()
         ]
 
-    def rows_batched(self, context: "ExecutionContext"):
-        groups: dict[tuple, list] = {}
-        for batch in self._child.rows_batched(context):
-            self._fold_rows(groups, batch, context)
-        out = self._finish(groups)
-        batch_size = context.batch_size
-        for start in range(0, len(out), batch_size):
-            yield out[start:start + batch_size]
-
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: fold over gathered columns when every group key
-        and aggregate argument is a plain column ref (a global SUM/COUNT
-        then sweeps each argument column in one tight loop); computed
-        keys or arguments pivot the batch and reuse the row fold."""
+        """Fold over gathered columns when every group key and aggregate
+        argument is a plain column ref (a global SUM/COUNT then sweeps
+        each argument column in one tight loop); computed keys or
+        arguments pivot the batch and fold row by row."""
         groups: dict[tuple, list] = {}
         slots = self._columnar_slots
         specs = self._specs
@@ -205,10 +164,7 @@ class HashAggregate(PhysicalOperator):
                         accumulator.add(1)  # COUNT(*)
                     else:
                         accumulator.add(column[i])
-        out = self._finish(groups)
-        batch_size = context.batch_size
-        for start in range(0, len(out), batch_size):
-            yield ColumnBatch.from_rows(out[start:start + batch_size])
+        yield from row_batches(self._finish(groups), context.batch_size)
 
     def describe(self) -> str:
         return (

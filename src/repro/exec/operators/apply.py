@@ -14,14 +14,13 @@ cardinality (§V-A).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
 from repro.expr.compiler import compile_predicate
-from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expression
-from repro.exec.operators.base import PhysicalOperator
-from repro.exec.operators.join import combine_lineage, row_batches
+from repro.exec.operators.base import PhysicalOperator, collect_rows
+from repro.exec.operators.join import combine_lineage
 from repro.plan.logical import JOIN_ANTI, JOIN_LEFT, JOIN_SEMI
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -42,7 +41,6 @@ class IndexNestedLoopJoin(PhysicalOperator):
         self._left = left
         self._inner = inner
         self._kind = kind
-        self._residual = residual
         self._compiled_residual = (
             compile_predicate(residual) if residual is not None else None
         )
@@ -51,54 +49,20 @@ class IndexNestedLoopJoin(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._left, self._inner)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        kind = self._kind
-        residual = self._residual
-        null_extension = (None,) * self._inner_arity
-        for left_row in self._left.rows(context):
-            context.push_outer_row(left_row)
-            try:
-                matches = list(self._inner.rows(context))
-            finally:
-                context.pop_outer_row()
-            matched = False
-            for right_row in matches:
-                combined = left_row + right_row
-                if residual is not None:
-                    if evaluate(residual, combined, context) is not True:
-                        continue
-                matched = True
-                if kind in (JOIN_SEMI, JOIN_ANTI):
-                    break
-                yield combined
-            if kind == JOIN_SEMI and matched:
-                yield left_row
-            elif kind == JOIN_ANTI and not matched:
-                yield left_row
-            elif kind == JOIN_LEFT and not matched:
-                yield left_row + null_extension
-
-    def rows_batched(self, context: "ExecutionContext"):
-        yield from self._run_batched(context, columnar=False)
-
     def rows_columnar(self, context: "ExecutionContext"):
-        for out in self._run_batched(context, columnar=True):
-            yield ColumnBatch.from_rows(out)
-
-    def _run_batched(self, context: "ExecutionContext", columnar: bool):
-        """Batch mode: outer rows arrive in batches; the inner subplan is
-        still executed per outer row (it is an index seek parameterized by
-        the outer-row stack, inherently row-at-a-time)."""
+        """Outer rows arrive in batches; the inner subplan is still
+        executed per outer row (it is an index seek parameterized by the
+        outer-row stack)."""
         kind = self._kind
         residual = self._compiled_residual
         null_extension = (None,) * self._inner_arity
         batch_size = context.batch_size
         out: list[tuple] = []
-        for batch in row_batches(self._left, context, columnar):
-            for left_row in batch:
+        for batch in self._left.rows_columnar(context):
+            for left_row in batch.to_rows():
                 context.push_outer_row(left_row)
                 try:
-                    matches = list(self._inner.rows(context))
+                    matches = collect_rows(self._inner, context)
                 finally:
                     context.pop_outer_row()
                 matched = False
@@ -118,10 +82,10 @@ class IndexNestedLoopJoin(PhysicalOperator):
                 elif kind == JOIN_LEFT and not matched:
                     out.append(left_row + null_extension)
                 if len(out) >= batch_size:
-                    yield out
+                    yield ColumnBatch.from_rows(out)
                     out = []
         if out:
-            yield out
+            yield ColumnBatch.from_rows(out)
 
     def rows_lineage(self, context: "ExecutionContext"):
         """Lineage mode: the per-outer-row inner execution also runs

@@ -15,17 +15,16 @@ stream: for each block it first consults the block's sensitive-ID sketch
 skips the per-row membership pass entirely when the block provably holds
 no sensitive value. The consult is conservative — a skipped block cannot
 contain any probe-set member — so ACCESSED is byte-identical with and
-without skipping; only the probe count drops. Row mode and batch mode
-share the fused path, preserving the probe-count equivalence between
-execution modes (Claim 3.6 must survive batching *and* skipping).
+without skipping; only the probe count drops (Claim 3.6 must survive
+skipping).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container, Iterator
+from typing import TYPE_CHECKING, Container
 
 from repro.exec.operators.base import PhysicalOperator
-from repro.exec.operators.scan import MAX_CONSULT_IDS, TableScan, chunked
+from repro.exec.operators.scan import MAX_CONSULT_IDS, TableScan
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
@@ -92,123 +91,20 @@ class AuditOperator(PhysicalOperator):
             lo = hi = None
         return child, slot, ids, lo, hi
 
-    def _fused_blocks(self, context: "ExecutionContext", fusion):
-        """Yield ``(rows, probe_needed)`` per surviving block.
-
-        Reuses the summary the scan's zone-map consult already fetched
-        (one lazy fetch per block per scan); only blocks the zone maps
-        never looked at fetch one here.
-        """
-        scan, slot, ids, lo, hi = fusion
-        table = scan.table
-        for block, rows, summary in scan.scan_blocks(context):
-            if summary is None:
-                summary = table.fresh_summary(block)
-            if summary.may_contain_any(slot, ids, lo, hi):
-                yield rows, True
-            else:
-                context.audit_blocks_skipped += 1
-                context.audit_probes_skipped += len(rows)
-                yield rows, False
-
     # ------------------------------------------------------------------
-    # execution modes
-
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        fusion = self._fusion(context)
-        slot = self._id_slot
-        sensitive = self._probe_set
-        record = None  # bound on first hit so clean queries leave no trace
-        probes = 0
-        try:
-            if fusion is not None:
-                for rows, probe_needed in self._fused_blocks(
-                    context, fusion
-                ):
-                    if not probe_needed:
-                        yield from rows
-                        continue
-                    probes += len(rows)
-                    for row in rows:
-                        value = row[slot]
-                        if value is not None and value in sensitive:
-                            if record is None:
-                                record = context.accessed.setdefault(
-                                    self._audit_name, set()
-                                ).add
-                            record(value)
-                        yield row
-                return
-            for row in self._child.rows(context):
-                probes += 1
-                value = row[slot]
-                if value is not None and value in sensitive:
-                    if record is None:
-                        record = context.accessed.setdefault(
-                            self._audit_name, set()
-                        ).add
-                    record(value)
-                yield row
-        finally:
-            # flushed even on a mid-stream abort, so the probe accounting
-            # of a prefix-consumed query is complete in both modes
-            context.add_probes(self._audit_name, probes)
-
-    def rows_batched(self, context: "ExecutionContext"):
-        """Batch mode: probe each batch in one tight loop.
-
-        Per-batch work is a bare hash probe per row — identical probe
-        count and ACCESSED contents as ``rows`` (Claim 3.6 must survive
-        batching). Batches pass through unchanged.
-        """
-        fusion = self._fusion(context)
-        slot = self._id_slot
-        sensitive = self._probe_set
-        record = None
-        probes = 0
-        try:
-            if fusion is not None:
-                batch_size = context.batch_size
-                for rows, probe_needed in self._fused_blocks(
-                    context, fusion
-                ):
-                    if probe_needed:
-                        probes += len(rows)
-                        for row in rows:
-                            value = row[slot]
-                            if value is not None and value in sensitive:
-                                if record is None:
-                                    record = context.accessed.setdefault(
-                                        self._audit_name, set()
-                                    ).add
-                                record(value)
-                    yield from chunked(rows, batch_size)
-                return
-            for batch in self._child.rows_batched(context):
-                probes += len(batch)
-                for row in batch:
-                    value = row[slot]
-                    if value is not None and value in sensitive:
-                        if record is None:
-                            record = context.accessed.setdefault(
-                                self._audit_name, set()
-                            ).add
-                        record(value)
-                yield batch
-        finally:
-            context.add_probes(self._audit_name, probes)
+    # execution
 
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: one bulk pass over the partition-by column.
+        """One bulk pass over the partition-by column per batch.
 
-        Per batch the probe is a single ``set.intersection`` between the
+        The probe is a single ``set.intersection`` between the
         sensitive-ID set and the selected slice of the ID column — ACCESSED
         grows by the whole hit set at once instead of per row. Every live
         row still counts as exactly one probe, and a NULL ID can never be
         in the sensitive set, so probe counts and ACCESSED contents are
-        identical to the row and batch modes (Claim 3.6 survives the
-        columnar layout). Probe structures without set semantics (the
-        counting Bloom filter) keep a per-value membership loop.
+        what a per-row probe would record (Claim 3.6). Probe structures
+        without set semantics (the counting Bloom filter) keep a
+        per-value membership loop. Batches pass through unchanged.
         """
         fusion = self._fusion(context)
         slot = self._id_slot
@@ -256,11 +152,13 @@ class AuditOperator(PhysicalOperator):
                 _probe(batch.column(slot))
                 yield batch
         finally:
+            # flushed even on a mid-stream abort, so the probe accounting
+            # of a prefix-consumed query is complete
             context.add_probes(self._audit_name, probes)
 
     def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: probe and record exactly as ``rows``; lineage
-        passes through untouched (the operator is a no-op data viewer)."""
+        """Lineage mode: probe and record per row; lineage passes through
+        untouched (the operator is a no-op data viewer)."""
         slot = self._id_slot
         sensitive = self._probe_set
         record = None

@@ -1,34 +1,24 @@
 """Physical operator interface.
 
-A physical operator is an immutable factory of row iterators: calling
-``rows(context)`` starts a fresh execution. This makes plans re-executable,
-which the offline auditor exploits — it runs the same physical plan many
-times with different tombstone sets (one per candidate sensitive tuple).
+A physical operator is an immutable factory of batch iterators: calling
+``rows_columnar(context)`` starts a fresh execution. This makes plans
+re-executable, which the offline auditor exploits — it runs the same
+physical plan many times with different tombstone sets (one per
+candidate sensitive tuple).
 
-Operators support two execution modes over the same plan:
-
-* **row-at-a-time** (``rows``) — the classic Volcano pull loop, one tuple
-  per generator step;
-* **batch-at-a-time** (``rows_batched``) — yields lists of tuples of up to
-  ``context.batch_size`` rows, so per-operator work runs in tight Python
-  loops instead of one generator frame switch per row. Both modes must
-  produce the same rows in the same order; audit operators additionally
-  guarantee identical ACCESSED contents and probe counts (the paper's
-  no-op guarantee survives batching).
-
-The base ``rows_batched`` wraps ``rows`` so every operator is batch-capable
-by default; hot operators override it with real vectorized loops.
+Online execution has one data path:
 
 * **columnar** (``rows_columnar``) — yields
   :class:`~repro.exec.batch.ColumnBatch` objects (per-column vectors plus
-  a selection vector) instead of lists of row-tuples. Filters narrow the
-  selection without touching data; the audit operator probes the
-  partition-by column in one bulk pass. Row order, ACCESSED contents,
-  and probe counts are identical to the other modes — the base default
-  pivots ``rows_batched`` so every operator is columnar-capable, and hot
-  operators override it with true column sweeps.
+  a selection vector). Filters narrow the selection without touching
+  data; the audit operator probes the partition-by column in one bulk
+  pass. Operators that need whole tuples (join keys, sort buffers, the
+  DISTINCT seen-set) pivot with ``to_rows`` at their boundary and emit
+  dense batches of at most ``context.batch_size`` rows. Row order,
+  ACCESSED contents, and probe counts do not depend on where the batch
+  boundaries fall.
 
-A third mode supports the lineage-based offline auditor:
+A second path supports the lineage-based offline auditor:
 
 * **lineage-tagged** (``rows_lineage``) — yields ``(row, lineage)`` pairs
   where ``lineage`` is a frozenset of primary keys of the context's
@@ -61,41 +51,15 @@ EMPTY_LINEAGE: frozenset = frozenset()
 class PhysicalOperator:
     """Base class for physical operators."""
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        """Start a fresh execution and yield output rows."""
-        raise NotImplementedError
-
-    def rows_batched(
-        self, context: "ExecutionContext"
-    ) -> Iterator[list[tuple]]:
-        """Start a fresh execution and yield non-empty row batches.
-
-        Default: chunk ``rows()``. Overrides must preserve row order and
-        never yield empty batches.
-        """
-        batch_size = context.batch_size
-        batch: list[tuple] = []
-        append = batch.append
-        for row in self.rows(context):
-            append(row)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
-
     def rows_columnar(
         self, context: "ExecutionContext"
     ) -> Iterator[ColumnBatch]:
         """Start a fresh execution and yield non-empty column batches.
 
-        Default: pivot ``rows_batched()`` at the mode boundary. Overrides
-        must preserve row order and never yield batches with an empty
-        selection.
+        Implementations must preserve row order and never yield batches
+        with an empty selection.
         """
-        for batch in self.rows_batched(context):
-            yield ColumnBatch.from_rows(batch)
+        raise NotImplementedError
 
     def rows_lineage(
         self, context: "ExecutionContext"
@@ -128,57 +92,33 @@ class PhysicalOperator:
 def collect_rows(
     operator: PhysicalOperator,
     context: "ExecutionContext",
-    mode: str = "row",
+    mode: str = "columnar",
 ) -> list[tuple]:
-    """Materialize an operator's output in the given execution mode.
+    """Materialize an operator's output as row-tuples.
 
-    Every batch boundary (every :data:`~repro.concurrency.cancel.
-    CHECK_EVERY_ROWS` rows in row mode) is a cooperative cancellation
-    checkpoint: a cancelled ``context.cancel_token`` unwinds the
-    execution with :class:`~repro.errors.OperationCancelledError`
-    instead of running an abandoned plan to completion.
+    The one execution loop: statements, subqueries, ID-view
+    materialization and the materializing operators (sort buffers, join
+    build sides) all drain their input here. Every batch boundary is a
+    cooperative cancellation checkpoint: a cancelled
+    ``context.cancel_token`` unwinds the execution with
+    :class:`~repro.errors.OperationCancelledError` instead of running an
+    abandoned plan to completion.
+
+    ``mode`` accepts only ``"columnar"``. It exists for
+    ``benchmarks/e2e/staged.py``, which passes ``mode=db.exec_mode``, and
+    goes when a benchmark change drops that use.
     """
+    if mode != "columnar":
+        raise ValueError(
+            f"unknown execution mode {mode!r}: 'columnar' is the only one"
+        )
     token = context.cancel_token
-    if mode == "batch":
-        rows: list[tuple] = []
-        for batch in operator.rows_batched(context):
-            if token is not None:
-                token.raise_if_cancelled()
-            rows.extend(batch)
-        return rows
-    if mode == "columnar":
-        rows = []
-        for column_batch in operator.rows_columnar(context):
-            if token is not None:
-                token.raise_if_cancelled()
-            rows.extend(column_batch.to_rows())
-        return rows
-    if mode == "row":
-        if token is None:
-            return list(operator.rows(context))
-        from repro.concurrency.cancel import CHECK_EVERY_ROWS
-
-        rows = []
-        for row in operator.rows(context):
-            rows.append(row)
-            if len(rows) % CHECK_EVERY_ROWS == 0:
-                token.raise_if_cancelled()
-        return rows
-    raise ValueError(f"unknown execution mode {mode!r}")
-
-
-def rebatch(
-    batches: Iterator[list[tuple]], batch_size: int
-) -> Iterator[list[tuple]]:
-    """Re-chunk a batch stream to ``batch_size`` (drops empty batches)."""
-    pending: list[tuple] = []
-    for batch in batches:
-        pending.extend(batch)
-        while len(pending) >= batch_size:
-            yield pending[:batch_size]
-            pending = pending[batch_size:]
-    if pending:
-        yield pending
+    rows: list[tuple] = []
+    for batch in operator.rows_columnar(context):
+        if token is not None:
+            token.raise_if_cancelled()
+        rows.extend(batch.to_rows())
+    return rows
 
 
 def format_physical(operator: PhysicalOperator, indent: int = 0) -> str:

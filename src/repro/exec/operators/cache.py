@@ -11,9 +11,14 @@ this operator.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from repro.exec.operators.base import EMPTY_LINEAGE, PhysicalOperator
+from repro.exec.batch import row_batches
+from repro.exec.operators.base import (
+    EMPTY_LINEAGE,
+    PhysicalOperator,
+    collect_rows,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
@@ -35,32 +40,23 @@ class CacheOperator(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
+    def _materialized(self, context: "ExecutionContext") -> list[tuple]:
         cached = self._store.get(self._key)
         if cached is None:
-            cached = list(self._child.rows(context))
+            # drained eagerly so the store never holds a prefix
+            cached = collect_rows(self._child, context)
             self._store[self._key] = cached
-        return iter(cached)
+        return cached
 
-    def rows_batched(self, context: "ExecutionContext"):
-        cached = self._store.get(self._key)
-        if cached is None:
-            # materialize eagerly so the store never holds a prefix; the
-            # flat list is shared with row-mode executions of the plan
-            cached = [
-                row
-                for batch in self._child.rows_batched(context)
-                for row in batch
-            ]
-            self._store[self._key] = cached
-        batch_size = context.batch_size
-        for start in range(0, len(cached), batch_size):
-            yield cached[start:start + batch_size]
+    def rows_columnar(self, context: "ExecutionContext"):
+        yield from row_batches(
+            self._materialized(context), context.batch_size
+        )
 
     def rows_lineage(self, context: "ExecutionContext"):
         """Lineage mode: the operator only ever wraps subtrees that never
         read the sensitive table, so every cached row has empty lineage."""
-        for row in self.rows(context):
+        for row in self._materialized(context):
             yield row, EMPTY_LINEAGE
 
     def describe(self) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
 from repro.exec.operators.base import PhysicalOperator
@@ -20,30 +20,9 @@ class DistinctOperator(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self._child.rows(context):
-            if row in seen:
-                continue
-            seen.add(row)
-            yield row
-
-    def rows_batched(self, context: "ExecutionContext"):
-        seen: set[tuple] = set()
-        add = seen.add
-        for batch in self._child.rows_batched(context):
-            fresh: list[tuple] = []
-            append = fresh.append
-            for row in batch:
-                if row not in seen:
-                    add(row)
-                    append(row)
-            if fresh:
-                yield fresh
-
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: the seen-set keys on whole tuples, so pivot at
-        the boundary and re-pivot the surviving first occurrences."""
+        """The seen-set keys on whole tuples, so pivot at the boundary
+        and re-pivot the surviving first occurrences."""
         seen: set[tuple] = set()
         add = seen.add
         for batch in self._child.rows_columnar(context):

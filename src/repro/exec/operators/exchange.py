@@ -15,9 +15,10 @@ replays).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
+from repro.exec.batch import row_batches
 from repro.exec.operators.base import PhysicalOperator
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -30,7 +31,7 @@ class GatherSource(PhysicalOperator):
     The coordinator materializes and merges the per-shard fragment
     streams *before* the upper plan runs, so the gather is a plain list
     replay: re-executable (the offline auditor re-runs cluster plans
-    with different tombstone sets) and identical across execution modes.
+    with different tombstone sets).
     """
 
     def __init__(self, key: int) -> None:
@@ -45,16 +46,8 @@ class GatherSource(PhysicalOperator):
             )
         return sources[self._key]
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        yield from self._source(context)
-
-    def rows_batched(
-        self, context: "ExecutionContext"
-    ) -> Iterator[list[tuple]]:
-        source = self._source(context)
-        batch_size = context.batch_size
-        for start in range(0, len(source), batch_size):
-            yield source[start:start + batch_size]
+    def rows_columnar(self, context: "ExecutionContext"):
+        yield from row_batches(self._source(context), context.batch_size)
 
     def describe(self) -> str:
         return f"GatherSource(key={self._key})"
@@ -66,15 +59,8 @@ class RowSource(PhysicalOperator):
     def __init__(self, source_rows: list[tuple]) -> None:
         self._rows = source_rows
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        yield from self._rows
-
-    def rows_batched(
-        self, context: "ExecutionContext"
-    ) -> Iterator[list[tuple]]:
-        batch_size = context.batch_size
-        for start in range(0, len(self._rows), batch_size):
-            yield self._rows[start:start + batch_size]
+    def rows_columnar(self, context: "ExecutionContext"):
+        yield from row_batches(self._rows, context.batch_size)
 
     def describe(self) -> str:
         return f"RowSource({len(self._rows)} rows)"

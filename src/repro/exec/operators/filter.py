@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
 from repro.expr.compiler import compile_column_predicate, compile_predicate
-from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expression
 from repro.exec.operators.base import PhysicalOperator
 
@@ -19,28 +18,14 @@ class FilterOperator(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         self._child = child
-        self._predicate = predicate
         self._compiled = compile_predicate(predicate)
         self._column_sweep = compile_column_predicate(predicate)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        predicate = self._predicate
-        for row in self._child.rows(context):
-            if evaluate(predicate, row, context) is True:
-                yield row
-
-    def rows_batched(self, context: "ExecutionContext"):
-        predicate = self._compiled
-        for batch in self._child.rows_batched(context):
-            kept = [row for row in batch if predicate(row, context) is True]
-            if kept:
-                yield kept
-
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: narrow the selection vector, share the columns."""
+        """Narrow the selection vector, share the columns."""
         sweep = self._column_sweep
         for batch in self._child.rows_columnar(context):
             kept = sweep(batch.columns, batch.indices(), context)

@@ -7,30 +7,13 @@ left row for semi/anti joins — matching the logical algebra.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
 from repro.expr.compiler import compile_predicate
-from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expression
-from repro.exec.operators.base import EMPTY_LINEAGE, PhysicalOperator
+from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.plan.logical import JOIN_ANTI, JOIN_INNER, JOIN_LEFT, JOIN_SEMI
-
-
-def row_batches(
-    operator: PhysicalOperator, context, columnar: bool
-):
-    """An operator's output as row-tuple batches in either mode.
-
-    Joins hash and concatenate whole tuples, so they pivot columnar
-    inputs at their boundary (the documented conversion rule) and run
-    one shared tuple-at-a-time core for both modes.
-    """
-    if columnar:
-        for batch in operator.rows_columnar(context):
-            yield batch.to_rows()
-    else:
-        yield from operator.rows_batched(context)
 
 
 def combine_lineage(left: frozenset, right: frozenset) -> frozenset:
@@ -63,7 +46,6 @@ class NestedLoopJoin(PhysicalOperator):
         self._left = left
         self._right = right
         self._kind = kind
-        self._condition = condition
         self._compiled_condition = (
             compile_predicate(condition) if condition is not None else None
         )
@@ -72,26 +54,15 @@ class NestedLoopJoin(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._left, self._right)
 
-    def rows_batched(self, context: "ExecutionContext"):
-        yield from self._run_batched(context, columnar=False)
-
     def rows_columnar(self, context: "ExecutionContext"):
-        for out in self._run_batched(context, columnar=True):
-            yield ColumnBatch.from_rows(out)
-
-    def _run_batched(self, context: "ExecutionContext", columnar: bool):
-        right_rows = [
-            row
-            for batch in row_batches(self._right, context, columnar)
-            for row in batch
-        ]
+        right_rows = collect_rows(self._right, context)
         condition = self._compiled_condition
         kind = self._kind
         null_extension = (None,) * self._right_arity
         batch_size = context.batch_size
         out: list[tuple] = []
-        for batch in row_batches(self._left, context, columnar):
-            for left_row in batch:
+        for batch in self._left.rows_columnar(context):
+            for left_row in batch.to_rows():
                 matched = False
                 for right_row in right_rows:
                     combined = left_row + right_row
@@ -109,35 +80,10 @@ class NestedLoopJoin(PhysicalOperator):
                 elif kind == JOIN_LEFT and not matched:
                     out.append(left_row + null_extension)
                 if len(out) >= batch_size:
-                    yield out
+                    yield ColumnBatch.from_rows(out)
                     out = []
         if out:
-            yield out
-
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        right_rows = list(self._right.rows(context))
-        condition = self._condition
-        kind = self._kind
-        null_extension = (None,) * self._right_arity
-        for left_row in self._left.rows(context):
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if condition is not None:
-                    if evaluate(condition, combined, context) is not True:
-                        continue
-                matched = True
-                if kind == JOIN_SEMI:
-                    break
-                if kind == JOIN_ANTI:
-                    break
-                yield combined
-            if kind == JOIN_SEMI and matched:
-                yield left_row
-            elif kind == JOIN_ANTI and not matched:
-                yield left_row
-            elif kind == JOIN_LEFT and not matched:
-                yield left_row + null_extension
+            yield ColumnBatch.from_rows(out)
 
     def rows_lineage(self, context: "ExecutionContext"):
         """Lineage mode. The plan certifier only admits non-inner kinds
@@ -205,50 +151,31 @@ class HashJoin(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._left, self._right)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        if self._build_left:
-            yield from self._run_build_left(context)
-        else:
-            yield from self._run_build_right(context)
-
-    def rows_batched(self, context: "ExecutionContext"):
-        if self._build_left:
-            yield from self._run_build_left_batched(context)
-        else:
-            yield from self._run_build_right_batched(context)
-
     def rows_columnar(self, context: "ExecutionContext"):
-        batches = (
-            self._run_build_left_batched(context, columnar=True)
-            if self._build_left
-            else self._run_build_right_batched(context, columnar=True)
-        )
-        for out in batches:
-            yield ColumnBatch.from_rows(out)
+        """Joins hash and concatenate whole tuples, so both inputs are
+        pivoted at the boundary and the output wrapped per batch."""
+        if self._build_left:
+            return self._run_build_left(context)
+        return self._run_build_right(context)
 
     def _build_table(
         self,
         operator: PhysicalOperator,
         keys: tuple[int, ...],
         context: "ExecutionContext",
-        columnar: bool = False,
     ) -> dict[tuple, list[tuple]]:
         table: dict[tuple, list[tuple]] = {}
         setdefault = table.setdefault
-        for batch in row_batches(operator, context, columnar):
-            for row in batch:
+        for batch in operator.rows_columnar(context):
+            for row in batch.to_rows():
                 key = tuple(row[slot] for slot in keys)
                 if any(part is None for part in key):
                     continue
                 setdefault(key, []).append(row)
         return table
 
-    def _run_build_right_batched(
-        self, context: "ExecutionContext", columnar: bool = False
-    ):
-        table = self._build_table(
-            self._right, self._right_keys, context, columnar
-        )
+    def _run_build_right(self, context: "ExecutionContext"):
+        table = self._build_table(self._right, self._right_keys, context)
         residual = self._compiled_residual
         kind = self._kind
         left_keys = self._left_keys
@@ -257,8 +184,8 @@ class HashJoin(PhysicalOperator):
         batch_size = context.batch_size
         get = table.get
         out: list[tuple] = []
-        for batch in row_batches(self._left, context, columnar):
-            for left_row in batch:
+        for batch in self._left.rows_columnar(context):
+            for left_row in batch.to_rows():
                 key = tuple(left_row[slot] for slot in left_keys)
                 matches = get(key, empty) if None not in key else empty
                 matched = False
@@ -278,25 +205,21 @@ class HashJoin(PhysicalOperator):
                 elif kind == JOIN_LEFT and not matched:
                     out.append(left_row + null_extension)
                 if len(out) >= batch_size:
-                    yield out
+                    yield ColumnBatch.from_rows(out)
                     out = []
         if out:
-            yield out
+            yield ColumnBatch.from_rows(out)
 
-    def _run_build_left_batched(
-        self, context: "ExecutionContext", columnar: bool = False
-    ):
-        table = self._build_table(
-            self._left, self._left_keys, context, columnar
-        )
+    def _run_build_left(self, context: "ExecutionContext"):
+        table = self._build_table(self._left, self._left_keys, context)
         residual = self._compiled_residual
         right_keys = self._right_keys
         empty: tuple = ()
         batch_size = context.batch_size
         get = table.get
         out: list[tuple] = []
-        for batch in row_batches(self._right, context, columnar):
-            for right_row in batch:
+        for batch in self._right.rows_columnar(context):
+            for right_row in batch.to_rows():
                 key = tuple(right_row[slot] for slot in right_keys)
                 if None in key:
                     continue
@@ -307,63 +230,10 @@ class HashJoin(PhysicalOperator):
                             continue
                     out.append(combined)
                 if len(out) >= batch_size:
-                    yield out
+                    yield ColumnBatch.from_rows(out)
                     out = []
         if out:
-            yield out
-
-    def _run_build_right(
-        self, context: "ExecutionContext"
-    ) -> Iterator[tuple]:
-        table: dict[tuple, list[tuple]] = {}
-        for right_row in self._right.rows(context):
-            key = tuple(right_row[slot] for slot in self._right_keys)
-            if any(part is None for part in key):
-                continue
-            table.setdefault(key, []).append(right_row)
-        residual = self._residual
-        kind = self._kind
-        null_extension = (None,) * self._right_arity
-        for left_row in self._left.rows(context):
-            key = tuple(left_row[slot] for slot in self._left_keys)
-            matches = table.get(key, ()) if None not in key else ()
-            matched = False
-            for right_row in matches:
-                combined = left_row + right_row
-                if residual is not None:
-                    if evaluate(residual, combined, context) is not True:
-                        continue
-                matched = True
-                if kind in (JOIN_SEMI, JOIN_ANTI):
-                    break
-                yield combined
-            if kind == JOIN_SEMI and matched:
-                yield left_row
-            elif kind == JOIN_ANTI and not matched:
-                yield left_row
-            elif kind == JOIN_LEFT and not matched:
-                yield left_row + null_extension
-
-    def _run_build_left(
-        self, context: "ExecutionContext"
-    ) -> Iterator[tuple]:
-        table: dict[tuple, list[tuple]] = {}
-        for left_row in self._left.rows(context):
-            key = tuple(left_row[slot] for slot in self._left_keys)
-            if any(part is None for part in key):
-                continue
-            table.setdefault(key, []).append(left_row)
-        residual = self._residual
-        for right_row in self._right.rows(context):
-            key = tuple(right_row[slot] for slot in self._right_keys)
-            if any(part is None for part in key):
-                continue
-            for left_row in table.get(key, ()):
-                combined = left_row + right_row
-                if residual is not None:
-                    if evaluate(residual, combined, context) is not True:
-                        continue
-                yield combined
+            yield ColumnBatch.from_rows(out)
 
     def rows_lineage(self, context: "ExecutionContext"):
         if self._build_left:

@@ -6,8 +6,8 @@ that wraps every topmost subtree *not* reading the sensitive table in a
 :class:`LineageFreeOperator`. Such subtrees produce identical rows under
 every single-tuple deletion, so their rows carry empty lineage — and they
 may contain operators with no exact lineage semantics (top-k, aggregates),
-which is precisely why the adapter exists: it runs them in ordinary batch
-mode and tags the output, instead of requiring ``rows_lineage`` support
+which is precisely why the adapter exists: it runs them through the
+ordinary executor and tags the output, instead of requiring ``rows_lineage`` support
 below.
 """
 
@@ -30,15 +30,12 @@ class LineageFreeOperator(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext"):
-        return self._child.rows(context)
-
-    def rows_batched(self, context: "ExecutionContext"):
-        return self._child.rows_batched(context)
+    def rows_columnar(self, context: "ExecutionContext"):
+        return self._child.rows_columnar(context)
 
     def rows_lineage(self, context: "ExecutionContext"):
-        for batch in self._child.rows_batched(context):
-            for row in batch:
+        for batch in self._child.rows_columnar(context):
+            for row in batch.to_rows():
                 yield row, EMPTY_LINEAGE
 
     def describe(self) -> str:

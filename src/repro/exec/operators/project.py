@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
 from repro.expr.compiler import compile_expression, compile_projector
-from repro.expr.evaluator import evaluate
 from repro.expr.nodes import ColumnRef, Expression
 from repro.exec.operators.base import PhysicalOperator
 
@@ -18,8 +17,7 @@ class ProjectOperator(PhysicalOperator):
     """Computes output rows from expressions over the child row.
 
     Projections that are pure column permutations (a common case after
-    binding) are executed with tuple indexing instead of the general
-    evaluator — measurably faster on hot paths.
+    binding) re-point columns instead of evaluating anything.
     """
 
     def __init__(
@@ -46,33 +44,8 @@ class ProjectOperator(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        slots = self._simple_slots
-        if slots is not None:
-            for row in self._child.rows(context):
-                yield tuple(row[slot] for slot in slots)
-            return
-        expressions = self._expressions
-        for row in self._child.rows(context):
-            yield tuple(
-                evaluate(expression, row, context)
-                for expression in expressions
-            )
-
-    def rows_batched(self, context: "ExecutionContext"):
-        slots = self._simple_slots
-        if slots is not None:
-            for batch in self._child.rows_batched(context):
-                yield [
-                    tuple(row[slot] for slot in slots) for row in batch
-                ]
-            return
-        projector = self._projector
-        for batch in self._child.rows_batched(context):
-            yield [projector(row, context) for row in batch]
-
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: column permutations re-point the column tuple
+        """Column permutations re-point the column tuple
         (zero copy, selection shared); anything computed pivots once and
         evaluates per output expression into a fresh dense column."""
         slots = self._simple_slots

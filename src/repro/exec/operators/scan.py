@@ -9,16 +9,16 @@ block's zone maps against the predicate's sargable conjuncts (extracted
 once at construction) to skip blocks that provably cannot produce a row —
 the conservative data-skipping fast path (see
 :mod:`repro.storage.blocks`). The audit operator reuses the same block
-stream via :meth:`TableScan.scan_blocks` to additionally skip the
-per-row sensitive-ID probe for sketch-disjoint blocks.
+stream via :meth:`TableScan.scan_column_blocks` to additionally skip the
+sensitive-ID probe for sketch-disjoint blocks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
-from repro.exec.batch import ColumnBatch, LazyColumns
+from repro.exec.batch import ColumnBatch, LazyColumns, row_batches
 from repro.expr.compiler import compile_column_predicate, compile_predicate
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import (
@@ -98,15 +98,6 @@ def _sargable_conjuncts(
                      column.index, None)
                 )
     return tuple(found)
-
-
-def chunked(rows: list, batch_size: int):
-    """Yield ``rows`` as one batch, or several when over ``batch_size``."""
-    if len(rows) <= batch_size:
-        yield rows
-        return
-    for start in range(0, len(rows), batch_size):
-        yield rows[start:start + batch_size]
 
 
 class TableScan(PhysicalOperator):
@@ -198,8 +189,8 @@ class TableScan(PhysicalOperator):
         Zone maps are consulted only when the context has data skipping
         enabled; tombstone and predicate filtering always run, so this
         stream is exactly the scan's output partitioned by block (the
-        audit operator fuses on it for sketch-level probe skipping, and
-        reuses ``summary`` — possibly ``None`` — for its sketch consult).
+        lineage run consults ``summary`` — possibly ``None`` — against
+        its candidate IDs).
         """
         predicate = self._compiled
         for block, rows, summary in self._live_blocks(context):
@@ -211,7 +202,8 @@ class TableScan(PhysicalOperator):
                 yield block, rows, summary
 
     def scan_column_blocks(self, context: "ExecutionContext"):
-        """Columnar twin of :meth:`scan_blocks`.
+        """Columnar twin of :meth:`scan_blocks`; the audit operator fuses
+        on it for sketch-level probe skipping, reusing ``summary``.
 
         Yields ``(block, batch, summary)``: each surviving block's rows
         wrapped in a :class:`ColumnBatch` over :class:`LazyColumns` —
@@ -233,15 +225,6 @@ class TableScan(PhysicalOperator):
                 if len(selection) == length:
                     selection = None
             yield block, ColumnBatch(columns, length, selection), summary
-
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        for __, rows, __summary in self.scan_blocks(context):
-            yield from rows
-
-    def rows_batched(self, context: "ExecutionContext"):
-        batch_size = context.batch_size
-        for __, rows, __summary in self.scan_blocks(context):
-            yield from chunked(rows, batch_size)
 
     def rows_columnar(self, context: "ExecutionContext"):
         for __, batch, __summary in self.scan_column_blocks(context):
@@ -300,6 +283,47 @@ class TableScan(PhysicalOperator):
         return f"TableScan({self._table.schema.name}){suffix}"
 
 
+def _visible_rows(
+    table: "Table",
+    rids,
+    pk_positions: tuple[int, ...],
+    residual: Expression | None,
+    context: "ExecutionContext",
+) -> list[tuple]:
+    """Rows behind index ``rids`` minus tombstoned and residual-failing."""
+    hidden = context.tombstones.get(table.schema.name)
+    rows = []
+    for rid in rids:
+        row = table.row_by_rid(rid)
+        if hidden is not None and pk_positions:
+            if tuple(row[p] for p in pk_positions) in hidden:
+                continue
+        if residual is not None:
+            if evaluate(residual, row, context) is not True:
+                continue
+        rows.append(row)
+    return rows
+
+
+def _tag_own_keys(
+    rows: list[tuple],
+    table: "Table",
+    pk_positions: tuple[int, ...],
+    context: "ExecutionContext",
+):
+    """Lineage base case for index access paths: a row of the lineage
+    table derives from its own primary key, any other row from nothing."""
+    tagged = (
+        table.schema.name == context.lineage_table and bool(pk_positions)
+    )
+    for row in rows:
+        if tagged:
+            pk = tuple(row[position] for position in pk_positions)
+            yield row, frozenset((pk,))
+        else:
+            yield row, EMPTY_LINEAGE
+
+
 class IndexSeek(PhysicalOperator):
     """Equality seek on a secondary index.
 
@@ -325,36 +349,24 @@ class IndexSeek(PhysicalOperator):
     def table(self) -> "Table":
         return self._table
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
+    def _fetch(self, context: "ExecutionContext") -> list[tuple]:
         index = self._table.secondary_index(self._index_name)
         key = tuple(
             evaluate(expression, (), context)
             for expression in self._key_expressions
         )
-        hidden = context.tombstones.get(self._table.schema.name)
-        for rid in index.seek(key):
-            row = self._table.row_by_rid(rid)
-            if hidden is not None and self._pk_positions:
-                pk = tuple(row[p] for p in self._pk_positions)
-                if pk in hidden:
-                    continue
-            if self._residual is not None:
-                if evaluate(self._residual, row, context) is not True:
-                    continue
-            yield row
+        return _visible_rows(
+            self._table, index.seek(key), self._pk_positions,
+            self._residual, context,
+        )
+
+    def rows_columnar(self, context: "ExecutionContext"):
+        yield from row_batches(self._fetch(context), context.batch_size)
 
     def rows_lineage(self, context: "ExecutionContext"):
-        tagged = (
-            self._table.schema.name == context.lineage_table
-            and bool(self._pk_positions)
+        yield from _tag_own_keys(
+            self._fetch(context), self._table, self._pk_positions, context
         )
-        pk_positions = self._pk_positions
-        for row in self.rows(context):
-            if tagged:
-                pk = tuple(row[position] for position in pk_positions)
-                yield row, frozenset((pk,))
-            else:
-                yield row, EMPTY_LINEAGE
 
     def describe(self) -> str:
         return (
@@ -388,7 +400,7 @@ class IndexRange(PhysicalOperator):
     def table(self) -> "Table":
         return self._table
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
+    def _fetch(self, context: "ExecutionContext") -> list[tuple]:
         index = self._table.secondary_index(self._index_name)
         if not isinstance(index, OrderedIndex):
             raise ExecutionError(
@@ -402,32 +414,20 @@ class IndexRange(PhysicalOperator):
             (evaluate(self._high, (), context),)
             if self._high is not None else None
         )
-        hidden = context.tombstones.get(self._table.schema.name)
-        for rid in index.range_scan(
+        rids = index.range_scan(
             low, high, self._low_inclusive, self._high_inclusive
-        ):
-            row = self._table.row_by_rid(rid)
-            if hidden is not None and self._pk_positions:
-                pk = tuple(row[p] for p in self._pk_positions)
-                if pk in hidden:
-                    continue
-            if self._residual is not None:
-                if evaluate(self._residual, row, context) is not True:
-                    continue
-            yield row
+        )
+        return _visible_rows(
+            self._table, rids, self._pk_positions, self._residual, context
+        )
+
+    def rows_columnar(self, context: "ExecutionContext"):
+        yield from row_batches(self._fetch(context), context.batch_size)
 
     def rows_lineage(self, context: "ExecutionContext"):
-        tagged = (
-            self._table.schema.name == context.lineage_table
-            and bool(self._pk_positions)
+        yield from _tag_own_keys(
+            self._fetch(context), self._table, self._pk_positions, context
         )
-        pk_positions = self._pk_positions
-        for row in self.rows(context):
-            if tagged:
-                pk = tuple(row[position] for position in pk_positions)
-                yield row, frozenset((pk,))
-            else:
-                yield row, EMPTY_LINEAGE
 
     def describe(self) -> str:
         return (
@@ -438,8 +438,8 @@ class IndexRange(PhysicalOperator):
 class OneRowSource(PhysicalOperator):
     """Produces a single empty row (FROM-less SELECT)."""
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        yield ()
+    def rows_columnar(self, context: "ExecutionContext"):
+        yield ColumnBatch((), 1)
 
     def rows_lineage(self, context: "ExecutionContext"):
         yield (), EMPTY_LINEAGE

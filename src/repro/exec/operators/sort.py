@@ -7,13 +7,12 @@ paper's Example 3.2 shows to be non-commutative with the audit operator.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.datatypes import value_sort_key
-from repro.exec.batch import ColumnBatch
+from repro.exec.batch import ColumnBatch, row_batches
 from repro.expr.compiler import compile_expression
-from repro.expr.evaluator import evaluate
-from repro.exec.operators.base import PhysicalOperator
+from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.plan.logical import SortKey
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -34,44 +33,10 @@ class SortOperator(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        buffered = list(self._child.rows(context))
-        # stable multi-pass: sort by the last key first
-        for key in reversed(self._keys):
-            expression = key.expression
-            buffered.sort(
-                key=lambda row: value_sort_key(
-                    evaluate(expression, row, context)
-                ),
-                reverse=not key.ascending,
-            )
-        yield from buffered
-
-    def rows_batched(self, context: "ExecutionContext"):
-        buffered = [
-            row
-            for batch in self._child.rows_batched(context)
-            for row in batch
-        ]
-        for key, compiled in zip(
-            reversed(self._keys), reversed(self._compiled_keys)
-        ):
-            buffered.sort(
-                key=lambda row: value_sort_key(compiled(row, context)),
-                reverse=not key.ascending,
-            )
-        batch_size = context.batch_size
-        for start in range(0, len(buffered), batch_size):
-            yield buffered[start:start + batch_size]
-
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: a sort buffer needs whole tuples, so pivot at
-        the boundary, run the identical stable multi-pass, re-pivot."""
-        buffered = [
-            row
-            for batch in self._child.rows_columnar(context)
-            for row in batch.to_rows()
-        ]
+        """A sort buffer needs whole tuples, so pivot at the boundary,
+        run a stable multi-pass (last key first), re-pivot."""
+        buffered = collect_rows(self._child, context)
         for key, compiled in zip(
             reversed(self._keys), reversed(self._compiled_keys)
         ):
@@ -79,16 +44,13 @@ class SortOperator(PhysicalOperator):
                 key=lambda row: value_sort_key(compiled(row, context)),
                 reverse=not key.ascending,
             )
-        batch_size = context.batch_size
-        for start in range(0, len(buffered), batch_size):
-            yield ColumnBatch.from_rows(
-                buffered[start:start + batch_size]
-            )
+        yield from row_batches(buffered, context.batch_size)
 
     def rows_lineage(self, context: "ExecutionContext"):
         """Lineage mode: sort the (row, lineage) pairs by row rank. The
-        same stable multi-pass as ``rows`` keeps tie order identical, so
-        deleting tuples leaves survivors in the engine's order."""
+        same stable multi-pass as ``rows_columnar`` keeps tie order
+        identical, so deleting tuples leaves survivors in the engine's
+        order."""
         buffered = list(self._child.rows_lineage(context))
         for key, compiled in zip(
             reversed(self._keys), reversed(self._compiled_keys)
@@ -113,29 +75,8 @@ class LimitOperator(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        if self._count <= 0:
-            return
-        emitted = 0
-        for row in self._child.rows(context):
-            yield row
-            emitted += 1
-            if emitted >= self._count:
-                return
-
-    def rows_batched(self, context: "ExecutionContext"):
-        remaining = self._count
-        if remaining <= 0:
-            return
-        for batch in self._child.rows_batched(context):
-            if len(batch) >= remaining:
-                yield batch[:remaining]
-                return
-            remaining -= len(batch)
-            yield batch
-
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: truncate the selection vector, not the data."""
+        """Truncate the selection vector, not the data."""
         remaining = self._count
         if remaining <= 0:
             return
@@ -195,46 +136,9 @@ class TopKOperator(PhysicalOperator):
             rank.append(part)
         return tuple(rank)
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
-        if self._count <= 0:
-            return
-        heap: list[_HeapEntry] = []
-        for sequence, row in enumerate(self._child.rows(context)):
-            entry = _HeapEntry(self._rank(row, context), sequence, row)
-            if len(heap) < self._count:
-                heapq.heappush(heap, entry)
-            elif entry.rank < heap[0].rank or (
-                entry.rank == heap[0].rank and entry.sequence < heap[0].sequence
-            ):
-                heapq.heapreplace(heap, entry)
-        ordered = sorted(heap, key=lambda e: (e.rank, e.sequence))
-        for entry in ordered:
-            yield entry.row
-
-    def rows_batched(self, context: "ExecutionContext"):
-        if self._count <= 0:
-            return
-        heap: list[_HeapEntry] = []
-        count = self._count
-        sequence = 0
-        for batch in self._child.rows_batched(context):
-            for row in batch:
-                entry = _HeapEntry(self._rank(row, context), sequence, row)
-                sequence += 1
-                if len(heap) < count:
-                    heapq.heappush(heap, entry)
-                elif entry.rank < heap[0].rank or (
-                    entry.rank == heap[0].rank
-                    and entry.sequence < heap[0].sequence
-                ):
-                    heapq.heapreplace(heap, entry)
-        ordered = sorted(heap, key=lambda e: (e.rank, e.sequence))
-        if ordered:
-            yield [entry.row for entry in ordered]
-
     def rows_columnar(self, context: "ExecutionContext"):
-        """Columnar mode: the bounded heap ranks whole tuples — pivot at
-        the boundary and emit the final top-k as one dense batch."""
+        """The bounded heap ranks whole tuples — pivot at the boundary
+        and emit the final top-k as one dense batch."""
         if self._count <= 0:
             return
         heap: list[_HeapEntry] = []

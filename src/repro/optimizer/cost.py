@@ -32,11 +32,10 @@ _DEFAULT_EQ_SELECTIVITY = 0.1
 _DEFAULT_RANGE_SELECTIVITY = 0.3
 _DEFAULT_OTHER_SELECTIVITY = 0.5
 
-#: relative per-probe cost of a scan-fused audit probe under the columnar
-#: executor: the probe is one ``set.intersection`` sweep over the stored
-#: ID column instead of a Python-loop hash probe per row, so probes at a
+#: relative per-probe cost of a scan-fused audit probe: it is one
+#: ``set.intersection`` sweep over the stored ID column, so probes at a
 #: fused leaf are priced well below probes above joins/filters (which run
-#: over re-pivoted batches at row-mode speed)
+#: over re-pivoted batches)
 COLUMNAR_FUSED_PROBE_WEIGHT = 0.25
 
 
@@ -47,11 +46,9 @@ class CostModel:
         self,
         catalog: "Catalog",
         audit_view_resolver: Callable[[str], Container] | None = None,
-        columnar: bool = False,
     ) -> None:
         self._catalog = catalog
         self._audit_view_resolver = audit_view_resolver
-        self._columnar = columnar
 
     # ------------------------------------------------------------------
 
@@ -124,10 +121,9 @@ class CostModel:
     def estimate_plan_cost(self, plan: L.LogicalPlan) -> float:
         """Probe *cost* of a plan — what 'cost' placement minimizes.
 
-        Identical to :meth:`estimate_plan_probes` in the row and batch
-        executors. Under the columnar executor, probes at an audit
-        operator fused with a scan (sitting directly over one) are
-        weighted by :data:`COLUMNAR_FUSED_PROBE_WEIGHT`, so leaf
+        :meth:`estimate_plan_probes` with probes at an audit operator
+        fused with a scan (sitting directly over one) weighted by
+        :data:`COLUMNAR_FUSED_PROBE_WEIGHT`, so leaf
         placement can win even when it probes more rows — the probe
         count stays an honest count, only its price per probe changes.
         """
@@ -136,7 +132,7 @@ class CostModel:
         total = 0.0
         for operator in audit_operators(plan):
             probes = self.estimate_audit_probes(operator)
-            if self._columnar and isinstance(operator.child, L.Scan):
+            if isinstance(operator.child, L.Scan):
                 probes *= COLUMNAR_FUSED_PROBE_WEIGHT
             total += probes
         return total

@@ -97,16 +97,13 @@ def _build(factory, rows):
     return db
 
 
-@pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
 @given(rows=initial_rows, mix=statements)
 @_SETTINGS
-def test_random_mix_differential(mode: str, rows, mix) -> None:
+def test_random_mix_differential(rows, mix) -> None:
     single = _build(lambda: Database(clock=_CLOCK), rows)
     cluster = _build(
         lambda: ClusterDatabase(shards=3, clock=_CLOCK), rows
     )
-    single.exec_mode = mode
-    cluster.exec_mode = mode
     try:
         for user, (sql, ordered) in mix:
             single.session.user_id = user

@@ -103,3 +103,36 @@ class TestSubqueryMemoization:
         context = ExecutionContext()
         with pytest.raises(ExecutionError):
             context.run_subquery(None, ())
+
+
+class TestSubqueryCancellation:
+    def test_cancelled_token_stops_a_correlated_subquery(self):
+        """The WHERE of the first outer block runs before the statement's
+        own loop reaches its first checkpoint; the subquery's loop has to
+        look at the token itself instead of scanning all of ``b`` for
+        each of those outer rows."""
+        from repro.concurrency.cancel import CancellationToken
+        from repro.errors import OperationCancelledError
+        from repro.exec.operators.base import collect_rows
+        from repro.sql.parser import parse_statement
+
+        db = Database()
+        db.block_size = 4
+        db.execute("CREATE TABLE a (k INT PRIMARY KEY)")
+        db.execute("CREATE TABLE b (k INT PRIMARY KEY, v INT)")
+        for k in range(16):
+            db.execute(f"INSERT INTO a VALUES ({k})")
+            db.execute(f"INSERT INTO b VALUES ({k}, {k % 3})")
+        logical = db._optimizer.optimize_logical(db._builder.build_select(
+            parse_statement(
+                "SELECT k FROM a WHERE "
+                "EXISTS (SELECT 1 FROM b WHERE b.v + a.k >= 0)"
+            )
+        ))
+        context = db.make_context()
+        context.cancel_token = CancellationToken()
+        context.cancel_token.cancel()
+        with pytest.raises(OperationCancelledError):
+            collect_rows(db._optimizer.compile(logical), context)
+        # one block of a, then one block of b — not 4 blocks of b per row
+        assert context.blocks_scanned == 2

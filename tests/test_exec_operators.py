@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog.schema import Column, TableSchema
 from repro.datatypes import INTEGER
+from repro.exec.batch import ColumnBatch
 from repro.exec.context import ExecutionContext
 from repro.exec.operators import (
     CacheOperator,
@@ -16,11 +17,16 @@ from repro.exec.operators import (
     NestedLoopJoin,
     OneRowSource,
     ProjectOperator,
+    RowSource as Rows,
     SortOperator,
     TableScan,
     TopKOperator,
 )
-from repro.exec.operators.base import PhysicalOperator, format_physical
+from repro.exec.operators.base import (
+    PhysicalOperator,
+    collect_rows,
+    format_physical,
+)
 from repro.expr.nodes import Binary, ColumnRef, Literal
 from repro.plan.logical import (
     AggregateSpec,
@@ -33,18 +39,8 @@ from repro.plan.logical import (
 from repro.storage.table import Table
 
 
-class Rows(PhysicalOperator):
-    """Test source: yields a fixed list of rows."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def rows(self, context):
-        return iter(self._rows)
-
-
 def run(operator, context=None):
-    return list(operator.rows(context or ExecutionContext()))
+    return collect_rows(operator, context or ExecutionContext())
 
 
 def slot(index):
@@ -198,10 +194,10 @@ class TestIndexNestedLoopJoin:
             def __init__(self):
                 self.executions = 0
 
-            def rows(self, context):
+            def rows_columnar(self, context):
                 self.executions += 1
                 outer = context.outer_row(1)
-                yield (outer[0] * 10,)
+                yield ColumnBatch.from_rows([(outer[0] * 10,)])
 
         inner = CountingInner()
         join = IndexNestedLoopJoin(
@@ -211,12 +207,8 @@ class TestIndexNestedLoopJoin:
         assert inner.executions == 2
 
     def test_left_outer_null_extension(self):
-        class EmptyInner(PhysicalOperator):
-            def rows(self, context):
-                return iter(())
-
         join = IndexNestedLoopJoin(
-            Rows([(1,)]), EmptyInner(), JOIN_LEFT, None, inner_arity=2
+            Rows([(1,)]), Rows([]), JOIN_LEFT, None, inner_arity=2
         )
         assert run(join) == [(1, None, None)]
 
@@ -263,10 +255,10 @@ class TestSortLimitDistinct:
         pulled = []
 
         class Tracking(PhysicalOperator):
-            def rows(self, context):
+            def rows_columnar(self, context):
                 for value in range(100):
                     pulled.append(value)
-                    yield (value,)
+                    yield ColumnBatch.from_rows([(value,)])
 
         assert run(LimitOperator(Tracking(), 3)) == [(0,), (1,), (2,)]
         assert len(pulled) == 3
@@ -295,9 +287,9 @@ class TestCacheOperator:
         executions = []
 
         class Tracking(PhysicalOperator):
-            def rows(self, context):
+            def rows_columnar(self, context):
                 executions.append(1)
-                yield (1,)
+                yield ColumnBatch.from_rows([(1,)])
 
         store = {}
         cache = CacheOperator(Tracking(), store, key=42)
@@ -314,3 +306,57 @@ class TestPlanFormatting:
         )
         text = format_physical(plan)
         assert "Limit(5)" in text and "Filter" in text
+
+
+class TestColumnBatch:
+    def test_round_trip_and_selection(self):
+        rows = [(1, "a"), (2, "b"), (3, "c")]
+        batch = ColumnBatch.from_rows(rows)
+        assert batch.row_count == 3
+        assert batch.to_rows() == rows
+        narrowed = ColumnBatch(batch.columns, batch.length, [0, 2])
+        assert narrowed.row_count == 2
+        assert narrowed.to_rows() == [(1, "a"), (3, "c")]
+        assert narrowed.column(1) == ["a", "c"]
+        assert narrowed.take(1).to_rows() == [(1, "a")]
+
+    def test_zero_arity_rows(self):
+        batch = ColumnBatch.from_rows([(), ()])
+        assert batch.row_count == 2
+        assert batch.to_rows() == [(), ()]
+
+    def test_slots_block_instance_dicts(self):
+        batch = ColumnBatch.from_rows([(1,)])
+        with pytest.raises(AttributeError):
+            batch.extra = 1
+
+
+class TestOneExecutor:
+    """There is one online data path and no knob that selects another."""
+
+    def test_every_operator_defines_rows_columnar_itself(self):
+        import repro.exec.operators as package
+
+        concrete = [
+            cls for cls in vars(package).values()
+            if isinstance(cls, type)
+            and issubclass(cls, PhysicalOperator)
+            and cls is not PhysicalOperator
+        ]
+        assert len(concrete) >= 16
+        for cls in concrete:
+            assert "rows_columnar" in vars(cls), cls.__name__
+            for gone in ("rows", "rows_batched"):
+                assert not hasattr(cls, gone), (cls.__name__, gone)
+
+    def test_no_mode_can_be_selected(self):
+        from repro import Database
+
+        db = Database()
+        assert db.exec_mode == "columnar"
+        with pytest.raises(AttributeError):
+            db.exec_mode = "row"
+        with pytest.raises(ValueError):
+            collect_rows(Rows([]), ExecutionContext(), mode="batch")
+        assert collect_rows(Rows([(1,)]), ExecutionContext(),
+                            mode="columnar") == [(1,)]

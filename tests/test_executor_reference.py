@@ -1,0 +1,227 @@
+"""The one executor against a definitional reference.
+
+There is a single online data path (``rows_columnar``), so instead of
+comparing execution modes with each other the hypothesis properties pin
+it to things that are *not* the executor:
+
+(a) rows equal :func:`repro.testing.reference.reference_rows`, a naive
+    interpreter over the logical plan (bag; exact sequence under a total
+    ORDER BY);
+(b) the audit operator is a no-op: armed and unarmed plans return the
+    identical row sequence;
+(c) ACCESSED is a superset of the Definition-2.3 deletion auditor's
+    answer under every placement, and equal for select-join statements
+    under hcn (Claim 3.6 / Theorem 3.7);
+(d) nothing observable depends on ``context.batch_size``;
+(e) block skipping changes only who pays for a probe:
+    ``probes(on) + probes_skipped(on) == probes(off)``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import HEURISTIC_HCN, HEURISTIC_LEAF
+from repro.exec.operators.base import collect_rows
+from repro.sql.parser import parse_statement
+from repro.testing.reference import reference_rows
+
+from tests.test_properties import (
+    _SETTINGS as _FORTY_EXAMPLES,
+    build_db,
+    disease_rows,
+    patient_rows,
+    sj_queries,
+)
+
+#: (sql, rows come back in one defined order)
+QUERIES = [
+    ("SELECT * FROM patients", False),
+    ("SELECT * FROM patients WHERE age > 30", False),
+    ("SELECT name, age FROM patients WHERE zip = '11111' OR age IS NULL",
+     False),
+    ("SELECT * FROM patients WHERE name LIKE 'A%' AND age BETWEEN 20 AND 60",
+     False),
+    ("SELECT * FROM patients p, disease d WHERE p.patientid = d.patientid",
+     False),
+    ("SELECT p.name, d.disease FROM patients p, disease d "
+     "WHERE p.patientid = d.patientid AND d.disease IN ('flu', 'cancer')",
+     False),
+    ("SELECT p.name, d.disease FROM patients p LEFT JOIN disease d "
+     "ON p.patientid = d.patientid", False),
+    ("SELECT zip, COUNT(*), AVG(age) FROM patients GROUP BY zip", False),
+    ("SELECT zip, COUNT(*) FROM patients GROUP BY zip HAVING COUNT(*) >= 2",
+     False),
+    ("SELECT COUNT(*), SUM(age), MIN(name), COUNT(DISTINCT zip) "
+     "FROM patients", False),
+    ("SELECT DISTINCT zip FROM patients", False),
+    ("SELECT name FROM patients ORDER BY age, name LIMIT 3", True),
+    ("SELECT name, CASE WHEN age > 40 THEN 'old' ELSE 'young' END "
+     "FROM patients ORDER BY patientid", True),
+    ("SELECT name FROM patients WHERE patientid IN "
+     "(SELECT patientid FROM disease WHERE disease = 'flu')", False),
+    ("SELECT p.name FROM patients p WHERE NOT EXISTS "
+     "(SELECT 1 FROM disease d WHERE d.patientid = p.patientid)", False),
+    ("SELECT name FROM patients WHERE age > (SELECT AVG(age) FROM patients)",
+     False),
+    ("SELECT d.disease, COUNT(*) FROM patients p, disease d "
+     "WHERE p.patientid = d.patientid GROUP BY d.disease", False),
+]
+#: the statement is a pytest axis, not a hypothesis draw: forty draws
+#: from a list this long settle on a handful of entries
+each_query = pytest.mark.parametrize("sql, ordered", QUERIES)
+each_sql = pytest.mark.parametrize("sql", [sql for sql, __ in QUERIES])
+_SETTINGS = settings(_FORTY_EXAMPLES, max_examples=12)
+
+#: single-row batches, ragged final batches, and one batch for everything
+CHUNK_SIZES = (1, 2, 7, 1024)
+
+
+def compile_select(db, sql: str):
+    logical = db._builder.build_select(parse_statement(sql))
+    logical = db._optimizer.optimize_logical(
+        logical, instrument=db._instrument_hook()
+    )
+    return db._optimizer.compile(logical)
+
+
+def observe(db, physical, batch_size: int = 1024, skipping: bool = True):
+    context = db.make_context()
+    context.batch_size = batch_size
+    context.data_skipping = skipping
+    rows = collect_rows(physical, context)
+    accessed = {name: frozenset(ids) for name, ids in context.accessed.items()}
+    return rows, accessed, context
+
+
+class TestAgainstReference:
+    @each_query
+    @_SETTINGS
+    @given(patients=patient_rows, sick=disease_rows)
+    def test_rows_equal_reference(self, patients, sick, sql, ordered):
+        db = build_db(patients, sick)
+        rows = db.execute(sql).rows
+        built = db._builder.build_select(parse_statement(sql))
+        instrumented = db._optimizer.optimize_logical(
+            built, instrument=db._instrument_hook()
+        )
+        # the raw plan checks the rewrites too; the instrumented one
+        # walks the audit node as the identity
+        for plan in (built, instrumented):
+            expected = reference_rows(plan, db.catalog)
+            if ordered:
+                assert rows == expected
+            else:
+                assert Counter(rows) == Counter(expected)
+
+    @each_sql
+    @_SETTINGS
+    @given(patients=patient_rows, sick=disease_rows)
+    def test_audit_operator_is_a_no_op(self, patients, sick, sql):
+        db = build_db(patients, sick)
+        armed = db.execute(sql).rows
+        db.audit_enabled = False
+        assert db.execute(sql).rows == armed  # sequence, not bag
+
+
+class TestAccessedAgainstDeletionAuditor:
+    @each_sql
+    @_SETTINGS
+    @given(
+        patients=patient_rows,
+        sick=disease_rows,
+        heuristic=st.sampled_from([HEURISTIC_HCN, HEURISTIC_LEAF, "cost"]),
+    )
+    def test_no_false_negatives(self, patients, sick, sql, heuristic):
+        db = build_db(patients, sick)
+        db.audit_manager.heuristic = heuristic
+        db.offline_audit_mode = "deletion"
+        truth = db.offline_audit(sql, "audit_all")
+        assert truth <= db.execute(sql).accessed.get("audit_all", frozenset())
+
+    @_FORTY_EXAMPLES
+    @given(patients=patient_rows, sick=disease_rows, sql=sj_queries)
+    def test_exact_for_select_join_under_hcn(self, patients, sick, sql):
+        db = build_db(patients, sick)
+        db.offline_audit_mode = "deletion"
+        truth = db.offline_audit(sql, "audit_all")
+        assert db.execute(sql).accessed.get("audit_all", frozenset()) == truth
+
+
+class TestChunkingAndSkippingInvariance:
+    @each_sql
+    @_SETTINGS
+    @given(
+        patients=patient_rows, sick=disease_rows, skipping=st.booleans()
+    )
+    def test_chunk_size_invariance(self, patients, sick, sql, skipping):
+        db = build_db(patients, sick, block_size=4)
+        physical = compile_select(db, sql)
+        seen = []
+        for size in CHUNK_SIZES:
+            rows, accessed, context = observe(db, physical, size, skipping)
+            seen.append((
+                rows, accessed, context.audit_probe_count,
+                dict(context.audit_probe_counts),
+            ))
+        assert all(outcome == seen[0] for outcome in seen[1:])
+
+    @each_sql
+    @_SETTINGS
+    @given(
+        patients=patient_rows,
+        sick=disease_rows,
+        heuristic=st.sampled_from([HEURISTIC_HCN, HEURISTIC_LEAF]),
+    )
+    def test_skipping_on_equals_off(self, patients, sick, sql, heuristic):
+        # small blocks and a narrow audit expression, so some blocks are
+        # provably free of sensitive IDs and the fused probe can skip
+        db = build_db(
+            patients, sick, block_size=2, audit_where="WHERE age > 60"
+        )
+        db.audit_manager.heuristic = heuristic
+        physical = compile_select(db, sql)
+        rows_on, accessed_on, on = observe(db, physical, skipping=True)
+        rows_off, accessed_off, off = observe(db, physical, skipping=False)
+        assert rows_on == rows_off
+        assert accessed_on == accessed_off
+        assert off.audit_probes_skipped == 0
+        assert (
+            on.audit_probe_count + on.audit_probes_skipped
+            == off.audit_probe_count
+        )
+
+
+class TestProbeFlushOnAbort:
+    """§II: a reader may consume only a prefix of the result; the probe
+    accounting of what it did see must survive it abandoning the stream."""
+
+    def _stream(self):
+        db = build_db(
+            [("Alice", 30, "11111"), ("Bob", 40, "22222"),
+             ("Carol", 50, "33333"), ("Dave", 60, "11111")],
+            [],
+            block_size=1,  # one row per batch: prefix counts are exact
+        )
+        context = db.make_context()
+        physical = compile_select(db, "SELECT * FROM patients")
+        return context, physical.rows_columnar(context)
+
+    def test_close_mid_stream_flushes_probes(self):
+        context, stream = self._stream()
+        next(stream)
+        next(stream)
+        stream.close()  # GeneratorExit
+        assert context.audit_probe_count == 2
+        assert context.audit_probe_counts == {"audit_all": 2}
+
+    def test_throw_mid_stream_flushes_probes(self):
+        context, stream = self._stream()
+        next(stream)
+        with pytest.raises(RuntimeError):
+            stream.throw(RuntimeError("consumer died"))
+        assert context.audit_probe_count == 1
+        assert context.audit_probe_counts == {"audit_all": 1}

@@ -4,8 +4,9 @@
 once per plan; the closures must agree with ``evaluate`` on every input,
 including the SQL three-valued-logic corners (NULL propagation, NULL in
 comparisons, short-circuit AND/OR). The battery runs each expression as a
-projection over a table of adversarial rows in row mode (evaluator) and
-batch mode (compiled) and compares the full result columns.
+projection over a table of adversarial rows through the executor (which
+only ever runs compiled closures) and compares the full result column
+with ``evaluate`` applied to the same bound expression row by row.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
+from repro.expr.evaluator import evaluate
+from repro.plan import logical as L
+from repro.sql.parser import parse_statement
 
 
 def make_db() -> Database:
@@ -68,16 +72,29 @@ EXPRESSIONS = [
 ]
 
 
+def bound_expression(db: Database, sql: str, node_type, pick):
+    """The bound expression ``pick`` extracts from the first
+    ``node_type`` node of the statement's canonical logical plan."""
+    plan = db._builder.build_select(parse_statement(sql))
+    return pick(next(n for n in plan.walk() if isinstance(n, node_type)))
+
+
+def table_rows(db: Database) -> list[tuple]:
+    return sorted(db.catalog.table("t").rows(), key=lambda row: row[0])
+
+
 @pytest.mark.parametrize("expression", EXPRESSIONS)
 def test_compiled_matches_evaluator(expression):
     db = make_db()
-    sql = f"SELECT {expression} FROM t ORDER BY k"
-    db.exec_mode = "row"  # ProjectOperator row mode uses the evaluator
-    via_evaluator = db.execute(sql).rows
-    db.plan_cache.clear()
-    db.exec_mode = "batch"  # batch mode uses the compiled projector
-    via_compiler = db.execute(sql).rows
-    assert via_compiler == via_evaluator
+    sql = f"SELECT {expression} FROM t"
+    bound = bound_expression(
+        db, sql, L.Project, lambda node: node.expressions[0]
+    )
+    context = db.make_context()
+    via_evaluator = [
+        (evaluate(bound, row, context),) for row in table_rows(db)
+    ]
+    assert db.execute(sql + " ORDER BY k").rows == via_evaluator
 
 
 def test_compiled_filter_matches_evaluator():
@@ -87,12 +104,15 @@ def test_compiled_filter_matches_evaluator():
         "a BETWEEN b AND 50", "a IN (SELECT b FROM t)",
     ]:
         sql = f"SELECT k FROM t WHERE {predicate} ORDER BY k"
-        db.exec_mode = "row"
-        expected = db.execute(sql).rows
-        db.plan_cache.clear()
-        db.exec_mode = "batch"
+        bound = bound_expression(
+            db, sql, L.Filter, lambda node: node.predicate
+        )
+        context = db.make_context()
+        expected = [
+            (row[0],) for row in table_rows(db)
+            if evaluate(bound, row, context) is True
+        ]
         assert db.execute(sql).rows == expected
-        db.plan_cache.clear()
 
 
 def test_parameters_are_read_at_call_time():
@@ -104,21 +124,17 @@ def test_parameters_are_read_at_call_time():
     assert db.plan_cache.hits == 1
 
 
-def test_unknown_function_rejected_at_bind_in_both_modes():
-    """Batch mode must not change when name errors surface (bind time)."""
+def test_unknown_function_rejected_at_bind():
+    """Compiling closures must not move name errors past bind time."""
     from repro.errors import BindError
 
-    for mode in ("row", "batch"):
-        db = make_db()
-        db.exec_mode = mode
-        with pytest.raises(BindError):
-            db.execute("SELECT NO_SUCH_FUNCTION(a) FROM t")
+    with pytest.raises(BindError):
+        make_db().execute("SELECT NO_SUCH_FUNCTION(a) FROM t")
 
 
 def test_projector_slot_fast_path():
     """A pure column-reference projection compiles to tuple indexing."""
     db = make_db()
-    db.exec_mode = "batch"
     result = db.execute("SELECT s, a, k FROM t ORDER BY k")
     assert result.rows[0] == ("alpha", 10, 1)
     assert result.rows[2] == (None, -7, 3)

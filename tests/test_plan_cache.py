@@ -70,15 +70,6 @@ class TestWarmHits:
         assert db.plan_cache.hits == 1  # cached plan served
         assert ("Carol" in {row[1] for row in result.rows})
 
-    def test_exec_modes_share_the_cache(self):
-        db = make_db()
-        db.exec_mode = "row"
-        row_result = db.execute(QUERY)
-        db.exec_mode = "batch"
-        batch_result = db.execute(QUERY)
-        assert db.plan_cache.hits == 1
-        assert row_result.rows == batch_result.rows
-
 
 class TestInvalidation:
     def _prime(self, db: Database) -> None:

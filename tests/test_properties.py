@@ -36,8 +36,10 @@ disease_rows = st.lists(
 )
 
 
-def build_db(patients, sick) -> Database:
+def build_db(patients, sick, block_size=None, audit_where="") -> Database:
     db = Database()
+    if block_size is not None:
+        db.block_size = block_size
     db.execute(
         "CREATE TABLE patients (patientid INT PRIMARY KEY, "
         "name VARCHAR, age INT, zip VARCHAR)"
@@ -55,8 +57,8 @@ def build_db(patients, sick) -> Database:
                 f"INSERT INTO disease VALUES ({patient_id}, '{disease}')"
             )
     db.execute(
-        "CREATE AUDIT EXPRESSION audit_all AS SELECT * FROM patients "
-        "FOR SENSITIVE TABLE patients, PARTITION BY patientid"
+        f"CREATE AUDIT EXPRESSION audit_all AS SELECT * FROM patients "
+        f"{audit_where} FOR SENSITIVE TABLE patients, PARTITION BY patientid"
     )
     return db
 

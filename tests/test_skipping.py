@@ -21,6 +21,7 @@ from repro import Database
 from repro.audit.offline import OfflineAuditor
 from repro.catalog.schema import Column, TableSchema
 from repro.datatypes import INTEGER, VARCHAR
+from repro.exec.operators.base import collect_rows
 from repro.storage.blocks import BlockSummary
 from repro.storage.table import Table
 
@@ -291,7 +292,7 @@ class TestSkippingDifferential:
         plan = db.plan_query("SELECT * FROM patients")
         instrumented = db.audit_manager.instrument(plan, heuristic="leaf-node")
         physical = db._optimizer.compile(instrumented)
-        list(physical.rows_batched(context))
+        collect_rows(physical, context)
         assert context.audit_blocks_skipped > 0
         assert context.audit_probes_skipped > 0
         assert context.audit_probe_count + context.audit_probes_skipped == 100
@@ -302,20 +303,10 @@ class TestSkippingDifferential:
         physical = db._optimizer.compile(
             db.plan_query("SELECT * FROM patients WHERE age <= 5")
         )
-        rows = list(physical.rows(context))
+        rows = collect_rows(physical, context)
         assert len(rows) == 5
         assert context.blocks_zone_skipped > 0
         assert context.blocks_scanned < 100 // 8
-
-    def test_row_and_batch_modes_agree_under_skipping(self):
-        db = make_audited_db(8, 100, 5, skipping=True)
-        sql = "SELECT * FROM patients WHERE patientid <= 30"
-        db.exec_mode = "row"
-        row_mode = db.execute(sql)
-        db.exec_mode = "batch"
-        batch_mode = db.execute(sql)
-        assert sorted(row_mode.rows) == sorted(batch_mode.rows)
-        assert row_mode.accessed == batch_mode.accessed
 
 
 # ---------------------------------------------------------------------------
