@@ -23,12 +23,10 @@ Zero-arity rows (a FROM-less ``SELECT``) are represented by an empty
 
 Scans and ``from_rows`` hand out :class:`LazyColumns` instead of an
 eager tuple: a wide table pivoted eagerly would copy every column out
-of block storage even though a typical query sweeps one or two, and an
-index nested-loop join runs its inner subtree once per outer row, where
-a pivot per one-row batch would dominate. The lazy container pivots a
-column on first touch and keeps the backing row list around so
-``to_rows`` on an unfiltered batch is a plain list copy, not a
-pivot-then-zip round trip.
+of block storage even though a typical query sweeps one or two. The
+lazy container pivots a column on first touch and keeps the backing row
+list around so ``to_rows`` on an unfiltered batch is a plain list copy,
+not a pivot-then-zip round trip.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.batch import row_batches
-from repro.expr.aggregates import make_accumulator
+from repro.expr.aggregates import accumulator_factory
 from repro.expr.compiler import compile_expression
 from repro.exec.operators.base import PhysicalOperator
 from repro.plan.logical import AggregateSpec
@@ -53,6 +53,9 @@ class HashAggregate(PhysicalOperator):
             else None
             for spec in specs
         )
+        self._factories = tuple(
+            accumulator_factory(spec.name, spec.distinct) for spec in specs
+        )
         # columnar fast path: group keys and aggregate arguments that are
         # all plain column refs (or COUNT(*)) fold directly over gathered
         # columns without pivoting rows
@@ -75,7 +78,7 @@ class HashAggregate(PhysicalOperator):
     ) -> None:
         compiled_groups = self._compiled_groups
         compiled_arguments = self._compiled_arguments
-        specs = self._specs
+        factories = self._factories
         get = groups.get
         for row in rows:
             key = tuple(
@@ -84,11 +87,9 @@ class HashAggregate(PhysicalOperator):
             )
             accumulators = get(key)
             if accumulators is None:
-                accumulators = [
-                    make_accumulator(spec.name, spec.distinct)
-                    for spec in specs
+                accumulators = groups[key] = [
+                    factory() for factory in factories
                 ]
-                groups[key] = accumulators
             for argument, accumulator in zip(
                 compiled_arguments, accumulators
             ):
@@ -98,11 +99,8 @@ class HashAggregate(PhysicalOperator):
                     accumulator.add(argument(row, context))
 
     def _finish(self, groups: dict) -> list[tuple]:
-        specs = self._specs
         if not groups and not self._group_expressions:
-            groups[()] = [
-                make_accumulator(spec.name, spec.distinct) for spec in specs
-            ]
+            groups[()] = [factory() for factory in self._factories]
         return [
             key
             + tuple(accumulator.result() for accumulator in accumulators)
@@ -111,59 +109,45 @@ class HashAggregate(PhysicalOperator):
 
     def rows_columnar(self, context: "ExecutionContext"):
         """Fold over gathered columns when every group key and aggregate
-        argument is a plain column ref (a global SUM/COUNT then sweeps
-        each argument column in one tight loop); computed keys or
-        arguments pivot the batch and fold row by row."""
+        argument is a plain column ref: a global aggregate sweeps each
+        argument column in one tight loop, a grouped one zips the key
+        columns into group keys beside the argument columns; computed
+        keys or arguments pivot the batch and fold row by row."""
         groups: dict[tuple, list] = {}
         slots = self._columnar_slots
-        specs = self._specs
+        factories = self._factories
         get = groups.get
         for batch in self._child.rows_columnar(context):
             if slots is None:
                 self._fold_rows(groups, batch.to_rows(), context)
                 continue
             group_slots, argument_slots = slots
-            key_columns = [batch.column(slot) for slot in group_slots]
-            argument_columns = [
-                None if slot is None else batch.column(slot)
+            argument_columns = [  # COUNT(*) is fed a column of 1s
+                [1] * batch.row_count if slot is None else batch.column(slot)
                 for slot in argument_slots
             ]
-            count = batch.row_count
-            if not key_columns:
+            if not group_slots:
                 accumulators = get(())
                 if accumulators is None:
-                    accumulators = [
-                        make_accumulator(spec.name, spec.distinct)
-                        for spec in specs
+                    accumulators = groups[()] = [
+                        factory() for factory in factories
                     ]
-                    groups[()] = accumulators
                 for column, accumulator in zip(
                     argument_columns, accumulators
                 ):
                     add = accumulator.add
-                    if column is None:
-                        for __ in range(count):
-                            add(1)  # COUNT(*)
-                    else:
-                        for value in column:
-                            add(value)
+                    for value in column:
+                        add(value)
                 continue
-            for i in range(count):
-                key = tuple(column[i] for column in key_columns)
+            keys = zip(*[batch.column(slot) for slot in group_slots])
+            for key, *values in zip(keys, *argument_columns):
                 accumulators = get(key)
                 if accumulators is None:
-                    accumulators = [
-                        make_accumulator(spec.name, spec.distinct)
-                        for spec in specs
+                    accumulators = groups[key] = [
+                        factory() for factory in factories
                     ]
-                    groups[key] = accumulators
-                for column, accumulator in zip(
-                    argument_columns, accumulators
-                ):
-                    if column is None:
-                        accumulator.add(1)  # COUNT(*)
-                    else:
-                        accumulator.add(column[i])
+                for accumulator, value in zip(accumulators, values):
+                    accumulator.add(value)
         yield from row_batches(self._finish(groups), context.batch_size)
 
     def describe(self) -> str:

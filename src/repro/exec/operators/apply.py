@@ -1,34 +1,42 @@
 """Index nested-loop (apply-style) join.
 
-For each outer row, the inner physical subplan is re-executed with the
-outer row pushed onto the context's outer-row stack; the inner subplan's
-scan carries a seek predicate referencing the outer row (``outer_level=1``)
-that the planner rewired from the join condition, so each iteration is an
-index seek rather than a scan.
+The inner side is an index seek on the join key, possibly under audit
+operators (the planner builds no other shape). For each *batch* of outer
+rows the join takes the key column, seeks every key against the index in
+one pass, and shows the inner chain one batch holding all the matches,
+with a parallel vector saying which outer row each match belongs to.
 
 This is the plan shape whose interaction with audit operators the paper's
-micro-benchmark exercises: an audit operator inside the inner subtree is
-probed once per fetched inner row, so its cost scales with the outer
-cardinality (§V-A).
+micro-benchmark exercises: an audit operator inside the inner subtree
+probes every fetched inner row, so its cost scales with the outer
+cardinality (§V-A) — here as one bulk probe per outer batch.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.exec.batch import ColumnBatch
+from repro.errors import PlanError
+from repro.exec.batch import ColumnBatch, LazyColumns
 from repro.expr.compiler import compile_predicate
 from repro.expr.nodes import Expression
-from repro.exec.operators.base import PhysicalOperator, collect_rows
+from repro.exec.operators.audit import AuditOperator
+from repro.exec.operators.base import PhysicalOperator
 from repro.exec.operators.join import combine_lineage
-from repro.plan.logical import JOIN_ANTI, JOIN_LEFT, JOIN_SEMI
+from repro.exec.operators.scan import IndexSeek
+from repro.plan.logical import JOIN_INNER, JOIN_LEFT
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
 
 
 class IndexNestedLoopJoin(PhysicalOperator):
-    """Apply join: re-runs the inner subplan once per outer row."""
+    """Apply join: one multi-key seek of the inner index per outer batch.
+
+    ``inner`` is ``AuditOperator* → IndexSeek`` and ``key_slot`` the
+    outer slot holding the seek key. Output order is outer order, then
+    index order within one outer row.
+    """
 
     def __init__(
         self,
@@ -37,61 +45,85 @@ class IndexNestedLoopJoin(PhysicalOperator):
         kind: str,
         residual: Expression | None,
         inner_arity: int,
+        key_slot: int,
     ) -> None:
+        if kind not in (JOIN_INNER, JOIN_LEFT):
+            raise PlanError(f"index nested-loop join cannot run {kind!r}")
+        audits = []
+        seek = inner
+        while isinstance(seek, AuditOperator):
+            audits.append(seek)
+            (seek,) = seek.children()
+        if not isinstance(seek, IndexSeek):
+            raise PlanError(
+                "index nested-loop join needs an index seek as its inner, "
+                f"got {seek.describe()}"
+            )
         self._left = left
         self._inner = inner
+        self._seek = seek
+        self._audits = tuple(audits)
         self._kind = kind
         self._compiled_residual = (
             compile_predicate(residual) if residual is not None else None
         )
         self._inner_arity = inner_arity
+        self._key_slot = key_slot
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._left, self._inner)
 
     def rows_columnar(self, context: "ExecutionContext"):
-        """Outer rows arrive in batches; the inner subplan is still
-        executed per outer row (it is an index seek parameterized by the
-        outer-row stack)."""
-        kind = self._kind
+        """Every outer batch is a cancellation checkpoint; joined rows
+        are emitted once ``context.batch_size`` of them have gathered, so
+        a whole join is never materialized."""
+        seek_many = self._seek.seek_many
+        audits = self._audits
+        key_slot = self._key_slot
+        inner_arity = self._inner_arity
         residual = self._compiled_residual
-        null_extension = (None,) * self._inner_arity
+        pad = self._kind == JOIN_LEFT
+        null_extension = (None,) * inner_arity
         batch_size = context.batch_size
         out: list[tuple] = []
         for batch in self._left.rows_columnar(context):
-            for left_row in batch.to_rows():
-                context.push_outer_row(left_row)
-                try:
-                    matches = collect_rows(self._inner, context)
-                finally:
-                    context.pop_outer_row()
-                matched = False
-                for right_row in matches:
-                    combined = left_row + right_row
-                    if residual is not None:
-                        if residual(combined, context) is not True:
-                            continue
-                    matched = True
-                    if kind == JOIN_SEMI or kind == JOIN_ANTI:
-                        break
-                    out.append(combined)
-                if kind == JOIN_SEMI and matched:
-                    out.append(left_row)
-                elif kind == JOIN_ANTI and not matched:
-                    out.append(left_row)
-                elif kind == JOIN_LEFT and not matched:
-                    out.append(left_row + null_extension)
-                if len(out) >= batch_size:
-                    yield ColumnBatch.from_rows(out)
-                    out = []
+            context.check_cancelled()
+            left_rows = batch.to_rows()
+            matches, ordinals = seek_many(
+                zip(batch.column(key_slot)), context
+            )
+            if audits:
+                fetched = ColumnBatch(
+                    LazyColumns(matches, inner_arity), len(matches)
+                )
+                for audit in audits:
+                    audit.probe(fetched, context)
+            unmatched = 0  # first outer ordinal not yet joined or padded
+            for ordinal, right_row in zip(ordinals, matches):
+                combined = left_rows[ordinal] + right_row
+                if residual is not None:
+                    if residual(combined, context) is not True:
+                        continue
+                if pad:
+                    for skipped in range(unmatched, ordinal):
+                        out.append(left_rows[skipped] + null_extension)
+                    unmatched = ordinal + 1
+                out.append(combined)
+            if pad:
+                for skipped in range(unmatched, len(left_rows)):
+                    out.append(left_rows[skipped] + null_extension)
+            if len(out) >= batch_size:
+                yield ColumnBatch.from_rows(out)
+                out = []
         if out:
             yield ColumnBatch.from_rows(out)
 
     def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: the per-outer-row inner execution also runs
-        lineage-tagged, so pushed-down index seeks keep their speedup."""
-        kind = self._kind
+        """Lineage mode: the inner runs lineage-tagged once per outer
+        row, its seek key read off the outer-row stack, so pushed-down
+        index seeks keep their speedup."""
         residual = self._compiled_residual
+        pad = self._kind == JOIN_LEFT
         null_extension = (None,) * self._inner_arity
         for left_row, left_lineage in self._left.rows_lineage(context):
             context.push_outer_row(left_row)
@@ -106,15 +138,12 @@ class IndexNestedLoopJoin(PhysicalOperator):
                     if residual(combined, context) is not True:
                         continue
                 matched = True
-                if kind == JOIN_SEMI or kind == JOIN_ANTI:
-                    break
                 yield combined, combine_lineage(left_lineage, right_lineage)
-            if kind == JOIN_SEMI and matched:
-                yield left_row, left_lineage
-            elif kind == JOIN_ANTI and not matched:
-                yield left_row, left_lineage
-            elif kind == JOIN_LEFT and not matched:
+            if pad and not matched:
                 yield left_row + null_extension, left_lineage
 
     def describe(self) -> str:
-        return f"IndexNestedLoopJoin({self._kind})"
+        return (
+            f"IndexNestedLoopJoin({self._kind}, {self._seek.index_label}"
+            f" ← #{self._key_slot})"
+        )

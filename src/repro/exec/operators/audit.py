@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Container
 
+from repro.exec.batch import ColumnBatch
 from repro.exec.operators.base import PhysicalOperator
 from repro.exec.operators.scan import MAX_CONSULT_IDS, TableScan
 
@@ -94,8 +95,8 @@ class AuditOperator(PhysicalOperator):
     # ------------------------------------------------------------------
     # execution
 
-    def rows_columnar(self, context: "ExecutionContext"):
-        """One bulk pass over the partition-by column per batch.
+    def probe(self, batch: ColumnBatch, context: "ExecutionContext") -> None:
+        """One bulk pass over the partition-by column of ``batch``.
 
         The probe is a single ``set.intersection`` between the
         sensitive-ID set and the selected slice of the ID column — ACCESSED
@@ -104,57 +105,43 @@ class AuditOperator(PhysicalOperator):
         in the sensitive set, so probe counts and ACCESSED contents are
         what a per-row probe would record (Claim 3.6). Probe structures
         without set semantics (the counting Bloom filter) keep a
-        per-value membership loop. Batches pass through unchanged.
+        per-value membership loop.
         """
-        fusion = self._fusion(context)
-        slot = self._id_slot
         sensitive = self._probe_set
-        bulk = isinstance(sensitive, (set, frozenset))
-        accessed = None
-        probes = 0
+        values = batch.column(self._id_slot)
+        if isinstance(sensitive, (set, frozenset)):
+            hits = sensitive.intersection(values)
+        else:
+            hits = {
+                value
+                for value in values
+                if value is not None and value in sensitive
+            }
+        if hits:
+            context.accessed.setdefault(self._audit_name, set()).update(hits)
+        context.add_probes(self._audit_name, batch.row_count)
 
-        def _probe(values):
-            nonlocal accessed
-            if bulk:
-                hits = sensitive.intersection(values)
-            else:
-                hits = {
-                    value
-                    for value in values
-                    if value is not None and value in sensitive
-                }
-            if hits:
-                if accessed is None:
-                    accessed = context.accessed.setdefault(
-                        self._audit_name, set()
-                    )
-                accessed.update(hits)
-
-        try:
-            if fusion is not None:
-                scan, fused_slot, ids, lo, hi = fusion
-                table = scan.table
-                for block, batch, summary in scan.scan_column_blocks(
-                    context
-                ):
-                    if summary is None:
-                        summary = table.fresh_summary(block)
-                    if summary.may_contain_any(fused_slot, ids, lo, hi):
-                        probes += batch.row_count
-                        _probe(batch.column(slot))
-                    else:
-                        context.audit_blocks_skipped += 1
-                        context.audit_probes_skipped += batch.row_count
-                    yield batch
-                return
+    def rows_columnar(self, context: "ExecutionContext"):
+        """Probe each batch and pass it through unchanged; fused with a
+        scan of the sensitive table, blocks whose sketch is disjoint from
+        the sensitive IDs skip the probe."""
+        fusion = self._fusion(context)
+        if fusion is None:
             for batch in self._child.rows_columnar(context):
-                probes += batch.row_count
-                _probe(batch.column(slot))
+                self.probe(batch, context)
                 yield batch
-        finally:
-            # flushed even on a mid-stream abort, so the probe accounting
-            # of a prefix-consumed query is complete
-            context.add_probes(self._audit_name, probes)
+            return
+        scan, slot, ids, lo, hi = fusion
+        table = scan.table
+        for block, batch, summary in scan.scan_column_blocks(context):
+            if summary is None:
+                summary = table.fresh_summary(block)
+            if summary.may_contain_any(slot, ids, lo, hi):
+                self.probe(batch, context)
+            else:
+                context.audit_blocks_skipped += 1
+                context.audit_probes_skipped += batch.row_count
+            yield batch
 
     def rows_lineage(self, context: "ExecutionContext"):
         """Lineage mode: probe and record per row; lineage passes through

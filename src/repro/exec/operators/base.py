@@ -12,9 +12,9 @@ Online execution has one data path:
   :class:`~repro.exec.batch.ColumnBatch` objects (per-column vectors plus
   a selection vector). Filters narrow the selection without touching
   data; the audit operator probes the partition-by column in one bulk
-  pass. Operators that need whole tuples (join keys, sort buffers, the
-  DISTINCT seen-set) pivot with ``to_rows`` at their boundary and emit
-  dense batches of at most ``context.batch_size`` rows. Row order,
+  pass. Operators that need whole tuples (join outputs, sort buffers,
+  the DISTINCT seen-set) pivot with ``to_rows`` at their boundary and
+  emit dense batches of about ``context.batch_size`` rows. Row order,
   ACCESSED contents, and probe counts do not depend on where the batch
   boundaries fall.
 
@@ -97,12 +97,13 @@ def collect_rows(
     """Materialize an operator's output as row-tuples.
 
     The one execution loop: statements, subqueries, ID-view
-    materialization and the materializing operators (sort buffers, join
-    build sides) all drain their input here. Every batch boundary is a
-    cooperative cancellation checkpoint: a cancelled
-    ``context.cancel_token`` unwinds the execution with
+    materialization and the materializing operators (sort buffers,
+    nested-loop build sides, cache fills) all drain their input here.
+    Every batch boundary is a cooperative cancellation checkpoint: a
+    cancelled ``context.cancel_token`` unwinds the execution with
     :class:`~repro.errors.OperationCancelledError` instead of running an
-    abandoned plan to completion.
+    abandoned plan to completion. (The index nested-loop join drains
+    nothing here; it checks the token once per outer batch itself.)
 
     ``mode`` accepts only ``"columnar"``. It exists for
     ``benchmarks/e2e/staged.py``, which passes ``mode=db.exec_mode``, and

@@ -28,6 +28,14 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
 
 
+def _join_keys(batch: ColumnBatch, slots: tuple[int, ...]):
+    """One hashable key per live row of ``batch``: the bare value of a
+    single key column, a tuple across several."""
+    if len(slots) == 1:
+        return batch.column(slots[0])
+    return zip(*[batch.column(slot) for slot in slots])
+
+
 class NestedLoopJoin(PhysicalOperator):
     """Nested-loop join; the right input is materialized once per run.
 
@@ -152,7 +160,8 @@ class HashJoin(PhysicalOperator):
         return (self._left, self._right)
 
     def rows_columnar(self, context: "ExecutionContext"):
-        """Joins hash and concatenate whole tuples, so both inputs are
+        """Keys are read off the key columns; whole tuples are hashed
+        into and concatenated out of the table, so both inputs are
         pivoted at the boundary and the output wrapped per batch."""
         if self._build_left:
             return self._run_build_left(context)
@@ -163,13 +172,15 @@ class HashJoin(PhysicalOperator):
         operator: PhysicalOperator,
         keys: tuple[int, ...],
         context: "ExecutionContext",
-    ) -> dict[tuple, list[tuple]]:
-        table: dict[tuple, list[tuple]] = {}
+    ) -> dict[object, list[tuple]]:
+        """Key -> rows, without the rows whose key has a NULL part (they
+        join with nothing, so a probe needs no NULL test of its own)."""
+        table: dict[object, list[tuple]] = {}
         setdefault = table.setdefault
+        composite = len(keys) > 1
         for batch in operator.rows_columnar(context):
-            for row in batch.to_rows():
-                key = tuple(row[slot] for slot in keys)
-                if any(part is None for part in key):
+            for key, row in zip(_join_keys(batch, keys), batch.to_rows()):
+                if key is None or (composite and None in key):
                     continue
                 setdefault(key, []).append(row)
         return table
@@ -179,23 +190,24 @@ class HashJoin(PhysicalOperator):
         residual = self._compiled_residual
         kind = self._kind
         left_keys = self._left_keys
+        bare = kind == JOIN_SEMI or kind == JOIN_ANTI
         null_extension = (None,) * self._right_arity
         empty: tuple = ()
         batch_size = context.batch_size
         get = table.get
         out: list[tuple] = []
         for batch in self._left.rows_columnar(context):
-            for left_row in batch.to_rows():
-                key = tuple(left_row[slot] for slot in left_keys)
-                matches = get(key, empty) if None not in key else empty
+            for key, left_row in zip(
+                _join_keys(batch, left_keys), batch.to_rows()
+            ):
                 matched = False
-                for right_row in matches:
+                for right_row in get(key, empty):
                     combined = left_row + right_row
                     if residual is not None:
                         if residual(combined, context) is not True:
                             continue
                     matched = True
-                    if kind == JOIN_SEMI or kind == JOIN_ANTI:
+                    if bare:
                         break
                     out.append(combined)
                 if kind == JOIN_SEMI and matched:
@@ -204,9 +216,9 @@ class HashJoin(PhysicalOperator):
                     out.append(left_row)
                 elif kind == JOIN_LEFT and not matched:
                     out.append(left_row + null_extension)
-                if len(out) >= batch_size:
-                    yield ColumnBatch.from_rows(out)
-                    out = []
+            if len(out) >= batch_size:
+                yield ColumnBatch.from_rows(out)
+                out = []
         if out:
             yield ColumnBatch.from_rows(out)
 
@@ -219,19 +231,18 @@ class HashJoin(PhysicalOperator):
         get = table.get
         out: list[tuple] = []
         for batch in self._right.rows_columnar(context):
-            for right_row in batch.to_rows():
-                key = tuple(right_row[slot] for slot in right_keys)
-                if None in key:
-                    continue
+            for key, right_row in zip(
+                _join_keys(batch, right_keys), batch.to_rows()
+            ):
                 for left_row in get(key, empty):
                     combined = left_row + right_row
                     if residual is not None:
                         if residual(combined, context) is not True:
                             continue
                     out.append(combined)
-                if len(out) >= batch_size:
-                    yield ColumnBatch.from_rows(out)
-                    out = []
+            if len(out) >= batch_size:
+                yield ColumnBatch.from_rows(out)
+                out = []
         if out:
             yield ColumnBatch.from_rows(out)
 

@@ -19,7 +19,11 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.exec.batch import ColumnBatch, LazyColumns, row_batches
-from repro.expr.compiler import compile_column_predicate, compile_predicate
+from repro.expr.compiler import (
+    CompiledExpression,
+    compile_column_predicate,
+    compile_predicate,
+)
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import (
     Between,
@@ -285,24 +289,31 @@ class TableScan(PhysicalOperator):
 
 def _visible_rows(
     table: "Table",
-    rids,
+    rid_groups,
     pk_positions: tuple[int, ...],
-    residual: Expression | None,
+    residual: CompiledExpression | None,
     context: "ExecutionContext",
-) -> list[tuple]:
-    """Rows behind index ``rids`` minus tombstoned and residual-failing."""
+) -> tuple[list[tuple], list[int]]:
+    """Rows behind each group of index rids, minus tombstoned and failing
+    the compiled ``residual``, with the ordinal of the group of each."""
     hidden = context.tombstones.get(table.schema.name)
-    rows = []
-    for rid in rids:
-        row = table.row_by_rid(rid)
-        if hidden is not None and pk_positions:
-            if tuple(row[p] for p in pk_positions) in hidden:
-                continue
-        if residual is not None:
-            if evaluate(residual, row, context) is not True:
-                continue
-        rows.append(row)
-    return rows
+    if not pk_positions:
+        hidden = None
+    row_by_rid = table.row_by_rid
+    rows: list[tuple] = []
+    ordinals: list[int] = []
+    for ordinal, rids in enumerate(rid_groups):
+        for rid in rids:
+            row = row_by_rid(rid)
+            if hidden is not None:
+                if tuple(row[p] for p in pk_positions) in hidden:
+                    continue
+            if residual is not None:
+                if residual(row, context) is not True:
+                    continue
+            rows.append(row)
+            ordinals.append(ordinal)
+    return rows, ordinals
 
 
 def _tag_own_keys(
@@ -342,7 +353,9 @@ class IndexSeek(PhysicalOperator):
         self._table = table
         self._index_name = index_name
         self._key_expressions = key_expressions
-        self._residual = residual
+        self._residual = (
+            compile_predicate(residual) if residual is not None else None
+        )
         self._pk_positions = table.schema.primary_key_positions()
 
     @property
@@ -350,13 +363,23 @@ class IndexSeek(PhysicalOperator):
         return self._table
 
     def _fetch(self, context: "ExecutionContext") -> list[tuple]:
-        index = self._table.secondary_index(self._index_name)
         key = tuple(
             evaluate(expression, (), context)
             for expression in self._key_expressions
         )
+        return self.seek_many((key,), context)[0]
+
+    def seek_many(
+        self, keys, context: "ExecutionContext"
+    ) -> tuple[list[tuple], list[int]]:
+        """Seek every key tuple of ``keys`` in one pass: the visible
+        matches in key order, then index order, and the ordinal of the
+        key each one matched. An index nested-loop join calls this with
+        the key column of an outer batch in place of the seek's own key
+        expressions."""
+        seek = self._table.secondary_index(self._index_name).seek
         return _visible_rows(
-            self._table, index.seek(key), self._pk_positions,
+            self._table, map(seek, keys), self._pk_positions,
             self._residual, context,
         )
 
@@ -368,10 +391,12 @@ class IndexSeek(PhysicalOperator):
             self._fetch(context), self._table, self._pk_positions, context
         )
 
+    @property
+    def index_label(self) -> str:
+        return f"{self._table.schema.name}.{self._index_name}"
+
     def describe(self) -> str:
-        return (
-            f"IndexSeek({self._table.schema.name}.{self._index_name})"
-        )
+        return f"IndexSeek({self.index_label})"
 
 
 class IndexRange(PhysicalOperator):
@@ -393,7 +418,9 @@ class IndexRange(PhysicalOperator):
         self._high = high
         self._low_inclusive = low_inclusive
         self._high_inclusive = high_inclusive
-        self._residual = residual
+        self._residual = (
+            compile_predicate(residual) if residual is not None else None
+        )
         self._pk_positions = table.schema.primary_key_positions()
 
     @property
@@ -418,8 +445,9 @@ class IndexRange(PhysicalOperator):
             low, high, self._low_inclusive, self._high_inclusive
         )
         return _visible_rows(
-            self._table, rids, self._pk_positions, self._residual, context
-        )
+            self._table, (rids,), self._pk_positions, self._residual,
+            context,
+        )[0]
 
     def rows_columnar(self, context: "ExecutionContext"):
         yield from row_batches(self._fetch(context), context.batch_size)

@@ -126,15 +126,22 @@ _FACTORIES = {
 }
 
 
+def accumulator_factory(name: str, distinct: bool = False):
+    """Resolve the named aggregate to a zero-argument constructor of
+    fresh accumulators (a grouped fold calls it once per group)."""
+    factory = _FACTORIES.get((name.lower(), distinct))
+    if factory is not None:
+        return factory
+    if distinct:
+        # SUM/AVG/MIN/MAX DISTINCT: deduplicate then delegate
+        inner = accumulator_factory(name, False)
+        return lambda: _DistinctWrapper(inner())
+    raise ExecutionError(f"unknown aggregate {name!r}")
+
+
 def make_accumulator(name: str, distinct: bool = False) -> Accumulator:
     """Create a fresh accumulator for the named aggregate."""
-    key = (name.lower(), distinct)
-    if key not in _FACTORIES:
-        if distinct:
-            # SUM/AVG/MIN/MAX DISTINCT: deduplicate then delegate
-            return _DistinctWrapper(make_accumulator(name, False))
-        raise ExecutionError(f"unknown aggregate {name!r}")
-    return _FACTORIES[key]()
+    return accumulator_factory(name, distinct)()
 
 
 class _DistinctWrapper(Accumulator):

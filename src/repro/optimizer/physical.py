@@ -124,19 +124,23 @@ class PhysicalPlanner:
         if isinstance(plan, L.Distinct):
             return DistinctOperator(self.compile(plan.child))
         if isinstance(plan, L.Audit):
-            if self._audit_view_resolver is None:
-                raise PlanError(
-                    "plan contains an audit operator but the planner has "
-                    "no audit view resolver"
-                )
-            sensitive_ids = self._audit_view_resolver(plan.audit_name)
-            return AuditOperator(
-                self.compile(plan.child),
-                plan.audit_name,
-                plan.id_slot,
-                sensitive_ids,
-            )
+            return self._audit_operator(plan, self.compile(plan.child))
         raise PlanError(f"cannot compile {type(plan).__name__}")
+
+    def _audit_operator(
+        self, plan: L.Audit, child: PhysicalOperator
+    ) -> AuditOperator:
+        if self._audit_view_resolver is None:
+            raise PlanError(
+                "plan contains an audit operator but the planner has "
+                "no audit view resolver"
+            )
+        return AuditOperator(
+            child,
+            plan.audit_name,
+            plan.id_slot,
+            self._audit_view_resolver(plan.audit_name),
+        )
 
     # ------------------------------------------------------------------
     # scans and access paths
@@ -265,14 +269,13 @@ class PhysicalPlanner:
         references already inside the right subtree (pushing the seek key
         would otherwise require shifting their outer levels).
 
-        The seek conjunct is pushed *below* any audit operator so each
-        iteration is an index seek. This cannot introduce audit false
-        negatives: an inner-join row the seek never fetches has no join
-        partner, so deleting it cannot change the query result and it is
-        not accessed under Definition 2.3.
+        The seek sits *below* any audit operator, on the index matched
+        to the join key here (never re-picked from the scan's own
+        conjuncts, which become the seek's residual). This cannot
+        introduce audit false negatives: an inner-join row the seek never
+        fetches has no join partner, so deleting it cannot change the
+        query result and it is not accessed under Definition 2.3.
         """
-        from dataclasses import replace as _replace
-
         from repro.exec.context import _free_outer_refs
 
         if plan.kind not in (L.JOIN_INNER, L.JOIN_LEFT):
@@ -292,7 +295,7 @@ class PhysicalPlanner:
 
         left_arity = plan.left.arity
         parts = conjuncts(plan.condition)
-        chosen: tuple[int, int] | None = None
+        left_slot: int | None = None
         chosen_conjunct: Expression | None = None
         index_name: str | None = None
         table = self._catalog.table(inner_plan.table_name)
@@ -302,11 +305,13 @@ class PhysicalPlanner:
                 continue
             for name, index in table.secondary_indexes().items():
                 if index.positions == (pair[1],):
-                    chosen, chosen_conjunct, index_name = pair, conjunct, name
+                    left_slot, chosen_conjunct, index_name = (
+                        pair[0], conjunct, name
+                    )
                     break
-            if chosen is not None:
+            if left_slot is not None:
                 break
-        if chosen is None:
+        if left_slot is None:
             return None
 
         if self.join_strategy == JOIN_AUTO:
@@ -317,30 +322,26 @@ class PhysicalPlanner:
             if plan.kind != L.JOIN_INNER:
                 return None  # conservative in auto mode
 
-        left_slot, right_slot = chosen
-        column_name = table.schema.columns[right_slot].name
-        seek = Binary(
-            "=",
-            ColumnRef(column_name, index=right_slot),
-            ColumnRef("__outer", index=left_slot, outer_level=1),
+        # the key expression serves the lineage run, which still seeks
+        # per outer row; the online join seeks the outer key column
+        inner: PhysicalOperator = IndexSeek(
+            table,
+            index_name,
+            (ColumnRef("__outer", index=left_slot, outer_level=1),),
+            inner_plan.predicate,
         )
-        merged = conjoin(
-            ([inner_plan.predicate] if inner_plan.predicate is not None
-             else []) + [seek]
-        )
-        new_inner: L.LogicalPlan = _replace(inner_plan, predicate=merged)
         for audit in reversed(audits):
-            new_inner = _replace(audit, child=new_inner)
+            inner = self._audit_operator(audit, inner)
 
         # residuals stay bound over the combined (left ++ right) row
         residual_parts = [c for c in parts if c is not chosen_conjunct]
-        residual = conjoin(residual_parts)
         return IndexNestedLoopJoin(
             self.compile(plan.left),
-            self.compile(new_inner),
+            inner,
             plan.kind,
-            residual,
+            conjoin(residual_parts),
             plan.right.arity,
+            left_slot,
         )
 
 

@@ -16,7 +16,7 @@ from repro.datatypes import value_sort_key
 
 
 def _has_null(key: tuple) -> bool:
-    return any(part is None for part in key)
+    return None in key
 
 
 class HashIndex:

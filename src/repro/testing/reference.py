@@ -42,10 +42,16 @@ class _ReferenceContext(ExecutionContext):
             self.pop_outer_row()
 
 
-def reference_rows(plan: L.LogicalPlan, catalog: "Catalog") -> list[tuple]:
-    """Rows of a bound logical ``plan`` over the tables in ``catalog``."""
+def reference_rows(
+    plan: L.LogicalPlan,
+    catalog: "Catalog",
+    tombstones: dict[str, set] | None = None,
+) -> list[tuple]:
+    """Rows of a bound logical ``plan`` over the tables in ``catalog``,
+    minus the rows whose primary key ``tombstones`` hides per table."""
     context = _ReferenceContext()
     context.catalog = catalog
+    context.tombstones = tombstones or {}
     return _rows(plan, context)
 
 
@@ -53,7 +59,14 @@ def _rows(plan: L.LogicalPlan, context: _ReferenceContext) -> list[tuple]:
     if isinstance(plan, OneRow):
         return [()]
     if isinstance(plan, L.Scan):
-        rows = list(context.catalog.table(plan.table_name).rows())
+        table = context.catalog.table(plan.table_name)
+        key = table.schema.primary_key_positions()
+        rows = [
+            row for row in table.rows()
+            if not context.is_tombstoned(
+                plan.table_name, tuple(row[position] for position in key)
+            )
+        ]
         if plan.predicate is None:
             return rows
         return [

@@ -136,3 +136,38 @@ class TestSubqueryCancellation:
             collect_rows(db._optimizer.compile(logical), context)
         # one block of a, then one block of b — not 4 blocks of b per row
         assert context.blocks_scanned == 2
+
+
+class TestIndexNestedLoopJoinCancellation:
+    def test_cancelled_token_stops_the_join_within_one_outer_batch(self):
+        """No outer row finds a partner, so the join never hands the
+        statement's own loop a batch to checkpoint on; the join has to
+        look at the token once per outer batch itself."""
+        from repro.concurrency.cancel import CancellationToken
+        from repro.errors import OperationCancelledError
+        from repro.exec.operators import IndexNestedLoopJoin
+        from repro.exec.operators.base import collect_rows
+        from repro.sql.parser import parse_statement
+
+        db = Database()
+        db.block_size = 4
+        db.join_strategy = "index-nl"
+        db.execute("CREATE TABLE a (k INT PRIMARY KEY)")
+        db.execute("CREATE TABLE b (k INT PRIMARY KEY, ak INT)")
+        db.execute("CREATE INDEX idx_b_ak ON b (ak)")
+        for k in range(64):
+            db.execute(f"INSERT INTO a VALUES ({k})")
+            db.execute(f"INSERT INTO b VALUES ({k}, {k + 1000})")
+        physical = db._optimizer.compile(db._optimizer.optimize_logical(
+            db._builder.build_select(parse_statement(
+                "SELECT a.k FROM a, b WHERE a.k = b.ak"
+            ))
+        ))
+        assert isinstance(physical.children()[0], IndexNestedLoopJoin)
+        context = db.make_context()
+        context.cancel_token = CancellationToken()
+        context.cancel_token.cancel()
+        with pytest.raises(OperationCancelledError):
+            collect_rows(physical, context)
+        assert context.blocks_scanned == 1  # of the 16 blocks of a
+

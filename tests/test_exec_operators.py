@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog.schema import Column, TableSchema
 from repro.datatypes import INTEGER
+from repro.errors import PlanError
 from repro.exec.batch import ColumnBatch
 from repro.exec.context import ExecutionContext
 from repro.exec.operators import (
@@ -13,6 +14,7 @@ from repro.exec.operators import (
     HashAggregate,
     HashJoin,
     IndexNestedLoopJoin,
+    IndexSeek,
     LimitOperator,
     NestedLoopJoin,
     OneRowSource,
@@ -189,28 +191,67 @@ class TestJoins:
 
 
 class TestIndexNestedLoopJoin:
-    def test_reruns_inner_per_outer_row(self):
-        class CountingInner(PhysicalOperator):
-            def __init__(self):
-                self.executions = 0
-
-            def rows_columnar(self, context):
-                self.executions += 1
-                outer = context.outer_row(1)
-                yield ColumnBatch.from_rows([(outer[0] * 10,)])
-
-        inner = CountingInner()
-        join = IndexNestedLoopJoin(
-            Rows([(1,), (2,)]), inner, JOIN_INNER, None, inner_arity=1
+    @staticmethod
+    def inner_seek():
+        schema = TableSchema(
+            "t",
+            (Column("id", INTEGER), Column("k", INTEGER, nullable=True)),
+            primary_key=("id",),
         )
-        assert run(join) == [(1, 10), (2, 20)]
-        assert inner.executions == 2
+        table = Table(schema)
+        table.bulk_load([(1, 10), (2, 10), (3, 30), (4, None)])
+        table.create_secondary_index("idx_k", ("k",))
+        outer_key = ColumnRef("__outer", index=0, outer_level=1)
+        return IndexSeek(table, "idx_k", (outer_key,))
+
+    def test_one_multi_key_seek_per_outer_batch(self, monkeypatch):
+        seeks = []
+        seek_many = IndexSeek.seek_many
+
+        def counting(self, keys, context):
+            seeks.append([key for (key,) in keys])
+            return seek_many(self, zip(seeks[-1]), context)
+
+        monkeypatch.setattr(IndexSeek, "seek_many", counting)
+        join = IndexNestedLoopJoin(
+            Rows([(10,), (None,), (20,), (30,), (10,)]), self.inner_seek(),
+            JOIN_INNER, None, inner_arity=2, key_slot=0,
+        )
+        context = ExecutionContext()
+        context.batch_size = 2  # Rows yields three outer batches
+        rows = run(join, context)
+        assert [row[0] for row in rows] == [10, 10, 30, 10, 10]
+        assert sorted(rows[:2]) == [(10, 1, 10), (10, 2, 10)]
+        assert seeks == [[10, None], [20, 30], [10]]
 
     def test_left_outer_null_extension(self):
         join = IndexNestedLoopJoin(
-            Rows([(1,)]), Rows([]), JOIN_LEFT, None, inner_arity=2
+            Rows([(20,), (30,), (None,)]), self.inner_seek(), JOIN_LEFT,
+            Binary("<", ColumnRef("id", index=1), Literal(3)),
+            inner_arity=2, key_slot=0,
         )
-        assert run(join) == [(1, None, None)]
+        # 20 has no partner, 30's only partner fails the residual
+        assert run(join) == [
+            (20, None, None), (30, None, None), (None, None, None)
+        ]
+
+    def test_tombstoned_inner_rows_are_invisible(self):
+        join = IndexNestedLoopJoin(
+            Rows([(10,), (30,)]), self.inner_seek(), JOIN_LEFT, None,
+            inner_arity=2, key_slot=0,
+        )
+        context = ExecutionContext()
+        context.tombstones = {"t": {(1,), (3,)}}
+        assert run(join, context) == [(10, 2, 10), (30, None, None)]
+
+    def test_rejects_other_kinds_and_inners(self):
+        for kind in (JOIN_SEMI, JOIN_ANTI):
+            with pytest.raises(PlanError):
+                IndexNestedLoopJoin(
+                    Rows([]), self.inner_seek(), kind, None, 2, 0
+                )
+        with pytest.raises(PlanError):
+            IndexNestedLoopJoin(Rows([]), Rows([]), JOIN_INNER, None, 2, 0)
 
 
 class TestAggregation:

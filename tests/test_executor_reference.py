@@ -24,7 +24,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import HEURISTIC_HCN, HEURISTIC_LEAF
+from repro import HEURISTIC_HCN, HEURISTIC_LEAF, Database
+from repro.exec.operators import AuditOperator, IndexNestedLoopJoin
 from repro.exec.operators.base import collect_rows
 from repro.sql.parser import parse_statement
 from repro.testing.reference import reference_rows
@@ -193,6 +194,89 @@ class TestChunkingAndSkippingInvariance:
             on.audit_probe_count + on.audit_probes_skipped
             == off.audit_probe_count
         )
+
+
+join_keys = st.one_of(st.none(), st.integers(min_value=1, max_value=4))
+
+
+class TestIndexNestedLoopJoin:
+    """The join seeks one outer batch at a time; nothing observable may
+    depend on where the outer batches (``o``'s blocks) or its own output
+    batches end: rows come in outer order with LEFT padding in place,
+    and an audit operator inside the inner chain (leaf) or above the
+    join (hcn) records the same ACCESSED for the same number of probes."""
+
+    @_FORTY_EXAMPLES
+    @given(
+        outer=st.lists(join_keys, max_size=10),
+        inner=st.lists(
+            st.tuples(join_keys, st.integers(min_value=0, max_value=6)),
+            max_size=12,
+        ),
+        hidden=st.sets(st.integers(min_value=1, max_value=12), max_size=4),
+        left_join=st.booleans(),
+        residual=st.booleans(),
+        heuristic=st.sampled_from([HEURISTIC_LEAF, HEURISTIC_HCN]),
+        block_size=st.sampled_from(CHUNK_SIZES),
+    )
+    def test_rows_accessed_and_probes(
+        self, outer, inner, hidden, left_join, residual, heuristic,
+        block_size,
+    ):
+        db = Database()
+        db.block_size = block_size
+        db.join_strategy = "index-nl"
+        db.execute("CREATE TABLE o (oid INT PRIMARY KEY, k INT)")
+        db.execute("CREATE TABLE i (iid INT PRIMARY KEY, k INT, v INT)")
+        db.execute("CREATE INDEX idx_i_k ON i (k)")
+        db.catalog.table("o").bulk_load(enumerate(outer, start=1))
+        db.catalog.table("i").bulk_load(
+            (iid, k, v) for iid, (k, v) in enumerate(inner, start=1)
+        )
+        db.execute(
+            "CREATE AUDIT EXPRESSION audit_i AS SELECT * FROM i "
+            "FOR SENSITIVE TABLE i, PARTITION BY iid"
+        )
+        db.audit_manager.heuristic = heuristic
+        on_key = "o.k = i.k"
+        condition = on_key + (" AND o.oid < i.v" if residual else "")
+        sql = (
+            f"SELECT * FROM o LEFT JOIN i ON {condition}" if left_join
+            else f"SELECT * FROM o, i WHERE {condition}"
+        )
+        tombstones = {"i": {(iid,) for iid in hidden}}
+
+        def reference(statement):
+            return reference_rows(
+                db._builder.build_select(parse_statement(statement)),
+                db.catalog, tombstones,
+            )
+
+        physical = compile_select(db, sql)
+        (join,) = [
+            node for node in physical.walk()
+            if isinstance(node, IndexNestedLoopJoin)
+        ]
+        audit_inside = isinstance(join.children()[1], AuditOperator)
+        assert audit_inside or heuristic == HEURISTIC_HCN
+        expected = reference(sql)
+        if audit_inside:
+            # every visible inner row the seek fetched, residual or not
+            probed = reference(f"SELECT * FROM o, i WHERE {on_key}")
+        else:
+            probed = expected
+        for size in CHUNK_SIZES:
+            context = db.make_context()
+            context.batch_size = size
+            context.tombstones = tombstones
+            rows = collect_rows(physical, context)
+            assert Counter(rows) == Counter(expected)
+            # outer order; an outer row's matches or padding are adjacent
+            assert [row[:2] for row in rows] == [row[:2] for row in expected]
+            assert context.accessed.get("audit_i", set()) == {
+                row[2] for row in probed if row[2] is not None
+            }
+            assert context.audit_probe_count == len(probed)
 
 
 class TestProbeFlushOnAbort:

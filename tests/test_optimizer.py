@@ -5,6 +5,7 @@ import pytest
 from repro import Database
 from repro.exec.operators import (
     HashJoin,
+    IndexNestedLoopJoin,
     IndexRange,
     IndexSeek,
     NestedLoopJoin,
@@ -227,6 +228,39 @@ class TestJoinSelection:
         )
         joins = find_nodes(physical, HashJoin)
         assert joins and joins[0]._residual is not None
+
+
+class TestIndexNestedLoopJoinPlanning:
+    @pytest.fixture
+    def two_index_db(self, db):
+        """``b`` is indexed on a filter column (declared first) and on
+        the join key; every ``aid`` has 80 rows, 20 of them status 1."""
+        db.execute("CREATE TABLE a (id INT PRIMARY KEY)")
+        db.execute("CREATE TABLE b (id INT PRIMARY KEY, aid INT, status INT)")
+        db.execute("CREATE INDEX idx_b_status ON b (status)")
+        db.execute("CREATE INDEX idx_b_aid ON b (aid)")
+        db.catalog.table("a").bulk_load((k,) for k in range(4))
+        db.catalog.table("b").bulk_load(
+            (i, i % 50, (i // 50) % 4) for i in range(4000)
+        )
+        db.execute("ANALYZE")
+        return db
+
+    SQL = "SELECT a.id, b.id FROM a, b WHERE a.id = b.aid AND b.status = 1"
+
+    def test_inner_seek_uses_the_join_key_index(self, two_index_db):
+        physical = physical_plan(two_index_db, self.SQL)
+        (join,) = find_nodes(physical, IndexNestedLoopJoin)
+        inner = join.children()[1]
+        assert inner.describe() == "IndexSeek(b.idx_b_aid)"
+        # EXPLAIN names the seek the join drives and the outer key slot
+        assert join.describe() == (
+            "IndexNestedLoopJoin(inner, b.idx_b_aid ← #0)"
+        )
+        # the filter conjunct is the seek's residual
+        rows = two_index_db.execute(self.SQL).rows
+        assert len(rows) == 80
+        assert all((b // 50) % 4 == 1 and b % 50 == a for a, b in rows)
 
 
 class TestTopKFusion:

@@ -11,8 +11,11 @@ from repro.tpch import (
     audit_expression_sql,
     load_tpch,
 )
+from repro.exec.context import DEFAULT_BATCH_SIZE
+from repro.exec.operators import IndexSeek
 from repro.tpch.datagen import MARKET_SEGMENTS
 import datetime
+import math
 
 
 class TestGenerator:
@@ -160,3 +163,38 @@ class TestAuditedWorkload:
             QUERIES[name], QUERY_PARAMETERS[name]
         ).accessed.get("audit_customer", frozenset())
         assert truth <= online
+
+    def test_q3_seeks_the_inner_index_per_outer_batch(
+        self, audited_tpch, monkeypatch
+    ):
+        """Work-count guard: an index nested-loop join starts its inner
+        seek once per outer batch, never once per outer row."""
+        keys_per_start: dict[IndexSeek, list[int]] = {}
+        row_source_starts = []
+        seek_many = IndexSeek.seek_many
+        rows_columnar = IndexSeek.rows_columnar
+
+        def counting_seek_many(self, keys, context):
+            keys = list(keys)
+            keys_per_start.setdefault(self, []).append(len(keys))
+            return seek_many(self, keys, context)
+
+        def counting_rows_columnar(self, context):
+            row_source_starts.append(self)
+            return rows_columnar(self, context)
+
+        monkeypatch.setattr(IndexSeek, "seek_many", counting_seek_many)
+        monkeypatch.setattr(IndexSeek, "rows_columnar", counting_rows_columnar)
+        audited_tpch.execute(QUERIES["Q3"], QUERY_PARAMETERS["Q3"])
+
+        # only the market-segment leaf runs as a row source; the joins
+        # drive orders by customer key, then lineitem by order key
+        (leaf,) = row_source_starts
+        assert keys_per_start.pop(leaf) == [1]
+        assert len(keys_per_start) == 2
+        for starts in keys_per_start.values():
+            outer_rows = sum(starts)
+            assert outer_rows > 20
+            assert len(starts) <= math.ceil(
+                outer_rows / DEFAULT_BATCH_SIZE
+            ) + 1
