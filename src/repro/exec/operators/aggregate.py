@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import TYPE_CHECKING
 
 from repro.exec.batch import row_batches
@@ -11,18 +12,25 @@ from repro.exec.operators.base import PhysicalOperator
 from repro.plan.logical import AggregateSpec
 from repro.expr.nodes import ColumnRef, Expression
 
+if TYPE_CHECKING:  # pragma: no cover - cycle guard
+    from repro.exec.context import ExecutionContext
 
-def _simple_slot(expression: Expression | None) -> int | None:
+_result = methodcaller("result")
+
+
+def _input(expression: Expression | None) -> tuple:
+    """(slot, closure) for one group key or aggregate argument: a plain
+    column ref is read off the batch, anything computed is evaluated per
+    row, and COUNT(*) (no argument) is (None, None)."""
+    if expression is None:
+        return None, None
     if (
         isinstance(expression, ColumnRef)
         and expression.outer_level == 0
         and expression.index is not None
     ):
-        return expression.index
-    return None
-
-if TYPE_CHECKING:  # pragma: no cover - cycle guard
-    from repro.exec.context import ExecutionContext
+        return expression.index, None
+    return None, compile_expression(expression)
 
 
 class HashAggregate(PhysicalOperator):
@@ -31,7 +39,8 @@ class HashAggregate(PhysicalOperator):
     Output row = group values followed by aggregate results. With no group
     expressions the operator is a global aggregate and emits exactly one
     row even for empty input (SQL semantics: ``COUNT(*)`` of nothing is 0).
-    Group keys treat NULLs as equal, as GROUP BY requires.
+    Group keys treat NULLs as equal, as GROUP BY requires. Groups are
+    emitted in order of first appearance.
     """
 
     def __init__(
@@ -43,112 +52,81 @@ class HashAggregate(PhysicalOperator):
         self._child = child
         self._group_expressions = group_expressions
         self._specs = specs
-        self._compiled_groups = tuple(
-            compile_expression(expression)
-            for expression in group_expressions
-        )
-        self._compiled_arguments = tuple(
-            compile_expression(spec.argument)
-            if spec.argument is not None
-            else None
-            for spec in specs
-        )
         self._factories = tuple(
             accumulator_factory(spec.name, spec.distinct) for spec in specs
         )
-        # columnar fast path: group keys and aggregate arguments that are
-        # all plain column refs (or COUNT(*)) fold directly over gathered
-        # columns without pivoting rows
-        group_slots = tuple(
-            _simple_slot(expression) for expression in group_expressions
+        self._inputs = tuple(
+            _input(expression)
+            for expression in group_expressions
+            + tuple(spec.argument for spec in specs)
         )
-        argument_slots = tuple(_simple_slot(spec.argument) for spec in specs)
-        self._columnar_slots: tuple[tuple, tuple] | None = None
-        if all(slot is not None for slot in group_slots) and all(
-            slot is not None or spec.argument is None
-            for slot, spec in zip(argument_slots, specs)
-        ):
-            self._columnar_slots = (group_slots, argument_slots)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def _fold_rows(
-        self, groups: dict, rows: list, context: "ExecutionContext"
-    ) -> None:
-        compiled_groups = self._compiled_groups
-        compiled_arguments = self._compiled_arguments
-        factories = self._factories
-        get = groups.get
-        for row in rows:
-            key = tuple(
-                expression(row, context)
-                for expression in compiled_groups
-            )
-            accumulators = get(key)
-            if accumulators is None:
-                accumulators = groups[key] = [
-                    factory() for factory in factories
-                ]
-            for argument, accumulator in zip(
-                compiled_arguments, accumulators
-            ):
-                if argument is None:
-                    accumulator.add(1)  # COUNT(*)
-                else:
-                    accumulator.add(argument(row, context))
-
-    def _finish(self, groups: dict) -> list[tuple]:
-        if not groups and not self._group_expressions:
-            groups[()] = [factory() for factory in self._factories]
-        return [
-            key
-            + tuple(accumulator.result() for accumulator in accumulators)
-            for key, accumulators in groups.items()
-        ]
+    def _columns(self, batch, context: "ExecutionContext") -> list:
+        """Every group key and aggregate argument of ``batch`` as one
+        column (None for COUNT(*)); rows are pivoted at most once."""
+        rows = None
+        columns = []
+        for slot, closure in self._inputs:
+            if slot is not None:
+                columns.append(batch.column(slot))
+            elif closure is None:
+                columns.append(None)
+            else:
+                if rows is None:
+                    rows = batch.to_rows()
+                columns.append([closure(row, context) for row in rows])
+        return columns
 
     def rows_columnar(self, context: "ExecutionContext"):
-        """Fold over gathered columns when every group key and aggregate
-        argument is a plain column ref: a global aggregate sweeps each
-        argument column in one tight loop, a grouped one zips the key
-        columns into group keys beside the argument columns; computed
-        keys or arguments pivot the batch and fold row by row."""
-        groups: dict[tuple, list] = {}
-        slots = self._columnar_slots
+        """Per batch, bucket row positions by group key in one dict pass,
+        then hand each (group, aggregate) its values in row order with one
+        ``add_many`` call; a global aggregate folds whole columns. A
+        single group column keys the groups by bare value (no 1-tuples)."""
+        groups: dict = {}
         factories = self._factories
-        get = groups.get
+        group_count = len(self._group_expressions)
         for batch in self._child.rows_columnar(context):
-            if slots is None:
-                self._fold_rows(groups, batch.to_rows(), context)
-                continue
-            group_slots, argument_slots = slots
-            argument_columns = [  # COUNT(*) is fed a column of 1s
-                [1] * batch.row_count if slot is None else batch.column(slot)
-                for slot in argument_slots
+            columns = self._columns(batch, context)
+            arguments = [  # COUNT(*) counts row positions
+                range(batch.row_count) if column is None else column
+                for column in columns[group_count:]
             ]
-            if not group_slots:
-                accumulators = get(())
-                if accumulators is None:
-                    accumulators = groups[()] = [
-                        factory() for factory in factories
-                    ]
-                for column, accumulator in zip(
-                    argument_columns, accumulators
-                ):
-                    add = accumulator.add
-                    for value in column:
-                        add(value)
-                continue
-            keys = zip(*[batch.column(slot) for slot in group_slots])
-            for key, *values in zip(keys, *argument_columns):
-                accumulators = get(key)
+            buckets: dict = {(): None}  # global: every row of the batch
+            if group_count:
+                buckets = {}
+                get = buckets.get
+                keys = columns[0] if group_count == 1 \
+                    else zip(*columns[:group_count])
+                for position, key in enumerate(keys):
+                    bucket = get(key)
+                    if bucket is None:
+                        buckets[key] = [position]
+                    else:
+                        bucket.append(position)
+            for key, bucket in buckets.items():
+                accumulators = groups.get(key)
                 if accumulators is None:
                     accumulators = groups[key] = [
                         factory() for factory in factories
                     ]
-                for accumulator, value in zip(accumulators, values):
-                    accumulator.add(value)
-        yield from row_batches(self._finish(groups), context.batch_size)
+                for accumulator, column in zip(accumulators, arguments):
+                    accumulator.add_many(
+                        column if bucket is None
+                        else [column[i] for i in bucket]
+                    )
+        if not groups and not group_count:
+            groups[()] = [factory() for factory in factories]
+        yield from row_batches(
+            [
+                ((key,) if group_count == 1 else key)
+                + tuple(map(_result, accumulators))
+                for key, accumulators in groups.items()
+            ],
+            context.batch_size,
+        )
 
     def describe(self) -> str:
         return (

@@ -7,6 +7,8 @@ group yields NULL for everything except COUNT, which yields 0).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import ExecutionError
 
 _AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
@@ -16,18 +18,31 @@ def is_aggregate_name(name: str) -> bool:
     return name.lower() in _AGGREGATE_NAMES
 
 
+def _check_numeric(value: object, aggregate: str) -> None:
+    """SUM and AVG take ints and floats; ``bool`` is not a number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ExecutionError(f"{aggregate} over non-numeric value {value!r}")
+
+
 class Accumulator:
     """Base accumulator interface."""
 
     def add(self, value: object) -> None:
         raise NotImplementedError
 
+    def add_many(self, values: Sequence) -> None:
+        """Fold ``values`` in order; same result as ``add`` on each."""
+        add = self.add
+        for value in values:
+            add(value)
+
     def result(self) -> object:
         raise NotImplementedError
 
 
 class CountAccumulator(Accumulator):
-    """``COUNT(expr)``: counts non-NULL inputs (``COUNT(*)`` feeds 1s)."""
+    """``COUNT(expr)``: counts non-NULL inputs (``COUNT(*)`` is fed row
+    positions, never NULL)."""
 
     def __init__(self) -> None:
         self._count = 0
@@ -35,6 +50,9 @@ class CountAccumulator(Accumulator):
     def add(self, value: object) -> None:
         if value is not None:
             self._count += 1
+
+    def add_many(self, values: Sequence) -> None:
+        self._count += len(values) - values.count(None)
 
     def result(self) -> int:
         return self._count
@@ -61,9 +79,18 @@ class SumAccumulator(Accumulator):
     def add(self, value: object) -> None:
         if value is None:
             return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ExecutionError(f"SUM over non-numeric value {value!r}")
+        _check_numeric(value, "SUM")
         self._total = value if self._total is None else self._total + value
+
+    def add_many(self, values: Sequence) -> None:
+        total = self._total
+        for value in values:
+            if value is None:
+                continue
+            if value.__class__ is not int and value.__class__ is not float:
+                _check_numeric(value, "SUM")
+            total = value if total is None else total + value
+        self._total = total
 
     def result(self) -> object:
         return self._total
@@ -77,10 +104,22 @@ class AvgAccumulator(Accumulator):
     def add(self, value: object) -> None:
         if value is None:
             return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ExecutionError(f"AVG over non-numeric value {value!r}")
+        _check_numeric(value, "AVG")
         self._total += value
         self._count += 1
+
+    def add_many(self, values: Sequence) -> None:
+        total = self._total
+        count = self._count
+        for value in values:
+            if value is None:
+                continue
+            if value.__class__ is not int and value.__class__ is not float:
+                _check_numeric(value, "AVG")
+            total += value
+            count += 1
+        self._total = total
+        self._count = count
 
     def result(self) -> object:
         if self._count == 0:

@@ -153,7 +153,7 @@ class CostModel:
         left = self.estimate_rows(plan.left)
         right = self.estimate_rows(plan.right)
         if plan.kind == L.JOIN_SEMI:
-            return left * 0.5
+            return left * self._semi_match_fraction(plan, right)
         if plan.kind == L.JOIN_ANTI:
             return left * 0.5
         if plan.condition is None:
@@ -179,23 +179,55 @@ class CostModel:
             return 1.0 / denominator
         return _DEFAULT_OTHER_SELECTIVITY
 
+    def _semi_match_fraction(self, plan: L.Join, right_rows: float
+                             ) -> float:
+        """Share of left rows a semi join keeps. For one equality
+        ``left key = right value``: distinct right values (never more
+        than the right input's rows) over distinct left keys, capped at
+        1; 0.5 when the condition has another shape or stats are absent.
+        """
+        parts = conjuncts(plan.condition)
+        if len(parts) == 1 and isinstance(parts[0], Binary) \
+                and parts[0].op == "=":
+            arity = plan.left.arity
+            refs = sorted(
+                (side for side in (parts[0].left, parts[0].right)
+                 if isinstance(side, ColumnRef) and side.outer_level == 0
+                 and side.index is not None),
+                key=lambda ref: ref.index,
+            )
+            if len(refs) == 2 and refs[0].index < arity <= refs[1].index:
+                left_distinct = self._slot_distinct(plan.left, refs[0].index)
+                right_distinct = self._slot_distinct(
+                    plan.right, refs[1].index - arity
+                ) or right_rows
+                if left_distinct is not None:
+                    return min(
+                        1.0, min(right_distinct, right_rows) / left_distinct
+                    )
+        return 0.5
+
     def _distinct_of(self, expression: Expression, plan: L.LogicalPlan
                      ) -> float:
         if not isinstance(expression, ColumnRef) or expression.index is None:
             return 10.0
-        column = plan.columns[expression.index] if (
-            expression.index < len(plan.columns)
-        ) else None
+        distinct = self._slot_distinct(plan, expression.index)
+        return 10.0 if distinct is None else distinct
+
+    def _slot_distinct(self, plan: L.LogicalPlan, slot: int
+                       ) -> float | None:
+        """Distinct count of a base-table column flowing out at ``slot``."""
+        column = plan.columns[slot] if slot < len(plan.columns) else None
         if column is None or column.origin is None:
-            return 10.0
+            return None
         table_name, column_name = column.origin
         try:
             stats = self._catalog.statistics(table_name)
         except Exception:
-            return 10.0
+            return None
         column_stats = stats.columns.get(column_name)
         if column_stats is None or column_stats.distinct_count <= 0:
-            return 10.0
+            return None
         return float(column_stats.distinct_count)
 
     # ------------------------------------------------------------------

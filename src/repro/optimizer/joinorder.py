@@ -10,8 +10,11 @@ products and huge intermediates. This pass:
    in-order concatenation of leaf outputs);
 2. greedily orders the leaves: start from the smallest estimated leaf,
    repeatedly join the connected leaf (one sharing an applicable
-   conjunct) with the smallest estimated result — falling back to the
-   smallest disconnected leaf when the predicate graph is disconnected;
+   equality conjunct, so it can hash or seek) with the smallest
+   estimated result — falling back to the smallest disconnected leaf
+   when the equality graph is disconnected. A non-equality conjunct
+   (Q7's nation-pair OR) connects nothing: taken as an edge, it would
+   pair two small filtered scans under a nested-loop join;
 3. rebuilds a left-deep tree, attaching each conjunct at the lowest join
    where all its columns are available, and caps the cluster with a
    projection restoring the *original* column order — so no expression
@@ -176,7 +179,8 @@ def _reorder_cluster(root: L.Join, cost: CostModel) -> LogicalPlan:
             for index in remaining
             if any(
                 index in needed and (needed - {index}) & placed
-                for needed in part_leaves
+                for needed, part in zip(part_leaves, parts)
+                if isinstance(part, Binary) and part.op == "="
             )
         ]
         pool = connected or sorted(remaining)

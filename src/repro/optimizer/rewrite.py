@@ -16,6 +16,20 @@ Rules:
   condition), the preserved side of left joins, sorts, distincts, group-by
   keys of aggregates, and finally into scans, where the physical planner
   can turn them into index seeks.
+* **semi-join pushdown** — a semi join over an inner join sinks into the
+  side holding every left-row slot its condition references, repeatedly,
+  so ``o_orderkey IN (SELECT ...)`` filters ``orders`` before the join
+  rather than the whole product. It passes a stacked semi join on the
+  way, but never crosses a left or anti join, nor an inner join whose
+  sides its condition spans; anti joins stay where decorrelation put
+  them.
+* **OR-implied filters** — for a cross-side inner-join conjunct
+  ``D1 OR ... OR Dk`` where every ``Di`` has conjuncts over one side
+  alone, ``OR_i (those conjuncts)`` is pushed into that side while the
+  original stays the join condition (implied, hence sound under
+  three-valued logic). Subquery-bearing ORs derive nothing, and a
+  derived predicate already present is not added again, so the rewrite
+  is idempotent.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from repro.expr.nodes import (
     SubqueryExpression,
     conjoin,
     conjuncts,
+    contains_subquery,
     referenced_slots,
     transform,
 )
@@ -243,15 +258,13 @@ def _pushdown(
 ) -> L.LogicalPlan:
     """Sink ``pending`` conjuncts (bound over ``plan``'s output) into it."""
     if isinstance(plan, L.Filter):
-        return _pushdown(plan.child, pending + conjuncts(plan.predicate))
+        return _pushdown(
+            plan.child, _merge(pending, conjuncts(plan.predicate))
+        )
 
     if isinstance(plan, L.Scan):
         if pending:
-            merged = conjoin(
-                conjuncts(plan.predicate) + pending
-                if plan.predicate is not None
-                else pending
-            )
+            merged = conjoin(_merge(conjuncts(plan.predicate), pending))
             return replace(plan, predicate=merged)
         return plan
 
@@ -309,8 +322,98 @@ def _references_child(expression: Expression) -> bool:
     return bool(referenced_slots(expression))
 
 
+def _merge(
+    existing: list[Expression], extra: list[Expression]
+) -> list[Expression]:
+    """``existing`` plus the conjuncts of ``extra`` not already in it."""
+    if not existing:
+        return list(extra)
+    return existing + [part for part in extra if part not in existing]
+
+
+def _sink_semi_join(plan: L.Join) -> L.LogicalPlan | None:
+    """Move a semi join into the side of the inner join beneath it that
+    holds every left-row slot its condition references; None if the
+    condition spans both sides (or no inner join lies beneath).
+
+    The semi join's output is its left row, so the inner join's layout
+    is unchanged; only the condition is rebased — row slots by the
+    side's offset, the subquery slot to just past the side's arity.
+    """
+    from repro.plan.rebase import deep_referenced_slots, remap_slots
+
+    inner = plan.left
+    if isinstance(inner, L.Join) and inner.kind == L.JOIN_SEMI:
+        # stacked semi joins commute and share a layout: pass the lower
+        # one only to sink below it, else the next rewrite would
+        sunk = _sink_semi_join(replace(plan, left=inner.left))
+        return None if sunk is None else replace(inner, left=sunk)
+    if not (
+        isinstance(inner, L.Join)
+        and inner.kind == L.JOIN_INNER
+        and plan.condition is not None
+    ):
+        return None
+    arity = inner.arity
+    row_slots = [
+        slot
+        for slot in deep_referenced_slots(plan.condition)
+        if slot < arity
+    ]
+    if not row_slots:
+        return None
+    split = inner.left.arity
+    if max(row_slots) < split:
+        side, offset = inner.left, 0
+    elif min(row_slots) >= split:
+        side, offset = inner.right, split
+    else:
+        return None
+    condition = remap_slots(
+        plan.condition,
+        lambda slot: slot - offset if slot < arity
+        else slot - arity + side.arity,
+    )
+    semi = L.Join(side, plan.right, L.JOIN_SEMI, condition)
+    if offset:
+        return replace(inner, right=semi)
+    return replace(inner, left=semi)
+
+
+def _disjuncts(expression: Expression) -> list[Expression]:
+    if isinstance(expression, Binary) and expression.op == "OR":
+        return _disjuncts(expression.left) + _disjuncts(expression.right)
+    return [expression]
+
+
+def _or_implied(conjunct: Expression, on_side) -> Expression | None:
+    """For ``D1 OR ... OR Dk``: ``OR_i (conjuncts of Di whose slots
+    satisfy on_side)``, or None unless every ``Di`` has one."""
+    from repro.plan.rebase import deep_referenced_slots
+
+    if not (isinstance(conjunct, Binary) and conjunct.op == "OR") \
+            or contains_subquery(conjunct):
+        return None
+    derived: Expression | None = None
+    for disjunct in _disjuncts(conjunct):
+        term = conjoin([
+            part
+            for part in conjuncts(disjunct)
+            if on_side(deep_referenced_slots(part))
+        ])
+        if term is None:
+            return None
+        derived = term if derived is None else Binary("OR", derived, term)
+    return derived
+
+
 def _pushdown_join(plan: L.Join, pending: list[Expression]) -> L.LogicalPlan:
     from repro.plan.rebase import deep_referenced_slots
+
+    if plan.kind == L.JOIN_SEMI:
+        sunk = _sink_semi_join(plan)
+        if sunk is not None:
+            return _pushdown(sunk, pending)
 
     left_arity = plan.left.arity
     left_parts: list[Expression] = []
@@ -346,6 +449,17 @@ def _pushdown_join(plan: L.Join, pending: list[Expression]) -> L.LogicalPlan:
     condition = plan.condition
     if plan.kind == L.JOIN_INNER:
         condition = conjoin(condition_parts)
+        for conjunct in condition_parts:
+            derived = _or_implied(
+                conjunct, lambda slots: slots and max(slots) < left_arity
+            )
+            if derived is not None:
+                left_parts.append(derived)
+            derived = _or_implied(
+                conjunct, lambda slots: slots and min(slots) >= left_arity
+            )
+            if derived is not None:
+                right_parts.append(_rebase(derived, -left_arity))
     elif plan.kind == L.JOIN_LEFT and condition is not None:
         # ON conjuncts referencing only the right side sink into the right
         kept: list[Expression] = []

@@ -279,6 +279,88 @@ class TestIndexNestedLoopJoin:
             assert context.audit_probe_count == len(probed)
 
 
+#: uncorrelated IN conjuncts: each sinks to the scan it filters (``p``,
+#: ``d`` or ``p2``); ``age`` and the subquery over it carry NULLs
+in_conjuncts = st.sampled_from([
+    "p.patientid IN (SELECT patientid FROM disease WHERE disease = 'flu')",
+    "d.patientid IN (SELECT patientid FROM patients WHERE age > 40)",
+    "p.age IN (SELECT age FROM patients WHERE zip = '11111')",
+    "p2.zip IN (SELECT zip FROM patients WHERE age IS NULL)",
+])
+#: cross-table ORs of ANDs: every disjunct has a ``p``-only conjunct, and
+#: all but the last a ``d``-only one too
+or_conjuncts = st.sampled_from([
+    "((p.age > 30 AND d.disease = 'flu') "
+    "OR (p.zip = '11111' AND d.disease = 'cancer'))",
+    "((p.age IS NULL AND d.disease <> 'flu') "
+    "OR (p.age < 50 AND d.patientid > 3 AND p.zip <> d.disease))",
+    "((p.name LIKE 'A%' AND d.disease = 'flu') OR p.age > 60)",
+])
+semi_or_queries = st.builds(
+    lambda three, ins, ors: (
+        "SELECT p.patientid, p.name, p.age, d.disease"
+        + (", p2.name" if three else "")
+        + " FROM patients p, disease d" + (", patients p2" if three else "")
+        + " WHERE p.patientid = d.patientid"
+        + (" AND d.patientid + 1 = p2.patientid" if three else "")
+        + "".join(
+            f" AND {part}" for part in ins + ors
+            if three or "p2." not in part
+        )
+        + " ORDER BY p.patientid, d.disease"
+        + (", p2.name" if three else "")
+    ),
+    st.booleans(),
+    st.lists(in_conjuncts, max_size=2, unique=True),
+    st.lists(or_conjuncts, min_size=0, max_size=1),
+)
+
+
+class TestSemiJoinAndOrRewrites:
+    """Sinking semi joins into the table they filter and deriving
+    per-table filters from cross-table ORs move work, never answers: the
+    row sequence matches the reference interpreter; under hcn, ACCESSED
+    and the probe counts match the plan built without the two rules, and
+    under leaf ACCESSED still covers the deletion auditor's answer."""
+
+    @_FORTY_EXAMPLES
+    @given(
+        patients=patient_rows,
+        sick=disease_rows,
+        sql=semi_or_queries,
+        heuristic=st.sampled_from([HEURISTIC_HCN, HEURISTIC_LEAF]),
+    )
+    def test_rows_accessed_and_probes(self, patients, sick, sql, heuristic):
+        from unittest import mock
+
+        from repro.optimizer import rewrite
+
+        db = build_db(patients, sick, block_size=4)
+        db.audit_manager.heuristic = heuristic
+        expected = reference_rows(
+            db._builder.build_select(parse_statement(sql)), db.catalog
+        )
+        rows, accessed, context = observe(db, compile_select(db, sql))
+        assert rows == expected
+        with mock.patch.object(
+            rewrite, "_sink_semi_join", lambda plan: None
+        ), mock.patch.object(
+            rewrite, "_or_implied", lambda conjunct, on_side: None
+        ):
+            unrewritten = compile_select(db, sql)
+        __, accessed_before, before = observe(db, unrewritten)
+        if heuristic == HEURISTIC_HCN:
+            assert accessed == accessed_before
+            assert context.audit_probe_counts == before.audit_probe_counts
+        else:
+            # a leaf audit counts what its scan reads: an OR-implied
+            # filter there, or a join order that skips a scan behind an
+            # empty input, drops false positives, never a true access
+            db.offline_audit_mode = "deletion"
+            truth = db.offline_audit(sql, "audit_all")
+            assert truth <= accessed.get("audit_all", frozenset())
+
+
 class TestProbeFlushOnAbort:
     """§II: a reader may consume only a prefix of the result; the probe
     accounting of what it did see must survive it abandoning the stream."""

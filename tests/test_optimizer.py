@@ -12,7 +12,11 @@ from repro.exec.operators import (
     TableScan,
     TopKOperator,
 )
+from repro.expr.nodes import Binary, conjuncts
+from repro.optimizer.rewrite import rewrite_plan
 from repro.plan import logical as L
+from repro.sql.parser import parse_statement
+from repro.tpch import QUERIES, QUERY_PARAMETERS
 
 
 def logical_plan(db: Database, sql: str):
@@ -175,6 +179,165 @@ class TestDecorrelation:
             "(SELECT aid FROM b WHERE y > 5 AND b.aid = a.id) ORDER BY x"
         )
         assert decorrelated.rows == correlated.rows
+
+
+def semi_joins(plan):
+    return [j for j in find_nodes(plan, L.Join) if j.kind == L.JOIN_SEMI]
+
+
+def scan_of(plan, alias):
+    return next(s for s in find_nodes(plan, L.Scan) if s.alias == alias)
+
+
+def pushed_ors(scan):
+    return [
+        part for part in conjuncts(scan.predicate)
+        if isinstance(part, Binary) and part.op == "OR"
+    ]
+
+
+STACKED_SEMI_SQL = (
+    "SELECT a.x, b.y FROM a, b WHERE a.id = b.aid "
+    "AND a.id IN (SELECT aid FROM b WHERE y > 5) "
+    "AND b.y IN (SELECT x FROM a WHERE x > 10) ORDER BY a.x"
+)
+
+
+class TestSemiJoinPushdown:
+    def test_q18_semi_join_filters_the_orders_scan(self, tpch_db):
+        plan = tpch_db.plan_query(QUERIES["Q18"], QUERY_PARAMETERS["Q18"])
+        (semi,) = semi_joins(plan)
+        assert isinstance(semi.left, L.Scan)
+        assert semi.left.table_name == "orders"
+
+    def test_sinks_into_the_side_it_references(self, joined_db):
+        sql = (
+            "SELECT a.x, b.y FROM a, b WHERE a.id = b.aid "
+            "AND b.y IN (SELECT x FROM a WHERE x > 10) ORDER BY a.x"
+        )
+        (semi,) = semi_joins(logical_plan(joined_db, sql))
+        assert isinstance(semi.left, L.Scan) and semi.left.alias == "b"
+        # y in {12, 14, ..., 38} and y < 20: the rows with aid 12..19 even
+        assert joined_db.execute(sql).rows == [
+            (index * 2, index) for index in range(12, 20, 2)
+        ]
+
+    def test_stacked_semi_joins_each_reach_their_table(self, joined_db):
+        plan = logical_plan(joined_db, STACKED_SEMI_SQL)
+        assert sorted(semi.left.alias for semi in semi_joins(plan)) == [
+            "a", "b",
+        ]
+        # a.id in {6..19} and b.y in {12, 14, ..., 38}: b.y = a.id
+        assert joined_db.execute(STACKED_SEMI_SQL).rows == [
+            (index * 2, index) for index in range(12, 20, 2)
+        ]
+
+    def test_condition_spanning_both_sides_stays_above(self, joined_db):
+        plan = logical_plan(
+            joined_db,
+            "SELECT a.x FROM a, b WHERE a.id = b.aid "
+            "AND a.x + b.y IN (SELECT x FROM a)",
+        )
+        (semi,) = semi_joins(plan)
+        assert isinstance(semi.left, L.Join)
+        assert semi.left.kind == L.JOIN_INNER
+
+    def test_never_crosses_a_left_join(self, joined_db):
+        plan = logical_plan(
+            joined_db,
+            "SELECT a.x FROM a LEFT JOIN b ON a.id = b.aid "
+            "WHERE b.y IN (SELECT x FROM a)",
+        )
+        (semi,) = semi_joins(plan)
+        assert semi.left.kind == L.JOIN_LEFT
+
+    def test_never_crosses_an_anti_join(self, joined_db):
+        plan = logical_plan(
+            joined_db,
+            "SELECT a.x FROM a, b WHERE a.id = b.aid "
+            "AND NOT EXISTS (SELECT 1 FROM b WHERE y > 99) "
+            "AND a.id IN (SELECT aid FROM b WHERE y > 5)",
+        )
+        (semi,) = semi_joins(plan)
+        assert semi.left.kind == L.JOIN_ANTI
+        # the anti join itself is untouched: still over the inner join
+        assert semi.left.left.kind == L.JOIN_INNER
+
+
+class TestOrImpliedFilters:
+    SQL = (
+        "SELECT a.x, b.y FROM a, b WHERE a.id = b.aid "
+        "AND ((a.tag = 'even' AND b.y < 5) OR (a.tag = 'odd' AND b.y > 15))"
+    )
+
+    def test_each_side_gets_its_implied_filter(self, joined_db):
+        plan = logical_plan(joined_db, self.SQL)
+        assert len(pushed_ors(scan_of(plan, "a"))) == 1
+        assert len(pushed_ors(scan_of(plan, "b"))) == 1
+        # the original OR stays the join condition
+        (join,) = find_nodes(plan, L.Join)
+        assert any(
+            isinstance(part, Binary) and part.op == "OR"
+            for part in conjuncts(join.condition)
+        )
+        assert sorted(joined_db.execute(self.SQL).rows) == [
+            (0, 0), (4, 2), (8, 4), (34, 17), (38, 19),
+        ]
+
+    def test_subquery_disjunct_derives_nothing(self, joined_db):
+        plan = logical_plan(
+            joined_db,
+            "SELECT a.x FROM a, b WHERE a.id = b.aid "
+            "AND ((a.tag = 'even' AND b.y < 5) "
+            "OR (a.tag = 'odd' AND b.y IN (SELECT x FROM a)))",
+        )
+        assert scan_of(plan, "a").predicate is None
+        assert scan_of(plan, "b").predicate is None
+
+    def test_disjunct_without_a_side_conjunct_derives_nothing(
+        self, joined_db
+    ):
+        plan = logical_plan(
+            joined_db,
+            "SELECT a.x FROM a, b WHERE a.id = b.aid "
+            "AND (a.tag = 'even' OR b.y > 15)",
+        )
+        assert scan_of(plan, "a").predicate is None
+        assert scan_of(plan, "b").predicate is None
+
+    def test_q7_filters_both_nation_scans_and_avoids_nested_loops(
+        self, tpch_db
+    ):
+        plan = tpch_db.plan_query(QUERIES["Q7"], QUERY_PARAMETERS["Q7"])
+        for alias in ("n1", "n2"):
+            assert len(pushed_ors(scan_of(plan, alias))) == 1
+        assert not find_nodes(tpch_db._optimizer.compile(plan), NestedLoopJoin)
+
+
+class TestRewriteIdempotence:
+    @pytest.mark.parametrize("join_reorder", [False, True])
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_tpch(self, tpch_db, name, join_reorder):
+        raw = tpch_db._builder.build_select(parse_statement(QUERIES[name]))
+        cost = tpch_db._optimizer._cost if join_reorder else None
+        once = rewrite_plan(raw, cost)
+        assert rewrite_plan(once, cost) == once
+
+    @pytest.mark.parametrize("sql", [
+        TestOrImpliedFilters.SQL,
+        "SELECT a.x FROM a, b WHERE a.id = b.aid "
+        "AND b.y IN (SELECT x FROM a WHERE x > 10)",
+        STACKED_SEMI_SQL,
+        # the filter derived for g stays above its aggregate, not in a scan
+        "SELECT a.x, g.c FROM a, "
+        "(SELECT aid, COUNT(*) AS c FROM b GROUP BY aid) g "
+        "WHERE a.id = g.aid "
+        "AND ((a.tag = 'even' AND g.c > 1) OR (a.tag = 'odd' AND g.c > 2))",
+    ])
+    def test_semi_and_or_rewrites(self, joined_db, sql):
+        raw = joined_db._builder.build_select(parse_statement(sql))
+        once = rewrite_plan(raw)
+        assert rewrite_plan(once) == once
 
 
 class TestAccessPaths:

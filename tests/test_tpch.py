@@ -198,3 +198,31 @@ class TestAuditedWorkload:
             assert len(starts) <= math.ceil(
                 outer_rows / DEFAULT_BATCH_SIZE
             ) + 1
+
+    def test_q18_seeks_lineitem_only_for_surviving_orders(
+        self, audited_tpch, monkeypatch
+    ):
+        """Work-count guard: Q18's semi join filters ``orders`` before the
+        joins, so the lineitem seek is fed one key per surviving order,
+        not one per row of the customer-orders product."""
+        keys_fed: list[int] = []
+        seek_many = IndexSeek.seek_many
+
+        def counting_seek_many(self, keys, context):
+            keys = list(keys)
+            if self.index_label == "lineitem.idx_lineitem_orderkey":
+                keys_fed.append(len(keys))
+            return seek_many(self, keys, context)
+
+        parameters = QUERY_PARAMETERS["Q18"]
+        surviving = audited_tpch.execute(
+            "SELECT COUNT(*) FROM orders WHERE o_orderkey IN ("
+            "SELECT l_orderkey FROM lineitem GROUP BY l_orderkey "
+            "HAVING SUM(l_quantity) > :quantity)",
+            parameters,
+        ).scalar()
+        monkeypatch.setattr(IndexSeek, "seek_many", counting_seek_many)
+        rows = audited_tpch.execute(QUERIES["Q18"], parameters).rows
+        assert 0 < len(rows) <= surviving
+        assert keys_fed
+        assert sum(keys_fed) <= surviving
