@@ -559,11 +559,15 @@ class ClusterDatabase:
         text = sql.strip()
         if self._trigger_depth == 0:
             self.session.sql_text = text
-        entry = self.plan_cache.lookup(text, self._plan_cache_tags())
+        template, entry = self.plan_cache.match(
+            sql, self._plan_cache_tags()
+        )
         if entry is not None:
-            return self._run_select_entry(entry, parameters)
-        statement = parse_statement(sql)
-        return self._execute_routed(statement, parameters, sql_key=text)
+            return self._run_select_entry(entry, template.bind(parameters))
+        return self._execute_routed(
+            template.parse(), template.bind(parameters),
+            sql_key=template.key,
+        )
 
     def execute_script(self, sql: str) -> list[QueryResult]:
         results = []

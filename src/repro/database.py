@@ -705,16 +705,19 @@ class Database:
         text = sql.strip()
         if self._trigger_depth == 0:
             self.session.sql_text = text
-        entry = self.plan_cache.lookup(text, self._plan_cache_tags())
+        template, entry = self.plan_cache.match(
+            sql, self._plan_cache_tags()
+        )
         if entry is not None:
-            # warm hit: skip lexing, parsing, binding, rewriting, audit
-            # placement, and physical planning entirely
+            # warm hit: skip parsing, binding, rewriting, audit placement,
+            # and physical planning entirely
             return self._run_select(
-                entry.column_names, entry.physical, parameters, None
+                entry.column_names, entry.physical,
+                template.bind(parameters), None,
             )
-        statement = parse_statement(sql)
         return self._execute_statement(
-            statement, parameters, sql_key=text, source_sql=text
+            template.parse(), template.bind(parameters),
+            sql_key=template.key, source_sql=text,
         )
 
     def execute_script(self, sql: str) -> list[QueryResult]:

@@ -2,10 +2,12 @@
 
 ``Database.execute`` re-parsed and re-optimized identical SQL on every
 call — the dominant fixed cost of short queries in a Python engine. The
-plan cache maps *SQL text* to a fully compiled entry (column names,
-instrumented logical plan, physical operator tree) so a repeated query
-skips the lexer, parser, binder, rewriter, audit placement, and physical
-planner entirely.
+plan cache maps a *statement template* (:mod:`repro.sql.template`: the
+SQL text with its inlined ``column = literal`` values lifted out as
+parameters) to a fully compiled entry (column names, instrumented
+logical plan, physical operator tree), so a repeated query — or the same
+point lookup with another key — skips the parser, binder, rewriter,
+audit placement, and physical planner entirely.
 
 Audit awareness is the point: an instrumented plan bakes in the audit
 expressions that existed — and the placement heuristic in force — when it
@@ -28,6 +30,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.sql.template import StatementTemplate, statement_template
+
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.operators.base import PhysicalOperator
     from repro.plan.logical import LogicalPlan
@@ -39,6 +43,7 @@ DEFAULT_PLAN_CACHE_CAPACITY = 128
 class CachedPlan:
     """One compiled SELECT, with the tags it was compiled under."""
 
+    #: the statement template's key (the SQL text when nothing was lifted)
     sql: str
     column_names: tuple[str, ...]
     logical: "LogicalPlan"
@@ -47,7 +52,8 @@ class CachedPlan:
 
 
 class PlanCache:
-    """LRU cache of compiled plans keyed by SQL text, tag-validated.
+    """LRU cache of compiled plans keyed by statement template,
+    tag-validated.
 
     Thread-safe: the ``OrderedDict`` recency moves (``move_to_end`` /
     ``popitem``) and the hit/miss/invalidation counters are read-modify-
@@ -68,21 +74,26 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def lookup(self, sql: str, tags: tuple) -> CachedPlan | None:
-        """Return a live entry for ``sql`` or None (and count the miss)."""
+    def match(
+        self, sql: str, tags: tuple
+    ) -> tuple[StatementTemplate, CachedPlan | None]:
+        """The template of ``sql`` and its live entry (None: a miss,
+        counted). Run the entry with ``template.bind(parameters)``."""
+        template = statement_template(sql)
+        key = template.key
         with self._lock:
-            entry = self._entries.get(sql)
+            entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                return None
+                return template, None
             if entry.tags != tags:
-                del self._entries[sql]
+                del self._entries[key]
                 self.invalidations += 1
                 self.misses += 1
-                return None
-            self._entries.move_to_end(sql)
+                return template, None
+            self._entries.move_to_end(key)
             self.hits += 1
-            return entry
+            return template, entry
 
     def store(self, entry: CachedPlan) -> None:
         with self._lock:
@@ -90,11 +101,6 @@ class PlanCache:
             self._entries.move_to_end(entry.sql)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def evict(self, sql: str) -> None:
-        """Drop one entry (benchmarks use this to force a cold compile)."""
-        with self._lock:
-            self._entries.pop(sql, None)
 
     def clear(self) -> None:
         with self._lock:

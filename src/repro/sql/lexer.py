@@ -3,12 +3,21 @@
 Produces a flat list of :class:`Token` objects. Identifiers and keywords are
 case-insensitive; identifiers are normalized to lower case and keywords to
 upper case. String literals use single quotes with ``''`` escaping. Line
-comments (``--``) and block comments (``/* */``) are skipped.
+comments (``--``) and block comments (``/* */``) are skipped. Every token
+carries the offset of its first character.
+
+One compiled pattern recognizes the next token at each offset; only
+quoted strings, quoted identifiers and block comments are finished by
+hand, so their unterminated forms report the offset where they start.
+A statement that inlines a ``column = literal`` value is tokenized on a
+plan-cache hit too — its statement template is computed from the tokens
+— so this loop is on the hot path of a point lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -44,15 +53,32 @@ SOFT_KEYWORDS = frozenset(
     "PARTITION SENSITIVE TOP NOTIFY SEND DENY".split()
 )
 
-_OPERATORS = (
-    "<>", "<=", ">=", "!=", "||",
-    "=", "<", ">", "+", "-", "*", "/", "%",
-    "(", ")", ",", ".", ";",
+#: whitespace and line comments
+_SKIP = r"(?:\s+|--[^\n]*)*"
+
+#: skippable text, then the next token (or the end of the input). The
+#: skip runs inside a lookahead, which never backtracks, so no token can
+#: start inside a comment. Alternatives are tried in order: the ``/*``
+#: opener before the ``/`` operator, two-character operators before their
+#: one-character prefixes.
+_NEXT = re.compile(
+    rf"(?=(?P<skip>{_SKIP}))(?P=skip)" + r"""
+    (?:
+     (?P<word>[^\W\d]\w*)
+    |(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |(?P<parameter>:\w*)
+    |(?P<comment>/\*)
+    |(?P<operator><>|<=|>=|!=|\|\||[=<>+\-*/%(),.;])
+    |(?P<string>')
+    |(?P<quoted>")
+    |(?P<end>\Z)
+    )""",
+    re.VERBOSE,
 )
+_SKIP_ONLY = re.compile(_SKIP)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token: kind, normalized value, source offset."""
 
     kind: str
@@ -68,110 +94,64 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`SqlSyntaxError` on bad input."""
     tokens: list[Token] = []
-    length = len(text)
+    append = tokens.append
+    match = _NEXT.match
     position = 0
-    while position < length:
-        char = text[position]
-        if char.isspace():
-            position += 1
-            continue
-        if text.startswith("--", position):
-            end = text.find("\n", position)
-            position = length if end < 0 else end + 1
-            continue
-        if text.startswith("/*", position):
-            end = text.find("*/", position + 2)
-            if end < 0:
-                raise SqlSyntaxError("unterminated block comment", position)
-            position = end + 2
-            continue
-        if char == "'":
-            value, position = _read_string(text, position)
-            tokens.append(Token(STRING, value, position))
-            continue
-        if char.isdigit() or (
-            char == "." and position + 1 < length
-            and text[position + 1].isdigit()
-        ):
-            value, position = _read_number(text, position)
-            tokens.append(Token(NUMBER, value, position))
-            continue
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (
-                text[position].isalnum() or text[position] == "_"
-            ):
-                position += 1
-            word = text[start:position]
+    while True:
+        found = match(text, position)
+        if found is None:
+            position = _SKIP_ONLY.match(text, position).end()
+            raise SqlSyntaxError(
+                f"unexpected character {text[position]!r}", position
+            )
+        kind = found.lastgroup
+        start, end = found.span(kind)
+        if kind == "word":
+            word = found[kind]
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(KEYWORD, upper, start))
+                append(Token(KEYWORD, upper, start))
             else:
-                tokens.append(Token(IDENT, word.lower(), start))
-            continue
-        if char == '"':
-            end = text.find('"', position + 1)
-            if end < 0:
-                raise SqlSyntaxError("unterminated quoted identifier", position)
-            tokens.append(Token(IDENT, text[position + 1:end].lower(), position))
-            position = end + 1
-            continue
-        if char == ":":
-            start = position
-            position += 1
-            while position < length and (
-                text[position].isalnum() or text[position] == "_"
-            ):
-                position += 1
-            if position == start + 1:
+                append(Token(IDENT, word.lower(), start))
+        elif kind == "operator":
+            append(Token(OPERATOR, found[kind], start))
+        elif kind == "number":
+            append(Token(NUMBER, found[kind], start))
+        elif kind == "parameter":
+            if end == start + 1:
                 raise SqlSyntaxError("empty parameter name", start)
-            tokens.append(Token(PARAMETER, text[start + 1:position], start))
-            continue
-        for operator in _OPERATORS:
-            if text.startswith(operator, position):
-                tokens.append(Token(OPERATOR, operator, position))
-                position += len(operator)
-                break
-        else:
-            raise SqlSyntaxError(f"unexpected character {char!r}", position)
-    tokens.append(Token(EOF, "", length))
-    return tokens
+            append(Token(PARAMETER, text[start + 1:end], start))
+        elif kind == "string":
+            value, end = _read_string(text, start)
+            append(Token(STRING, value, start))
+        elif kind == "quoted":
+            close = text.find('"', end)
+            if close < 0:
+                raise SqlSyntaxError("unterminated quoted identifier", start)
+            append(Token(IDENT, text[end:close].lower(), start))
+            end = close + 1
+        elif kind == "comment":
+            close = text.find("*/", end)
+            if close < 0:
+                raise SqlSyntaxError("unterminated block comment", start)
+            end = close + 2
+        else:  # end of input
+            append(Token(EOF, "", len(text)))
+            return tokens
+        position = end
 
 
 def _read_string(text: str, position: int) -> tuple[str, int]:
-    """Read a single-quoted string literal starting at ``position``."""
+    """Read a single-quoted string literal starting at ``position``;
+    returns its value (``''`` unescaped) and the offset past it."""
     parts: list[str] = []
     cursor = position + 1
-    length = len(text)
-    while cursor < length:
-        char = text[cursor]
-        if char == "'":
-            if cursor + 1 < length and text[cursor + 1] == "'":
-                parts.append("'")
-                cursor += 2
-                continue
-            return "".join(parts), cursor + 1
-        parts.append(char)
-        cursor += 1
-    raise SqlSyntaxError("unterminated string literal", position)
-
-
-def _read_number(text: str, position: int) -> tuple[str, int]:
-    """Read a numeric literal (integer or decimal, optional exponent)."""
-    start = position
-    length = len(text)
-    while position < length and text[position].isdigit():
-        position += 1
-    if position < length and text[position] == ".":
-        position += 1
-        while position < length and text[position].isdigit():
-            position += 1
-    if position < length and text[position] in "eE":
-        probe = position + 1
-        if probe < length and text[probe] in "+-":
-            probe += 1
-        if probe < length and text[probe].isdigit():
-            position = probe
-            while position < length and text[position].isdigit():
-                position += 1
-    return text[start:position], position
+    while True:
+        close = text.find("'", cursor)
+        if close < 0:
+            raise SqlSyntaxError("unterminated string literal", position)
+        parts.append(text[cursor:close])
+        if not text.startswith("'", close + 1):
+            return "".join(parts), close + 1
+        parts.append("'")
+        cursor = close + 2

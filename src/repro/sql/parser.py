@@ -58,9 +58,8 @@ _AGGREGATE_NAMES = {"count", "sum", "avg", "min", "max"}
 class _Parser:
     """Token-stream cursor with the grammar methods."""
 
-    def __init__(self, text: str) -> None:
-        self._text = text
-        self._tokens = tokenize(text)
+    def __init__(self, tokens: list[Token]) -> None:
+        self._tokens = tokens
         self._cursor = 0
 
     # ------------------------------------------------------------------
@@ -420,15 +419,9 @@ class _Parser:
 
     def _primary(self) -> Expression:
         token = self._peek()
-        if token.kind == NUMBER:
+        if token.kind == NUMBER or token.kind == STRING:
             self._advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return Literal(float(text))
-            return Literal(int(text))
-        if token.kind == STRING:
-            self._advance()
-            return Literal(token.value)
+            return Literal(literal_value(token))
         if token.kind == PARAMETER:
             self._advance()
             return Parameter(token.value)
@@ -863,9 +856,24 @@ class _Parser:
         return ast.DenyStatement(message)
 
 
+def literal_value(token: Token) -> object:
+    """The value of a NUMBER or STRING token, as a literal carries it."""
+    if token.kind == STRING:
+        return token.value
+    text = token.value
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
 def parse_statement(text: str) -> ast.Statement:
     """Parse exactly one statement (trailing semicolon allowed)."""
-    parser = _Parser(text)
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(tokens: list[Token]) -> ast.Statement:
+    """:func:`parse_statement` over an already tokenized statement."""
+    parser = _Parser(tokens)
     statement = parser.statement()
     parser._accept(OPERATOR, ";")
     if not parser.at_end():
@@ -891,7 +899,7 @@ def parse_statements_with_text(
     is what statement-level replication journals: a replica must replay
     *exactly* the SQL the primary ran, not a pretty-printed stand-in.
     """
-    parser = _Parser(text)
+    parser = _Parser(tokenize(text))
     pairs: list[tuple[ast.Statement, str]] = []
     while not parser.at_end():
         start = parser._peek().position
@@ -915,7 +923,7 @@ def parse_statements_with_text(
 
 def parse_expression(text: str) -> Expression:
     """Parse a standalone scalar expression (used in tests and tools)."""
-    parser = _Parser(text)
+    parser = _Parser(tokenize(text))
     expression = parser.expression()
     if not parser.at_end():
         token = parser._peek()

@@ -299,6 +299,23 @@ def test_plan_cache_hits_and_topology_invalidation() -> None:
         cluster.close()
 
 
+def test_point_lookups_share_one_template() -> None:
+    """Inlined keys are lifted before the cluster's plan-cache lookup
+    too: one compile serves every key, and each answer (rows and
+    ACCESSED) is the single-node one."""
+    single, cluster = _pair(shards=2)
+    sql = "SELECT name, disease FROM patients WHERE pid = {}"
+    try:
+        before = cluster.plan_cache.stats()
+        for pid in (0, 1, 5, 13, 99):
+            _assert_same(single, cluster, sql.format(pid))
+        after = cluster.plan_cache.stats()
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 4
+    finally:
+        cluster.close()
+
+
 def test_plan_cache_invalidated_when_table_becomes_partitioned() -> None:
     _, cluster = _pair(shards=3)
     sql = "SELECT pid, COUNT(*) FROM visits GROUP BY pid"

@@ -34,8 +34,11 @@ from tests.test_properties import (
     _SETTINGS as _FORTY_EXAMPLES,
     build_db,
     disease_rows,
+    diseases,
+    names,
     patient_rows,
     sj_queries,
+    zips,
 )
 
 #: (sql, rows come back in one defined order)
@@ -89,8 +92,9 @@ def compile_select(db, sql: str):
     return db._optimizer.compile(logical)
 
 
-def observe(db, physical, batch_size: int = 1024, skipping: bool = True):
-    context = db.make_context()
+def observe(db, physical, batch_size: int = 1024, skipping: bool = True,
+            parameters=None):
+    context = db.make_context(parameters)
     context.batch_size = batch_size
     context.data_skipping = skipping
     rows = collect_rows(physical, context)
@@ -359,6 +363,85 @@ class TestSemiJoinAndOrRewrites:
             db.offline_audit_mode = "deletion"
             truth = db.offline_audit(sql, "audit_all")
             assert truth <= accessed.get("audit_all", frozenset())
+
+
+def _quoted(text: str) -> str:
+    return f"'{text}'"
+
+
+#: ``column = literal`` lookups: keys run past both tables so some miss,
+#: ``age`` carries NULLs, and every string domain has a value no row holds
+equality_literals = {
+    "p.patientid": st.integers(min_value=0, max_value=13).map(str),
+    "p.age": st.sampled_from(["20", "45", "90"]),
+    "p.zip": st.one_of(zips, st.just("99999")).map(_quoted),
+    "p.name": st.one_of(names, st.just("O'Hara")).map(
+        lambda name: _quoted(name.replace("'", "''"))
+    ),
+    "d.disease": st.one_of(diseases, st.just("gout")).map(_quoted),
+    "d.patientid": st.integers(min_value=0, max_value=13).map(str),
+}
+
+
+@st.composite
+def lookup_instances(draw) -> list[str]:
+    """Two statements differing only in their ``column = literal``
+    values: one template, compiled by the first and hit by the second."""
+    join = draw(st.booleans())
+    pool = [column for column in equality_literals
+            if join or column.startswith("p.")]
+    columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    conjuncts = ["p.patientid = d.patientid"] if join else []
+    conjuncts += [f"{column} = {{}}" for column in columns]
+    shape = (
+        "SELECT p.patientid, p.name, p.age"
+        + (", d.disease FROM patients p, disease d" if join
+           else " FROM patients p")
+        + " WHERE " + " AND ".join(conjuncts)
+    )
+    return [
+        shape.format(*(draw(equality_literals[column])
+                       for column in columns))
+        for __ in range(2)
+    ]
+
+
+class TestStatementTemplates:
+    """A plan compiled once from a statement template and run with the
+    lifted values answers exactly like the plan compiled from the text:
+    the same row sequence, ACCESSED and probe counts under every
+    placement — for the statement that compiled it and for the next one
+    with other values, which hits it."""
+
+    @_FORTY_EXAMPLES
+    @given(
+        patients=patient_rows,
+        sick=disease_rows,
+        statements=lookup_instances(),
+        heuristic=st.sampled_from([HEURISTIC_HCN, HEURISTIC_LEAF, "cost"]),
+    )
+    def test_templated_equals_inlined(
+        self, patients, sick, statements, heuristic
+    ):
+        db = build_db(patients, sick, block_size=4)
+        db.audit_manager.heuristic = heuristic
+        for sql in statements:
+            result = db.execute(sql)
+            template, entry = db.plan_cache.match(sql, db._plan_cache_tags())
+            assert template.values and entry is not None
+            rows, accessed, context = observe(
+                db, entry.physical, parameters=template.bind(None)
+            )
+            inlined_rows, inlined_accessed, inlined = observe(
+                db, compile_select(db, sql)
+            )
+            assert result.rows == rows == inlined_rows
+            assert result.accessed == accessed == inlined_accessed
+            assert context.audit_probe_counts == inlined.audit_probe_counts
+            expected = reference_rows(
+                db._builder.build_select(parse_statement(sql)), db.catalog
+            )
+            assert Counter(rows) == Counter(expected)
 
 
 class TestProbeFlushOnAbort:

@@ -97,6 +97,18 @@ class TestComments:
 
 
 class TestPositions:
+    def test_every_token_starts_at_its_first_character(self):
+        text = "SELECT 'it''s', 12.5 FROM t -- c\nWHERE :p"
+        starts = [token.position for token in tokenize(text)]
+        assert starts == [0, 7, 14, 16, 21, 26, 33, 39, len(text)]
+
+    def test_no_token_starts_inside_a_comment(self):
+        # a quote inside a line comment must not open a string that
+        # swallows the bad character on the next line
+        with pytest.raises(SqlSyntaxError, match="offset 6"):
+            tokenize("-- 'x\n$'")
+        assert values("select /* 'a */ 1 -- 'b") == ["SELECT", "1"]
+
     def test_error_carries_offset(self):
         try:
             tokenize("select $")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
+from repro.errors import SqlSyntaxError
 from repro.plancache import PlanCache
 
 
@@ -169,6 +170,118 @@ class TestScopeRules:
         assert db.execute("SELECT COUNT(*) FROM log").scalar() >= 1
 
 
+POINT = "SELECT name, age FROM patients WHERE patientid = {}"
+
+
+class TestStatementTemplates:
+    """Inlined ``column = literal`` values are plan-cache parameters."""
+
+    def test_point_lookups_compile_once(self, monkeypatch):
+        """Work-count guard: a stream of lookups with distinct inlined keys
+        builds, rewrites, places and compiles one plan, then only hits."""
+        from repro.plan.builder import PlanBuilder
+
+        db = make_db()
+        builds = []
+        build_select = PlanBuilder.build_select
+
+        def counting_build_select(self, *args, **kwargs):
+            builds.append(args)
+            return build_select(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlanBuilder, "build_select", counting_build_select)
+        before = db.plan_cache.stats()
+        for key in range(1, 41):
+            expected = {1: [("Alice", 40)], 2: [("Bob", 20)]}.get(key, [])
+            assert db.execute(POINT.format(key)).rows == expected
+        after = db.plan_cache.stats()
+        assert len(builds) == 1
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 39
+
+    def test_hit_skips_the_parser(self, monkeypatch):
+        from repro.sql import template as template_module
+
+        db = make_db()
+        db.execute(POINT.format(1))
+
+        def refuse(*args):
+            raise AssertionError("parser invoked on a templated hit")
+
+        monkeypatch.setattr(template_module, "parse_tokens", refuse)
+        assert db.execute(POINT.format(2)).rows == [("Bob", 20)]
+
+    def test_parameterized_hit_skips_the_lexer(self, monkeypatch):
+        from repro.sql import template as template_module
+
+        db = make_db()
+        sql = "SELECT name FROM patients WHERE patientid = :pid"
+        db.execute(sql, {"pid": 1})
+
+        def refuse(*args):
+            raise AssertionError("lexer invoked on a parameterized hit")
+
+        monkeypatch.setattr(template_module, "tokenize", refuse)
+        assert db.execute(sql, {"pid": 2}).rows == [("Bob",)]
+
+    def test_lifted_values_and_written_parameters_mix(self):
+        db = make_db()
+        sql = "SELECT name FROM patients WHERE zip = '{}' AND age > :cutoff"
+        assert db.execute(sql.format("11111"), {"cutoff": 30}).rows == [
+            ("Alice",)
+        ]
+        assert db.execute(sql.format("22222"), {"cutoff": 30}).rows == []
+        assert db.execute(sql.format("22222"), {"cutoff": 10}).rows == [
+            ("Bob",)
+        ]
+        assert db.plan_cache.hits == 2
+
+    def test_equal_literals_still_match_across_clauses(self):
+        db = make_db()
+        sql = (
+            "SELECT zip = '11111', COUNT(*) FROM patients "
+            "GROUP BY zip = '11111' ORDER BY 1"
+        )
+        assert db.execute(sql).rows == [(False, 1), (True, 1)]
+        # the select-list 40 cannot be lifted (IS follows it), so the
+        # GROUP BY 40 stays a literal too and the two still match
+        sql = (
+            "SELECT age = 40 IS NULL, COUNT(*) FROM patients "
+            "GROUP BY age = 40"
+        )
+        assert db.execute(sql).rows == [(False, 1), (False, 1)]
+
+    def test_written_dollar_names_never_reach_a_template_entry(self):
+        db = make_db()
+        db.execute(POINT.format(7))
+        for parameters in (None, {"$0": 1}):
+            with pytest.raises(SqlSyntaxError):
+                db.execute(POINT.format("$0"), parameters)
+
+    def test_accessed_and_trigger_text_follow_the_written_statement(self):
+        db = make_db()
+        db.execute("CREATE TABLE log (query VARCHAR, pid INT)")
+        # pre-aged, so two more rows keep the statistics epoch (and the
+        # cached plan) where they are
+        db.catalog.table("log").bulk_load(("old", 0) for _ in range(100))
+        db.execute(
+            "CREATE AUDIT EXPRESSION audit_all AS SELECT * FROM patients "
+            "FOR SENSITIVE TABLE patients, PARTITION BY patientid"
+        )
+        db.execute(
+            "CREATE TRIGGER log_access ON ACCESS TO audit_all AS "
+            "INSERT INTO log SELECT sql_text(), patientid FROM accessed"
+        )
+        for key in (1, 2, 3):
+            result = db.execute(POINT.format(key))
+            assert result.accessed == (
+                {"audit_all": frozenset({key})} if key < 3 else {}
+            )
+        assert db.plan_cache.hits == 2
+        logged = db.execute("SELECT query, pid FROM log WHERE pid > 0").rows
+        assert sorted(logged) == [(POINT.format(1), 1), (POINT.format(2), 2)]
+
+
 class TestLruBehavior:
     def test_capacity_evicts_oldest(self):
         cache = PlanCache(capacity=2)
@@ -182,8 +295,8 @@ class TestLruBehavior:
                 )
             )
         assert len(cache) == 2
-        assert cache.lookup("q0", (0,)) is None  # evicted
-        assert cache.lookup("q2", (0,)) is not None
+        assert cache.match("q0", (0,))[1] is None  # evicted
+        assert cache.match("q2", (0,))[1] is not None
 
     def test_stale_tags_drop_the_entry(self):
         cache = PlanCache()
@@ -195,7 +308,7 @@ class TestLruBehavior:
                 tags=(1,),
             )
         )
-        assert cache.lookup("q", (2,)) is None
+        assert cache.match("q", (2,))[1] is None
         assert cache.invalidations == 1
         assert len(cache) == 0
 

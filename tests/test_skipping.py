@@ -354,13 +354,13 @@ class TestStatsInvalidation:
         sql = "SELECT * FROM t WHERE a = 1"
         db.execute(sql)
         old_tags = db._plan_cache_tags()
-        assert db.plan_cache.lookup(sql, old_tags) is not None
+        assert db.plan_cache.match(sql, old_tags)[1] is not None
         before = db.catalog.stats_version
         values = ", ".join(f"({i}, {i})" for i in range(2, 40))
         db.execute(f"INSERT INTO t VALUES {values}")
         assert db.catalog.refresh_stats_version() > before
         # the 10x-grown table must not be served by the stale-costed plan
-        assert db.plan_cache.lookup(sql, db._plan_cache_tags()) is None
+        assert db.plan_cache.match(sql, db._plan_cache_tags())[1] is None
         assert db.catalog.statistics("t").row_count == 39
 
     def test_small_churn_does_not_thrash(self, db):

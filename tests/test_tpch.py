@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database
+from repro import HEURISTIC_HCN, HEURISTIC_LEAF, Database
 from repro.tpch import (
     MICRO_BENCHMARK_QUERY,
     QUERIES,
@@ -13,9 +13,41 @@ from repro.tpch import (
 )
 from repro.exec.context import DEFAULT_BATCH_SIZE
 from repro.exec.operators import IndexSeek
+from repro.exec.operators.base import collect_rows, format_physical
+from repro.expr.nodes import Literal, Parameter
+from repro.sql.parser import parse_statement
+from repro.sql.template import statement_template
 from repro.tpch.datagen import MARKET_SEGMENTS
 import datetime
 import math
+import re
+
+
+def inline_parameters(sql: str, parameters: dict) -> str:
+    """``sql`` with every ``:name`` written out as a SQL literal."""
+
+    def literal(match):
+        value = parameters[match.group(1)]
+        if isinstance(value, datetime.date):
+            return f"DATE '{value.isoformat()}'"
+        if isinstance(value, str):
+            return "'" + value.replace("'", "''") + "'"
+        return repr(value)
+
+    return re.sub(r":(\w+)", literal, sql)
+
+
+def compile_statement(db, statement):
+    logical = db._optimizer.optimize_logical(
+        db._builder.build_select(statement), instrument=db._instrument_hook()
+    )
+    return logical, db._optimizer.compile(logical)
+
+
+def run_compiled(db, physical, parameters=None):
+    context = db.make_context(parameters)
+    rows = collect_rows(physical, context)
+    return rows, context.accessed, context.audit_probe_counts
 
 
 class TestGenerator:
@@ -163,6 +195,45 @@ class TestAuditedWorkload:
             QUERIES[name], QUERY_PARAMETERS[name]
         ).accessed.get("audit_customer", frozenset())
         assert truth <= online
+
+    @pytest.mark.parametrize(
+        "heuristic", [HEURISTIC_HCN, HEURISTIC_LEAF, "cost"]
+    )
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_template_compiles_to_the_literal_plan(
+        self, audited_tpch, name, heuristic
+    ):
+        """Audit soundness of statement templates on the paper's
+        workload, with the bound parameters written out as literals: the
+        plan compiled from the template is the plan compiled from the
+        text with the lifted values put back — rewrite, placement and
+        access-path choices never depended on them — and it returns the
+        same rows, ACCESSED and probe counts."""
+        db = audited_tpch
+        sql = inline_parameters(QUERIES[name], QUERY_PARAMETERS[name])
+        sql = sql.strip()  # as Database.execute sees it
+        template = statement_template(sql)
+        if name in ("Q3", "Q5", "Q7", "Q8", "Q10"):
+            assert template.values  # each filters on column = literal
+        previous = db.audit_manager.heuristic
+        db.audit_manager.heuristic = heuristic
+        try:
+            literal_logical, literal_physical = compile_statement(
+                db, parse_statement(sql)
+            )
+            logical, physical = compile_statement(db, template.parse())
+            literal_run = run_compiled(db, literal_physical)
+            template_run = run_compiled(db, physical, template.bind(None))
+        finally:
+            db.audit_manager.heuristic = previous
+        rendered = repr(logical)
+        for parameter, value in template.values.items():
+            rendered = rendered.replace(
+                repr(Parameter(parameter)), repr(Literal(value))
+            )
+        assert rendered == repr(literal_logical)
+        assert format_physical(physical) == format_physical(literal_physical)
+        assert template_run == literal_run
 
     def test_q3_seeks_the_inner_index_per_outer_batch(
         self, audited_tpch, monkeypatch
