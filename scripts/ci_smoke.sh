@@ -18,6 +18,10 @@ echo "== e2e benchmark: its own tests, then one traced workload =="
 # caller of Database.exec_mode / collect_rows(mode=)
 PYTHONPATH=src python -m pytest -q benchmarks/e2e/tests
 python3 benchmarks/e2e/run.py --workload tpch_armed --seed 1 --seconds 5 --trace 1
+# the high-volume run of synchronous SELECT-trigger firing (cached trigger
+# bodies): its gate checks the exact ACCESSED set of every lookup and
+# that the audit log gained one row per disclosure
+python3 benchmarks/e2e/run.py --workload point_cold --seed 1 --seconds 5 --trace 0
 
 echo
 echo "== offline lineage-vs-deletion differential (--quick) =="

@@ -51,6 +51,8 @@ class Catalog:
         #: small churn does not thrash the plan cache
         self.stats_version = 0
         self._stats_buckets: dict[str, int] = {}
+        #: registered ``transient=True`` tables, left out of the buckets
+        self._transient: set[str] = set()
         # Serializes registry mutation, version bumps, and the lazy
         # statistics cache against concurrent DDL / serving threads.
         self._lock = threading.RLock()
@@ -61,17 +63,20 @@ class Catalog:
     def add_table(self, table: "Table", transient: bool = False) -> None:
         """Register a table.
 
-        ``transient=True`` skips the DDL version bump: the table is a
-        short-lived system relation (the trigger manager's ``accessed``)
-        that no cached user plan can reference, so registering it must
-        not invalidate every compiled plan on each trigger firing.
+        ``transient=True`` skips the DDL version bump and the statistics
+        epoch: the table is a short-lived system relation (the trigger
+        manager's ``accessed``) that no cached user plan can reference,
+        so registering it must not invalidate every compiled plan on
+        each trigger firing.
         """
         with self._lock:
             name = table.schema.name.lower()
             if name in self._tables:
                 raise CatalogError(f"table {name!r} already exists")
             self._tables[name] = table
-            if not transient:
+            if transient:
+                self._transient.add(name)
+            else:
                 self.version += 1
 
     def drop_table(self, name: str, transient: bool = False) -> None:
@@ -80,6 +85,7 @@ class Catalog:
             if key not in self._tables:
                 raise CatalogError(f"table {name!r} does not exist")
             del self._tables[key]
+            self._transient.discard(key)
             self._statistics.pop(key, None)
             self._indexes = {
                 index_name: definition
@@ -155,6 +161,7 @@ class Catalog:
             buckets = {
                 name: len(table).bit_length()
                 for name, table in self._tables.items()
+                if name not in self._transient
             }
             if buckets != self._stats_buckets:
                 self._stats_buckets = buckets

@@ -62,7 +62,6 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 
 from repro.audit.placement import HEURISTIC_HCN
-from repro.catalog.schema import Column, TableSchema
 from repro.cluster.fragments import check_routable, split_plan
 from repro.cluster.health import HealthTracker, backoff_delay
 from repro.cluster.topology import Topology, shard_of
@@ -97,9 +96,8 @@ from repro.plan.logical import SortKey, format_plan
 from repro.plancache import PlanCache
 from repro.sql import ast
 from repro.sql.parser import parse_statement, parse_statements
-from repro.storage.table import Table
 from repro.testing.faults import NO_FAULTS, CrashError, FaultInjector
-from repro.triggers.manager import MAX_TRIGGER_DEPTH
+from repro.triggers.manager import MAX_TRIGGER_DEPTH, SelectFiring
 
 #: how long the coordinator waits for a cancelled fragment to reach its
 #: next cooperative checkpoint before abandoning its context (latency
@@ -390,6 +388,14 @@ class ClusterDatabase:
         self._gather_key_lock = threading.Lock()
         self._gather_key = 0
         self._trigger_local = threading.local()
+        #: ``accessed`` is registered on every shard (replicated-table
+        #: semantics: body SELECTs may join it with partitioned tables);
+        #: body statements route like any other statement
+        self._firing = SelectFiring(
+            self, lambda: [shard.catalog for shard in self._shards],
+            lambda statement: self._execute_routed(statement, None),
+            self._enter_trigger, self._leave_trigger,
+        )
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         #: broadcast DDL replayed by reshard()
@@ -840,7 +846,9 @@ class ClusterDatabase:
         parameters: dict[str, object] | None,
         sql_key: str | None = None,
     ) -> QueryResult:
-        entry = self._compile_select(statement)
+        entry = self._firing.plan(
+            statement, lambda: self._compile_select(statement)
+        )
         if sql_key is not None and self._trigger_depth == 0:
             entry.sql = sql_key
             entry.tags = self._plan_cache_tags()
@@ -1367,70 +1375,14 @@ class ClusterDatabase:
                 for shard in self._shards:
                     shard._active_undo = None
                 try:
-                    for audit_name, ids in accessed.items():
-                        if not ids:
-                            continue
-                        for trigger in manager.select_triggers_for(
-                            audit_name
-                        ):
-                            if trigger.timing != timing:
-                                continue
-                            self._run_select_trigger(
-                                trigger, audit_name, ids
-                            )
+                    manager.fire_select_triggers(
+                        accessed, timing, self._firing
+                    )
                 finally:
                     for shard, undo in zip(self._shards, previous):
                         shard._active_undo = undo
         finally:
             self._trigger_local.firing -= 1
-
-    def _run_select_trigger(self, trigger, audit_name: str, ids) -> None:
-        """Run one trigger's body through coordinator routing.
-
-        The transient ``accessed`` relation is registered on *every*
-        shard so body SELECTs can join it against partitioned tables
-        (each fragment sees the full ACCESSED set — replicated-table
-        semantics); body DML broadcasts or routes like any statement.
-        """
-        shard0 = self._shards[0]
-        expression = shard0.audit_manager.expression(audit_name)
-        sensitive = shard0.catalog.table(expression.sensitive_table)
-        id_column = sensitive.schema.column(expression.partition_by)
-        for shard in self._shards:
-            if shard.catalog.has_table("accessed"):
-                raise TriggerError(
-                    "a relation named 'accessed' already exists; it is "
-                    "reserved for SELECT trigger actions"
-                )
-        registered: list[Database] = []
-        try:
-            for shard in self._shards:
-                schema = TableSchema(
-                    name="accessed",
-                    columns=(Column(id_column.name, id_column.data_type),),
-                )
-                accessed_table = Table(schema)
-                accessed_table.bulk_load(
-                    (value,) for value in sorted(ids, key=repr)
-                )
-                shard.catalog.add_table(accessed_table, transient=True)
-                registered.append(shard)
-            self._enter_trigger()
-            try:
-                for statement in trigger.body:
-                    self._execute_routed(statement, None)
-            except AccessDeniedError:
-                if trigger.timing != "before":
-                    raise TriggerError(
-                        f"trigger {trigger.name!r}: DENY is only valid "
-                        "in BEFORE SELECT triggers"
-                    ) from None
-                raise
-            finally:
-                self._leave_trigger()
-        finally:
-            for shard in registered:
-                shard.catalog.drop_table("accessed", transient=True)
 
     # ------------------------------------------------------------------
     # DML routing
@@ -1635,6 +1587,8 @@ class ClusterDatabase:
         results = self._broadcast(statement, None)
         if isinstance(statement, ast.DropTableStatement):
             self.topology.drop_table(statement.name)
+        if isinstance(statement, ast.DropTriggerStatement):
+            self._firing.forget(statement.name)
         self._ddl_log.append(statement)
         return results[0]
 

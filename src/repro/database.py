@@ -1013,31 +1013,39 @@ class Database:
         pseudo_row: tuple | None = None,
         sql_key: str | None = None,
     ) -> QueryResult:
-        outer_scope = Scope(scope_columns) if scope_columns else None
         # compile under the read side: binding and planning read the
         # catalog, statistics, and audit configuration
         with self._engine_lock.read():
-            logical = self._builder.build_select(statement, outer_scope)
-            column_names = tuple(column.name for column in logical.columns)
-            logical = self._optimizer.optimize_logical(
-                logical, instrument=self._instrument_hook()
+            entry = self.trigger_manager.firing.plan(
+                statement,
+                lambda: self._compile_select(statement, scope_columns),
             )
-            physical = self._optimizer.compile(logical)
-            # Top-level SELECTs are cacheable; trigger-body selects see
-            # NEW/OLD pseudo-rows through their scope and are compiled
-            # fresh each time.
+            # Top-level SELECTs are cacheable; DML-trigger body selects
+            # see NEW/OLD pseudo-rows through their scope and are
+            # compiled fresh each time.
             if sql_key is not None and scope_columns is None \
                     and pseudo_row is None:
-                self.plan_cache.store(
-                    CachedPlan(
-                        sql=sql_key,
-                        column_names=column_names,
-                        logical=logical,
-                        physical=physical,
-                        tags=self._plan_cache_tags(),
-                    )
-                )
-        return self._run_select(column_names, physical, parameters, pseudo_row)
+                entry.sql = sql_key
+                entry.tags = self._plan_cache_tags()
+                self.plan_cache.store(entry)
+        return self._run_select(
+            entry.column_names, entry.physical, parameters, pseudo_row
+        )
+
+    def _compile_select(
+        self, statement: ast.SelectStatement,
+        scope_columns: tuple[PlanColumn, ...] | None,
+    ) -> CachedPlan:
+        """Bind, rewrite, instrument and compile one SELECT (untagged)."""
+        outer_scope = Scope(scope_columns) if scope_columns else None
+        logical = self._builder.build_select(statement, outer_scope)
+        column_names = tuple(column.name for column in logical.columns)
+        logical = self._optimizer.optimize_logical(
+            logical, instrument=self._instrument_hook()
+        )
+        return CachedPlan(
+            column_names, logical, self._optimizer.compile(logical)
+        )
 
     def _run_select(
         self,

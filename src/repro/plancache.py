@@ -43,12 +43,12 @@ DEFAULT_PLAN_CACHE_CAPACITY = 128
 class CachedPlan:
     """One compiled SELECT, with the tags it was compiled under."""
 
-    #: the statement template's key (the SQL text when nothing was lifted)
-    sql: str
     column_names: tuple[str, ...]
     logical: "LogicalPlan"
     physical: "PhysicalOperator"
-    tags: tuple
+    #: the statement template's key (the SQL text when nothing was lifted)
+    sql: str = ""
+    tags: tuple = ()
 
 
 class PlanCache:

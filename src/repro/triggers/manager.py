@@ -38,6 +38,10 @@ class TriggerManager:
         # cascade depth is per-thread: the async pipeline worker fires
         # triggers concurrently with serving threads' own cascades
         self._local = threading.local()
+        self.firing = SelectFiring(
+            database, lambda: (database.catalog,),
+            database.execute_trigger_statement, self._enter, self._leave,
+        )
 
     # ------------------------------------------------------------------
     # registration
@@ -65,6 +69,7 @@ class TriggerManager:
         else:
             raise TriggerError(f"trigger {name!r} does not exist")
         self._database.catalog.drop_trigger(name)
+        self.firing.forget(name)
 
     def select_triggers_for(self, audit_expression: str
                             ) -> list[SelectTrigger]:
@@ -86,55 +91,18 @@ class TriggerManager:
     # SELECT trigger firing (§II: after the query, own transaction)
 
     def fire_select_triggers(
-        self, accessed: dict[str, set], timing: str = "after"
+        self, accessed: dict[str, set], timing: str = "after",
+        firing: "SelectFiring | None" = None,
     ) -> None:
-        """Run the actions of matching triggers with the given timing."""
+        """Run the actions of matching triggers with the given timing
+        (through ``firing``: the cluster coordinator passes its own)."""
         for audit_name, ids in accessed.items():
             if not ids:
                 continue
             for trigger in self.select_triggers_for(audit_name):
                 if trigger.timing != timing:
                     continue
-                self._run_select_trigger(trigger, audit_name, ids)
-
-    def _run_select_trigger(
-        self, trigger: SelectTrigger, audit_name: str, ids: set
-    ) -> None:
-        database = self._database
-        expression = database.audit_manager.expression(audit_name)
-        sensitive = database.catalog.table(expression.sensitive_table)
-        id_column = sensitive.schema.column(expression.partition_by)
-
-        if database.catalog.has_table("accessed"):
-            raise TriggerError(
-                "a relation named 'accessed' already exists; it is "
-                "reserved for SELECT trigger actions"
-            )
-        schema = TableSchema(
-            name="accessed",
-            columns=(Column(id_column.name, id_column.data_type),),
-        )
-        accessed_table = Table(schema)
-        accessed_table.bulk_load((value,) for value in sorted(ids, key=repr))
-        # transient: the firing-scoped system relation must not bump the
-        # catalog DDL version, or every firing would flush the plan cache
-        database.catalog.add_table(accessed_table, transient=True)
-        try:
-            self._enter()
-            try:
-                for statement in trigger.body:
-                    database.execute_trigger_statement(statement)
-            except AccessDeniedError:
-                if trigger.timing != "before":
-                    raise TriggerError(
-                        f"trigger {trigger.name!r}: DENY is only valid in "
-                        "BEFORE SELECT triggers"
-                    ) from None
-                raise
-            finally:
-                self._leave()
-        finally:
-            database.catalog.drop_table("accessed", transient=True)
+                (firing or self.firing).run(trigger, audit_name, ids)
 
     # ------------------------------------------------------------------
     # DML trigger firing (row-level AFTER)
@@ -175,6 +143,107 @@ class TriggerManager:
 
     def _leave(self) -> None:
         self._local.depth = getattr(self._local, "depth", 1) - 1
+
+
+class SelectFiring:
+    """Runs one engine's SELECT-trigger bodies, compiling each once.
+
+    ``accessed`` is one :class:`Table` per audit expression and catalog
+    (every shard's, on a cluster), filled and registered as transient
+    per firing only, so a compiled scan of it stays valid. :meth:`plan` keeps
+    a body SELECT per (trigger, statement index, ``len(ids)`` bucket)
+    while the engine's plan-cache tags hold. Firings run under the
+    engine's exclusive lock.
+    """
+
+    def __init__(self, engine, catalogs, execute, enter, leave) -> None:
+        self._engine = engine
+        self._catalogs = catalogs
+        self._execute = execute
+        self._enter = enter
+        self._leave = leave
+        self._accessed: dict[str, list[Table]] = {}
+        #: (trigger name, statement index, size bucket) -> (trigger, plan)
+        self._plans: dict[tuple, tuple] = {}
+        #: (select, trigger, plan key) of the body statement running now
+        self._body: tuple | None = None
+
+    def run(self, trigger: SelectTrigger, audit_name: str, ids) -> None:
+        catalogs = self._catalogs()
+        if any(catalog.has_table("accessed") for catalog in catalogs):
+            raise TriggerError(
+                "a relation named 'accessed' already exists; it is "
+                "reserved for SELECT trigger actions"
+            )
+        rows = [(value,) for value in sorted(ids, key=repr)]
+        tables = self._tables(audit_name, len(catalogs))
+        registered = []
+        try:
+            for catalog, table in zip(catalogs, tables):
+                table.bulk_load(rows)
+                # transient: no DDL version bump or statistics-epoch move,
+                # or every firing would invalidate every cached plan
+                catalog.add_table(table, transient=True)
+                registered.append(catalog)
+            self._enter()
+            try:
+                for index, statement in enumerate(trigger.body):
+                    # an INSERT's SELECT, or the statement itself
+                    self._body = (
+                        getattr(statement, "select", statement), trigger,
+                        (trigger.name, index, len(ids).bit_length()),
+                    )
+                    self._execute(statement)
+            except AccessDeniedError:
+                if trigger.timing != "before":
+                    raise TriggerError(
+                        f"trigger {trigger.name!r}: DENY is only valid in "
+                        "BEFORE SELECT triggers"
+                    ) from None
+                raise
+            finally:
+                self._body = None
+                self._leave()
+        finally:
+            for catalog in registered:
+                catalog.drop_table("accessed", transient=True)
+            for table in tables:
+                table.truncate()  # no IDs held between firings
+
+    def _tables(self, audit_name: str, count: int) -> list[Table]:
+        expression = self._engine.audit_manager.expression(audit_name)
+        column = self._engine.catalog.table(expression.sensitive_table) \
+            .schema.column(expression.partition_by)
+        schema = TableSchema(
+            "accessed", (Column(column.name, column.data_type),)
+        )
+        tables = self._accessed.get(audit_name, [])
+        if len(tables) != count or tables[0].schema != schema:
+            tables = self._accessed[audit_name] = [
+                Table(schema) for _ in range(count)
+            ]
+        return tables
+
+    def plan(self, select, compile):
+        """``compile()``'s entry for ``select``, kept across firings when
+        it is the SELECT of the body statement running now."""
+        body = self._body
+        if body is None or body[0] is not select:
+            return compile()
+        tags = self._engine._plan_cache_tags()
+        trigger, entry = self._plans.get(body[2], (None, None))
+        if trigger is not body[1] or entry.tags != tags:
+            entry = compile()
+            entry.tags = tags
+            self._plans[body[2]] = (body[1], entry)
+        return entry
+
+    def forget(self, name: str) -> None:
+        """Drop the compiled bodies of trigger ``name``."""
+        self._plans = {
+            key: value for key, value in self._plans.items()
+            if key[0] != name.lower()
+        }
 
 
 def _trigger_row(table: Table, change: RowChange):

@@ -17,6 +17,26 @@ def make_table(name="t"):
     ))
 
 
+class TestStatisticsEpoch:
+    def test_transient_tables_leave_the_epoch_alone(self):
+        """A firing's ``accessed`` relation comes and goes; a reader
+        refreshing the epoch meanwhile must not see a cardinality move
+        (every move invalidates every cached plan)."""
+        catalog = Catalog()
+        table = make_table()
+        table.bulk_load([(1, "a"), (2, "b")])
+        catalog.add_table(table)
+        epoch = catalog.refresh_stats_version()
+        accessed = Table(TableSchema("accessed", (Column("id", INTEGER),)))
+        accessed.bulk_load([(1,), (2,), (3,)])
+        catalog.add_table(accessed, transient=True)
+        assert catalog.refresh_stats_version() == epoch
+        catalog.drop_table("accessed", transient=True)
+        assert catalog.refresh_stats_version() == epoch
+        table.bulk_load([(3, "c"), (4, "d")])
+        assert catalog.refresh_stats_version() == epoch + 1
+
+
 class TestCatalogRegistry:
     def test_add_and_lookup_case_insensitive(self):
         catalog = Catalog()

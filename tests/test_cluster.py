@@ -22,6 +22,7 @@ from repro.errors import (
     ClusterError,
     ClusterRoutingError,
     DurabilityError,
+    TriggerError,
 )
 from repro.testing import CrashError, FaultInjector
 
@@ -102,12 +103,79 @@ QUERIES = [
 ]
 
 
+LOG_TRIGGER = (
+    "CREATE TRIGGER log_access ON ACCESS TO sick AS "
+    "INSERT INTO audit_log SELECT user_id(), pid FROM accessed"
+)
+
+
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
 def test_shard_count_invariance(shards: int) -> None:
     single, cluster = _pair(shards=shards)
     try:
+        for db in (single, cluster):
+            db.execute(LOG_TRIGGER)
         for sql, ordered in QUERIES:
             _assert_same(single, cluster, sql, ordered)
+        # every disclosing query logged the same rows on both engines
+        _assert_same(single, cluster, "SELECT uid, pid FROM audit_log")
+        assert single.execute("SELECT COUNT(*) FROM audit_log").scalar() > 0
+    finally:
+        single.close()
+        cluster.close()
+
+
+def test_cluster_compiles_a_trigger_body_once(monkeypatch) -> None:
+    """Repeated firings at the coordinator reuse one compiled body (and
+    one routed ``accessed`` scan per shard)."""
+    compiled = []
+    compile_select = ClusterDatabase._compile_select
+
+    def counting(self, statement, *args, **kwargs):
+        compiled.append(statement)
+        return compile_select(self, statement, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterDatabase, "_compile_select", counting)
+    single, cluster = _pair(shards=2)
+    try:
+        for db in (single, cluster):
+            db.execute(LOG_TRIGGER)
+        # pre-aged: the firings below stay in one statistics bucket
+        single.catalog.table("audit_log").bulk_load([("old", -1)] * 200)
+        cluster.bulk_load("audit_log", [("old", -1)] * 200)
+        body = cluster.catalog.trigger("log_access").body[0].select
+        for user in ("alice", "bob") * 10:
+            for db in (single, cluster):
+                db.session.user_id = user
+                db.execute("SELECT name FROM patients WHERE pid = 2")
+        assert sum(statement is body for statement in compiled) == 1
+        _assert_same(single, cluster, "SELECT uid, pid FROM audit_log")
+        assert cluster.execute(
+            "SELECT COUNT(*) FROM audit_log WHERE pid = 2"
+        ).scalar() == 20
+    finally:
+        single.close()
+        cluster.close()
+
+
+def test_cluster_nested_firing_is_refused() -> None:
+    """A body whose SELECT discloses ``sick`` again would fire inside its
+    own firing: refused, as on a single node, with nothing logged."""
+    single, cluster = _pair(shards=2)
+    try:
+        for db in (single, cluster):
+            db.execute(
+                "CREATE TRIGGER log_names ON ACCESS TO sick AS "
+                "INSERT INTO audit_log SELECT p.name, a.pid "
+                "FROM accessed a, patients p WHERE a.pid = p.pid"
+            )
+            for _ in range(2):
+                with pytest.raises(TriggerError, match="already exists"):
+                    db.execute("SELECT name FROM patients WHERE pid = 2")
+            assert db.execute("SELECT * FROM audit_log").rows_list() == []
+        assert not any(
+            shard.catalog.has_table("accessed") for shard in cluster.shards
+        )
     finally:
         single.close()
         cluster.close()

@@ -169,6 +169,31 @@ class TestScopeRules:
         assert len(db.plan_cache) == entries_before + 1
         assert db.execute("SELECT COUNT(*) FROM log").scalar() >= 1
 
+    def test_trigger_body_lookups_stay_out_of_the_stats(self):
+        """Trigger bodies keep their compiled plans with the trigger, so
+        the cache's hit ratio still describes user statements only."""
+        db = make_db()
+        db.execute("CREATE TABLE log (message VARCHAR)")
+        db.catalog.table("log").bulk_load(("old",) for _ in range(200))
+        db.execute(
+            "CREATE AUDIT EXPRESSION audit_all AS SELECT * FROM patients "
+            "FOR SENSITIVE TABLE patients, PARTITION BY patientid"
+        )
+        db.execute(
+            "CREATE TRIGGER log_access ON ACCESS TO audit_all AS "
+            "INSERT INTO log SELECT sql_text() FROM accessed"
+        )
+        before = db.plan_cache.stats()
+        for _ in range(10):
+            db.execute(QUERY)
+        after = db.plan_cache.stats()
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 9
+        assert after["entries"] - before["entries"] == 1
+        assert db.execute(
+            "SELECT COUNT(*) FROM log WHERE message <> 'old'"
+        ).scalar() == 10
+
 
 POINT = "SELECT name, age FROM patients WHERE patientid = {}"
 
