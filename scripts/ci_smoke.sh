@@ -22,6 +22,10 @@ python3 benchmarks/e2e/run.py --workload tpch_armed --seed 1 --seconds 5 --trace
 # bodies): its gate checks the exact ACCESSED set of every lookup and
 # that the audit log gained one row per disclosure
 python3 benchmarks/e2e/run.py --workload point_cold --seed 1 --seconds 5 --trace 0
+# the one end-to-end run of UPDATE/DELETE through server, journal and
+# recover(apply_statements=True): its gate checks the recovered patients
+# table against the model and the audit-log row count against prediction
+python3 benchmarks/e2e/run.py --workload wire_mixed --seed 1 --seconds 5 --trace 0
 
 echo
 echo "== offline lineage-vs-deletion differential (--quick) =="

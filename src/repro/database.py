@@ -60,12 +60,13 @@ from repro.durability.journal import encode_id
 from repro.testing.faults import NO_FAULTS, FaultInjector
 from repro.exec.context import ExecutionContext, Session
 from repro.exec.operators.base import PhysicalOperator, collect_rows
+from repro.expr.compiler import compile_expression
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expression
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.builder import PlanBuilder, Scope
 from repro.plancache import CachedPlan, PlanCache
-from repro.plan.logical import LogicalPlan, PlanColumn
+from repro.plan.logical import LogicalPlan, PlanColumn, Scan
 from repro.sql import ast
 from repro.sql.parser import parse_statement, parse_statements_with_text
 from repro.storage.blocks import DEFAULT_BLOCK_CAPACITY
@@ -731,13 +732,17 @@ class Database:
 
     def explain(self, sql: str, parameters: dict[str, object] | None = None
                 ) -> str:
-        """Logical (instrumented) and physical plan of a SELECT, as text."""
+        """Plan of a SELECT (logical + physical) or UPDATE/DELETE, as text."""
         from repro.plan.logical import format_plan
         from repro.exec.operators.base import format_physical
 
         statement = parse_statement(sql)
+        if isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
+            with self._engine_lock.read():
+                path = self._dml_access_path(statement)
+            return "-- access path --\n" + format_physical(path)
         if not isinstance(statement, ast.SelectStatement):
-            raise UnsupportedSqlError("EXPLAIN supports only SELECT")
+            raise UnsupportedSqlError("EXPLAIN supports SELECT, UPDATE, DELETE")
         with self._engine_lock.read():
             logical = self._optimizer.optimize_logical(
                 self._builder.build_select(statement),
@@ -1384,6 +1389,21 @@ class Database:
         )
         return Scope(columns)
 
+    def _dml_access_path(self, statement: ast.Statement) -> PhysicalOperator:
+        """The path a one-table SELECT with this WHERE gets (not rewritten,
+        not audited); its ``matches`` are every target in ascending rid
+        order, collected before the first mutation (Halloween protection)."""
+        table = self.catalog.table(statement.table)
+        predicate = None
+        if statement.where is not None:
+            predicate = self._builder.bind_expression(
+                statement.where, self._table_scope(table)
+            )
+        name = table.schema.name
+        return self._optimizer.access_path(
+            Scan(name, name, table.schema, predicate)
+        )
+
     def _execute_update(
         self,
         statement: ast.UpdateStatement,
@@ -1391,28 +1411,21 @@ class Database:
     ) -> QueryResult:
         table = self.catalog.table(statement.table)
         scope = self._table_scope(table)
-        predicate = (
-            self._builder.bind_expression(statement.where, scope)
-            if statement.where is not None
-            else None
-        )
         assignments = [
             (
                 table.schema.position_of(column),
-                self._builder.bind_expression(expression, scope),
+                compile_expression(
+                    self._builder.bind_expression(expression, scope)
+                ),
             )
             for column, expression in statement.assignments
         ]
         context = self.make_context(parameters)
         pending: list[tuple[int, tuple]] = []
-        for rid, row in table.rows_with_rids():
-            if predicate is not None and evaluate(
-                predicate, row, context
-            ) is not True:
-                continue
+        for rid, row in self._dml_access_path(statement).matches(context):
             new_row = list(row)
             for position, expression in assignments:
-                new_row[position] = evaluate(expression, row, context)
+                new_row[position] = expression(row, context)
             pending.append((rid, tuple(new_row)))
         for rid, new_row in pending:
             table.update_rid(rid, new_row)
@@ -1424,20 +1437,9 @@ class Database:
         parameters: dict[str, object] | None,
     ) -> QueryResult:
         table = self.catalog.table(statement.table)
-        scope = self._table_scope(table)
-        predicate = (
-            self._builder.bind_expression(statement.where, scope)
-            if statement.where is not None
-            else None
-        )
         context = self.make_context(parameters)
-        doomed = [
-            rid
-            for rid, row in table.rows_with_rids()
-            if predicate is None
-            or evaluate(predicate, row, context) is True
-        ]
-        for rid in doomed:
+        doomed = self._dml_access_path(statement).matches(context)
+        for rid, __ in doomed:
             table.delete_rid(rid)
         return QueryResult(rowcount=len(doomed))
 

@@ -21,6 +21,7 @@ from repro.datatypes.types import (
     INTEGER,
     DECIMAL,
     VARCHAR,
+    type_of_value,
 )
 from repro.errors import ExecutionError
 
@@ -44,11 +45,34 @@ def sql_compare(left: object, right: object) -> int | None:
     """Three-way comparison: -1/0/+1, or None if either side is NULL."""
     if left is None or right is None:
         return None
-    if left < right:
-        return -1
-    if left > right:
-        return 1
+    try:
+        if left < right:
+            return -1
+        if left > right:
+            return 1
+    except TypeError:
+        raise ExecutionError(
+            f"cannot compare {_typed(left)} with {_typed(right)}"
+        ) from None
     return 0
+
+
+#: Python values a column compares with, by type name; numeric and
+#: BOOLEAN columns compare with ``int`` and ``float`` (``bool`` included)
+_COMPARES_WITH = {VARCHAR.name: str, DATE.name: datetime.date}
+
+
+def check_comparable(column: str, data_type: DataType, value: object) -> None:
+    """Raise unless ``value`` compares with the ``data_type`` ``column``."""
+    if not isinstance(value, _COMPARES_WITH.get(data_type.name, (int, float))):
+        raise ExecutionError(
+            f"cannot compare {data_type} column {column!r} with "
+            f"{_typed(value)}"
+        )
+
+
+def _typed(value: object) -> str:
+    return f"{type_of_value(value)} value {value!r}"
 
 
 def sql_and(left: bool | None, right: bool | None) -> bool | None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.datatypes.values import check_comparable
 from repro.errors import ExecutionError
 from repro.exec.batch import ColumnBatch, LazyColumns, row_batches
 from repro.expr.compiler import (
@@ -104,77 +105,78 @@ def _sargable_conjuncts(
     return tuple(found)
 
 
-class TableScan(PhysicalOperator):
-    """Full scan of a base table with an optional residual predicate."""
+class _AccessPath(PhysicalOperator):
+    """A base-table access path; UPDATE and DELETE find their targets
+    through :meth:`matches`. Subclasses provide ``_rids(context)``."""
 
-    def __init__(self, table: "Table", predicate: Expression | None = None
-                 ) -> None:
+    def __init__(
+        self, table: "Table", residual: Expression | None, bounds=()
+    ) -> None:
         self._table = table
-        self._predicate = predicate
-        self._compiled = (
-            compile_predicate(predicate) if predicate is not None else None
+        self._residual = (
+            compile_predicate(residual) if residual is not None else None
         )
-        self._column_sweep = (
-            compile_column_predicate(predicate)
-            if predicate is not None else None
-        )
-        self._sargable = _sargable_conjuncts(predicate)
         self._pk_positions = table.schema.primary_key_positions()
+        self._checks = tuple(bounds) + _sargable_conjuncts(residual)
 
     @property
     def table(self) -> "Table":
         return self._table
 
-    def _zone_bounds(
-        self, context: "ExecutionContext"
-    ) -> tuple[tuple[str, int, object], ...]:
-        """Evaluate the sargable bounds once per execution.
+    def matches(self, context: "ExecutionContext") -> list[tuple[int, tuple]]:
+        """``(rid, row)`` of every visible row the path selects, in
+        ascending rid order — on every path, whatever its heap order."""
+        rids = sorted(self._rids(context))
+        rows, ordinals = _visible_rows(
+            self._table, [(rid,) for rid in rids], self._pk_positions,
+            self._residual, context,
+        )
+        return [(rids[ordinal], row) for ordinal, row in zip(ordinals, rows)]
 
-        A bound that fails to evaluate (e.g. a missing parameter that the
-        per-row predicate would also trip on) is dropped — no skip from
-        it. A bound evaluating to NULL stays: ``col <op> NULL`` is never
-        True, which :meth:`BlockSummary.may_match` turns into a full skip.
-        """
-        bounds = []
-        for op, position, expression in self._sargable:
-            if expression is None:
-                bounds.append((op, position, None))
-                continue
-            try:
-                value = evaluate(expression, (), context)
-            except Exception:
-                continue
-            bounds.append((op, position, value))
-        return tuple(bounds)
 
-    def _live_blocks(self, context: "ExecutionContext"):
-        """Yield ``(block, live_rows, summary)`` per non-skipped block.
+class TableScan(_AccessPath):
+    """Full scan of a base table with an optional residual predicate."""
+
+    def __init__(self, table: "Table", predicate: Expression | None = None
+                 ) -> None:
+        super().__init__(table, predicate)
+        self._predicate = predicate
+        self._column_sweep = (
+            compile_column_predicate(predicate)
+            if predicate is not None else None
+        )
+
+    def _kept_blocks(self, context: "ExecutionContext"):
+        """Yield ``(block, summary)`` per block the zone maps keep.
 
         ``summary`` is the block's fresh :class:`BlockSummary` when the
         zone-map consult fetched one, else ``None`` — downstream consults
         (the audit sketch, the lineage-candidate sketch) reuse it instead
         of re-fetching, so each block is summarized at most once per scan.
-        Rows are tombstone-filtered but *not* yet predicate-filtered.
         """
         table = self._table
-        hidden = context.tombstones.get(table.schema.name)
-        pk_positions = self._pk_positions
         skipping = context.data_skipping
-        bounds = (
-            self._zone_bounds(context)
-            if skipping and self._sargable else ()
-        )
+        values = _bound_values(table, self._checks, context)
         for block in table.blocks():
             summary = None
-            if skipping and bounds:
+            if skipping and values:
                 summary = table.fresh_summary(block)
                 if not all(
                     summary.may_match(position, op, value)
-                    for op, position, value in bounds
+                    for (op, position, __), value in zip(self._checks, values)
                 ):
                     context.blocks_zone_skipped += 1
                     continue
             context.blocks_scanned += 1
+            yield block, summary
+
+    def _live_blocks(self, context: "ExecutionContext"):
+        """Yield ``(block, rows, summary)`` per kept block, rows tombstone-
+        filtered but *not* yet predicate-filtered."""
+        table = self._table
+        hidden = context.tombstones.get(table.schema.name)
+        pk_positions = self._pk_positions
+        for block, summary in self._kept_blocks(context):
             with table._lock:
                 rows = block.rows_snapshot()
             if hidden is not None and pk_positions:
@@ -196,7 +198,7 @@ class TableScan(PhysicalOperator):
         lineage run consults ``summary`` — possibly ``None`` — against
         its candidate IDs).
         """
-        predicate = self._compiled
+        predicate = self._residual
         for block, rows, summary in self._live_blocks(context):
             if predicate is not None:
                 rows = [
@@ -233,6 +235,11 @@ class TableScan(PhysicalOperator):
     def rows_columnar(self, context: "ExecutionContext"):
         for __, batch, __summary in self.scan_column_blocks(context):
             yield batch
+
+    def _rids(self, context: "ExecutionContext"):
+        for block, __ in self._kept_blocks(context):
+            with self._table._lock:
+                yield from list(block.rows)
 
     def rows_lineage(self, context: "ExecutionContext"):
         """Lineage mode: tag each row of the sensitive table with its own
@@ -316,6 +323,28 @@ def _visible_rows(
     return rows, ordinals
 
 
+def _bound_values(
+    table: "Table",
+    checks: tuple[tuple[str, int, Expression | None], ...],
+    context: "ExecutionContext",
+) -> list[object]:
+    """Evaluate row-independent bounds once per execution, before any row
+    is read, so a bound its column cannot compare with raises the same
+    :class:`ExecutionError` on every access path. A NULL bound stays
+    (:meth:`BlockSummary.may_match` skips every block on it)."""
+    columns = table.schema.columns
+    values = []
+    for __, position, expression in checks:
+        value = None
+        if expression is not None:
+            value = evaluate(expression, (), context)
+            if value is not None:
+                column = columns[position]
+                check_comparable(column.name, column.data_type, value)
+        values.append(value)
+    return values
+
+
 def _tag_own_keys(
     rows: list[tuple],
     table: "Table",
@@ -335,7 +364,7 @@ def _tag_own_keys(
             yield row, EMPTY_LINEAGE
 
 
-class IndexSeek(PhysicalOperator):
+class IndexSeek(_AccessPath):
     """Equality seek on a secondary index.
 
     ``key_expressions`` must be evaluable without an input row (literals,
@@ -350,24 +379,24 @@ class IndexSeek(PhysicalOperator):
         key_expressions: tuple[Expression, ...],
         residual: Expression | None = None,
     ) -> None:
-        self._table = table
+        positions = table.secondary_index(index_name).positions
+        super().__init__(table, residual, (
+            ("=", position, expression)
+            for position, expression in zip(positions, key_expressions)
+        ))
         self._index_name = index_name
         self._key_expressions = key_expressions
-        self._residual = (
-            compile_predicate(residual) if residual is not None else None
-        )
-        self._pk_positions = table.schema.primary_key_positions()
 
-    @property
-    def table(self) -> "Table":
-        return self._table
+    def _key(self, context: "ExecutionContext") -> tuple:
+        values = _bound_values(self._table, self._checks, context)
+        return tuple(values[:len(self._key_expressions)])
 
     def _fetch(self, context: "ExecutionContext") -> list[tuple]:
-        key = tuple(
-            evaluate(expression, (), context)
-            for expression in self._key_expressions
-        )
-        return self.seek_many((key,), context)[0]
+        return self.seek_many((self._key(context),), context)[0]
+
+    def _rids(self, context: "ExecutionContext"):
+        index = self._table.secondary_index(self._index_name)
+        return index.seek(self._key(context))
 
     def seek_many(
         self, keys, context: "ExecutionContext"
@@ -399,7 +428,7 @@ class IndexSeek(PhysicalOperator):
         return f"IndexSeek({self.index_label})"
 
 
-class IndexRange(PhysicalOperator):
+class IndexRange(_AccessPath):
     """Range scan on an ordered secondary index (single-column bounds)."""
 
     def __init__(
@@ -412,41 +441,38 @@ class IndexRange(PhysicalOperator):
         high_inclusive: bool = True,
         residual: Expression | None = None,
     ) -> None:
-        self._table = table
+        position = table.secondary_index(index_name).positions[0]
+        super().__init__(table, residual, (
+            (op, position, bound)
+            for op, bound in ((">=", low), ("<=", high))
+            if bound is not None
+        ))
         self._index_name = index_name
         self._low = low
         self._high = high
         self._low_inclusive = low_inclusive
         self._high_inclusive = high_inclusive
-        self._residual = (
-            compile_predicate(residual) if residual is not None else None
-        )
-        self._pk_positions = table.schema.primary_key_positions()
 
-    @property
-    def table(self) -> "Table":
-        return self._table
-
-    def _fetch(self, context: "ExecutionContext") -> list[tuple]:
+    def _rids(self, context: "ExecutionContext"):
+        """Rids in the range; a NULL bound selects nothing."""
         index = self._table.secondary_index(self._index_name)
         if not isinstance(index, OrderedIndex):
             raise ExecutionError(
                 f"index {self._index_name!r} does not support range scans"
             )
-        low = (
-            (evaluate(self._low, (), context),)
-            if self._low is not None else None
-        )
-        high = (
-            (evaluate(self._high, (), context),)
-            if self._high is not None else None
-        )
-        rids = index.range_scan(
+        values = _bound_values(self._table, self._checks, context)
+        low = (values.pop(0),) if self._low is not None else None
+        high = (values.pop(0),) if self._high is not None else None
+        if (None,) in (low, high):
+            return ()
+        return index.range_scan(
             low, high, self._low_inclusive, self._high_inclusive
         )
+
+    def _fetch(self, context: "ExecutionContext") -> list[tuple]:
         return _visible_rows(
-            self._table, (rids,), self._pk_positions, self._residual,
-            context,
+            self._table, (self._rids(context),), self._pk_positions,
+            self._residual, context,
         )[0]
 
     def rows_columnar(self, context: "ExecutionContext"):

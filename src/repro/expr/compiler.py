@@ -303,7 +303,9 @@ def _compile_function(node: FunctionCall) -> CompiledExpression:
 # Each specialized sweep replicates the row closure's SQL semantics branch
 # for branch: a row survives iff the conjunct is exactly TRUE, NULLs on
 # either side exclude it, and comparisons use the same raw ``<``/``>``
-# calls as ``sql_compare`` (so incomparable types raise identically).
+# calls as ``sql_compare``; a batch whose raw comparison raises
+# ``TypeError`` re-runs through the row closure, whose ``sql_compare``
+# raises the ExecutionError naming both types.
 # Conjuncts the specializer does not recognize fall back to the compiled
 # row closure over a pivoted row — never wrong, just not vectorized.
 
@@ -319,15 +321,18 @@ def compile_column_predicate(expression: Expression) -> ColumnSweep:
         _compile_conjunct_sweep(conjunct)
         for conjunct in conjuncts(expression)
     )
-    if len(sweeps) == 1:
-        return sweeps[0]
 
     def _chain(columns, indices, context):
-        for sweep in sweeps:
-            if not indices:
-                return indices
-            indices = sweep(columns, indices, context)
-        return indices
+        selected = indices
+        try:
+            for sweep in sweeps:
+                if not selected:
+                    return selected
+                selected = sweep(columns, selected, context)
+        except TypeError:  # incomparable values: see the module comment
+            sweep = _fallback_sweep(compile_expression(expression))
+            return sweep(columns, indices, context)
+        return selected
 
     return _chain
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.exec.operators.base import PhysicalOperator
 from repro.optimizer.physical import AuditViewResolver, PhysicalPlanner
 from repro.optimizer.rewrite import rewrite_plan
-from repro.plan.logical import LogicalPlan
+from repro.plan.logical import LogicalPlan, Scan
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.catalog.catalog import Catalog
@@ -77,3 +77,6 @@ class Optimizer:
 
     def compile(self, plan: LogicalPlan) -> PhysicalOperator:
         return self._planner.compile(plan)
+
+    def access_path(self, plan: Scan) -> PhysicalOperator:
+        return self._planner.access_path(plan)

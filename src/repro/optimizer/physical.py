@@ -94,7 +94,7 @@ class PhysicalPlanner:
 
     def _compile_node(self, plan: L.LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, L.Scan):
-            return self._compile_scan(plan)
+            return self.access_path(plan)
         if isinstance(plan, OneRow):
             return OneRowSource()
         if isinstance(plan, L.Gather):
@@ -145,7 +145,11 @@ class PhysicalPlanner:
     # ------------------------------------------------------------------
     # scans and access paths
 
-    def _compile_scan(self, plan: L.Scan) -> PhysicalOperator:
+    def access_path(self, plan: L.Scan) -> TableScan | IndexSeek | IndexRange:
+        """The one-table access choice: an index seek on ``col = <row-
+        independent expr>``, an index range under the selectivity
+        threshold, else a zone-skipping scan with the compiled predicate.
+        UPDATE and DELETE find their targets through it too."""
         table = self._catalog.table(plan.table_name)
         if plan.predicate is None:
             return TableScan(table)
@@ -172,7 +176,7 @@ class PhysicalPlanner:
 
     def _try_index_range(
         self, table, remaining: list[Expression]
-    ) -> PhysicalOperator | None:
+    ) -> IndexRange | None:
         from repro.storage.index import OrderedIndex
 
         for index_name, index in table.secondary_indexes().items():

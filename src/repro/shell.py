@@ -40,7 +40,7 @@ Statements end with ';'. Dot commands:
   .tables               list tables with row counts
   .schema <table>       columns of a table
   .audit                audit expressions, views, and triggers
-  .explain <select>     logical + physical plan (instrumented)
+  .explain <statement>  SELECT plan (instrumented), or DML access path
   .user <name>          switch the session user (for user_id())
   .heuristic <name>     leaf-node | highest-commutative-node | highest-node
   .notifications        show and clear pending SEND EMAIL/NOTIFY messages

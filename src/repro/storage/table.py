@@ -250,10 +250,6 @@ class Table:
                 for row in block.rows.values()
             ])
 
-    def rows_with_rids(self) -> Iterator[tuple[int, tuple]]:
-        with self._lock:
-            return iter(list(self._iter_items()))
-
     def row_by_rid(self, rid: int) -> tuple:
         block = self._rid_block.get(rid)
         if block is None:

@@ -233,6 +233,35 @@ def test_dml_rowcounts_match() -> None:
         cluster.close()
 
 
+def test_key_targeted_dml_matches_single_node() -> None:
+    """Point UPDATE/DELETE on the partitioned table: every shard seeks its
+    own PK index, and the summed rowcounts and the contents are the
+    single-node ones (hits, misses, literals and parameters)."""
+    single, cluster = _pair(shards=2)
+    try:
+        assert "IndexSeek(patients.patients_pk)" in single.explain(
+            "DELETE FROM patients WHERE pid = :pid"
+        )
+        for sql, parameters in (
+            ("UPDATE patients SET age = age + 1 WHERE pid = :pid",
+             {"pid": 5}),
+            ("UPDATE patients SET name = 'z' WHERE pid = 6", None),
+            ("UPDATE patients SET age = 0 WHERE pid = :pid", {"pid": 99}),
+            ("DELETE FROM patients WHERE pid = :pid", {"pid": 7}),
+            ("DELETE FROM patients WHERE pid = 8", None),
+            ("DELETE FROM patients WHERE pid = :pid", {"pid": 7}),
+            ("UPDATE visits SET cost = 1 WHERE vid = :vid", {"vid": 105}),
+        ):
+            assert single.execute(sql, parameters).rowcount == \
+                cluster.execute(sql, parameters).rowcount, sql
+        _assert_same(single, cluster,
+                     "SELECT pid, name, disease, age, zip FROM patients")
+        _assert_same(single, cluster, "SELECT vid, pid, cost FROM visits")
+    finally:
+        single.close()
+        cluster.close()
+
+
 def test_trigger_attribution_differential() -> None:
     single, cluster = _pair()
     try:

@@ -359,10 +359,10 @@ class TestMisc:
         assert "logical" in text and "physical" in text
         assert "Scan" in text
 
-    def test_explain_rejects_dml(self, db):
+    def test_explain_rejects_ddl(self, db):
         db.execute("CREATE TABLE t (a INT)")
         with pytest.raises(UnsupportedSqlError):
-            db.explain("DELETE FROM t")
+            db.explain("CREATE TABLE u (a INT)")
 
     def test_analyze(self, patients_db):
         patients_db.execute("ANALYZE")

@@ -138,3 +138,30 @@ def test_projector_slot_fast_path():
     result = db.execute("SELECT s, a, k FROM t ORDER BY k")
     assert result.rows[0] == ("alpha", 10, 1)
     assert result.rows[2] == (None, -7, 3)
+
+
+@pytest.mark.parametrize("predicate", [
+    "a > s", "a = 'x'", "a BETWEEN 1 AND 'x'", "k > 0 AND a <= 'x'",
+])
+def test_incomparable_values_raise_execution_error(predicate):
+    """Raw ``<``/``>`` over an INT and a VARCHAR raise ``TypeError``; the
+    row closure and the column sweep both surface it as the evaluator's
+    ExecutionError naming both types, never as a Python exception."""
+    from repro.errors import ExecutionError
+    from repro.exec.batch import LazyColumns
+    from repro.expr.compiler import compile_column_predicate, compile_predicate
+
+    db = make_db()
+    bound = bound_expression(
+        db, f"SELECT k FROM t WHERE {predicate}", L.Filter,
+        lambda node: node.predicate,
+    )
+    rows = table_rows(db)
+    context = db.make_context()
+    with pytest.raises(ExecutionError, match="INTEGER value .* VARCHAR"):
+        for row in rows:
+            compile_predicate(bound)(row, context)
+    sweep = compile_column_predicate(bound)
+    for columns in (LazyColumns(rows, 5), tuple(zip(*rows))):
+        with pytest.raises(ExecutionError, match="INTEGER value .* VARCHAR"):
+            sweep(columns, range(len(rows)), context)

@@ -90,10 +90,12 @@ class TestDotCommands:
 
     def test_explain(self):
         output = run_script([
-            "CREATE TABLE t (a INT);",
+            "CREATE TABLE t (a INT PRIMARY KEY);",
             ".explain SELECT * FROM t",
+            ".explain DELETE FROM t WHERE a = 1",
         ])
         assert "physical" in output
+        assert "IndexSeek(t.t_pk)" in output
 
     def test_user_switch(self):
         output = run_script([".user alice", ".user"])
