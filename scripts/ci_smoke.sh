@@ -79,14 +79,15 @@ echo "== network serving smoke =="
 PYTHONPATH=src python scripts/server_smoke.py
 
 echo
-echo "== asyncio front end + replica smoke =="
-# boots python -m repro.server --frontend async --replicate as a
+echo "== front end + replica smoke (asyncio, then threaded) =="
+# boots python -m repro.server --frontend <each> --replicate as a
 # subprocess, pipelines a mixed DML/SELECT batch on one connection,
 # attaches a live socket replica (token catch-up, read-your-writes,
 # forwarded audit intents), then SIGTERMs the primary; exits non-zero
 # unless shutdown is clean with zero uncommitted intents and a fresh
 # journal replay reproduces the replica's tables and the exact log
-PYTHONPATH=src python scripts/replication_smoke.py
+PYTHONPATH=src python scripts/replication_smoke.py --frontend async
+PYTHONPATH=src python scripts/replication_smoke.py --frontend threaded
 
 echo
 echo "== server benchmark (--quick) =="

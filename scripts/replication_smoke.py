@@ -1,7 +1,7 @@
-"""CI smoke for the asyncio front end plus one live read replica.
+"""CI smoke for a serving front end plus one live read replica.
 
-Boots ``python -m repro.server --frontend async --replicate`` as a real
-subprocess, drives a pipelined mixed DML/SELECT workload over one
+Boots ``python -m repro.server --frontend FRONTEND --replicate`` as a
+real subprocess, drives a pipelined mixed DML/SELECT workload over one
 connection (``execute_many``), attaches a socket replica
 (:meth:`ReplicaDatabase.from_primary`), proves read-your-writes across
 the wire with a replication token, and lets the replica's audited read
@@ -12,11 +12,13 @@ journal (``apply_statements=True``) that matches the replica's final
 table state and holds the exact expected audit log.
 
 Usage:  PYTHONPATH=src python scripts/replication_smoke.py
+            [--frontend threaded|async]     (default: async)
 Exits non-zero on the first violated expectation.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import pathlib
 import signal
@@ -57,7 +59,13 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--frontend", choices=("threaded", "async"), default="async",
+        help="which server front end the primary runs (default: async)",
+    )
+    frontend = parser.parse_args(argv).frontend
     sys.path.insert(0, str(REPO / "src"))
     from repro.database import Database
     from repro.durability.recovery import uncommitted_intents
@@ -77,7 +85,7 @@ def main() -> int:
         [
             sys.executable, "-m", "repro.server",
             "--port", "0",
-            "--frontend", "async",
+            "--frontend", frontend,
             "--init", str(init_file),
             "--journal", str(journal_dir),
             "--replicate",
@@ -95,7 +103,7 @@ def main() -> int:
         if "listening on" not in line:
             fail(f"unexpected server banner: {line!r}")
         port = int(line.rsplit(":", 1)[1])
-        print(f"  asyncio server up on port {port}")
+        print(f"  {frontend} server up on port {port}")
 
         with Connection("127.0.0.1", port, user_id="alice") as alice:
             # 1) pipelined mixed workload on one connection; the done
@@ -149,7 +157,7 @@ def main() -> int:
         if replica is not None:
             replica.close()
         if process.poll() is None:
-            # 5) SIGTERM: audited graceful shutdown of the async front end
+            # 5) SIGTERM: audited graceful shutdown of the front end
             process.send_signal(signal.SIGTERM)
         code = process.wait(timeout=60)
         output = process.stdout.read()

@@ -1,39 +1,25 @@
-"""The asyncio front end: thousands of connections, a bounded thread pool.
+"""The asyncio transport: thousands of connections, a bounded thread pool.
 
-Same wire protocol, same engine, different concurrency shape
-(DESIGN.md §13)::
+Same wire protocol and the same :class:`~repro.server.session.
+ServingCore` as the threaded :class:`~repro.server.server.Server`; only
+the concurrency shape differs (DESIGN.md §13)::
 
     event loop (1 thread) ──► AsyncAdmissionController
       per connection: reader coroutine ──► bounded frame queue
                       consumer coroutine ◄─┘   (pipelining, in order)
                            │ run_in_executor (bounded worker pool)
                            ▼
-              DrainGate ▸ Session.override ▸ Database.execute
+              ServingCore.run: DrainGate ▸ Session.override ▸ execute
 
-Where :class:`~repro.server.server.Server` spends a thread per
-connection, here an idle connection costs a file descriptor and two
-coroutines; only *executing* statements occupy one of ``workers``
-threads. That changes what the front end can offer:
-
-* **statement pipelining** — a client may send N ``execute`` frames
-  before reading any reply; the per-connection consumer preserves reply
-  order, and consecutive pipelined statements are bridged to the worker
-  pool in one hop, amortizing the executor round-trip;
-* **backpressure-aware streaming** — ``rows`` frames go through
-  ``drain()`` against a write-buffer high-water mark, so a slow reader
-  pauses its own statement stream (queue fills, reader coroutine stops
-  reading) instead of ballooning server memory;
-* **admission at coroutine cost** — the same two-stage shed policy as
-  the threaded server, but queued waiters are futures, not threads.
-
-The replication frames land here too: ``subscribe`` turns a connection
-into a journal stream (a :class:`~repro.durability.JournalCursor` tails
-the primary's segments), and ``intent`` lets a replica hand a firing
-back to the primary (:meth:`~repro.database.Database.
-apply_forwarded_intent`). Graceful shutdown keeps the threaded server's
-durability ordering: stop accepting → close the gate and drain in-flight
-statements → drain the trigger pipeline → goodbye connections → close
-the database.
+An idle connection costs a file descriptor and two coroutines; only
+*executing* statements occupy one of ``workers`` threads. A client may
+pipeline N ``execute`` frames before reading any reply: the single
+consumer keeps replies in order and bridges up to :data:`EXEC_BATCH`
+consecutive executes to the pool in one hop. Writes go through
+``drain()`` against :data:`WRITE_HIGH_WATER`, so a slow reader pauses
+its own connection, never the loop. Admission sheds like the threaded
+server's, but queued waiters are futures, not threads. Blocking core
+calls (statements, forwarded intents, journal polls) run on the pool.
 """
 
 from __future__ import annotations
@@ -41,69 +27,62 @@ from __future__ import annotations
 import asyncio
 import collections
 import concurrent.futures
+import contextlib
+import logging
 import socket
 import threading
 from typing import TYPE_CHECKING
 
-from repro.concurrency import DrainGate, GateClosedError
-from repro.durability.journal import JournalCursor
 from repro.errors import (
-    AuthenticationError,
     ConnectionClosedError,
-    DurabilityError,
     ProtocolError,
-    ReproError,
     ServerError,
     ServerOverloadedError,
-    ServerShutdownError,
-    StatementTimeoutError,
 )
 from repro.server import protocol
 from repro.server.admission import AsyncAdmissionController
-from repro.server.auth import (
-    Authenticator,
-    ClientSession,
-    OpenAuthenticator,
-)
-from repro.server.server import (
+from repro.server.auth import Authenticator, ClientSession
+from repro.server.session import (
     DEFAULT_BATCH_ROWS,
-    DEFAULT_HEARTBEAT_INTERVAL,
+    HANDSHAKE_TIMED_OUT,
+    HANDSHAKE_TIMEOUT,
+    SUBSCRIBE_POLL,
+    Frontend,
+    JournalStream,
+    ServingCore,
+    goodbye_frame,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
-    from repro.database import Database, QueryResult
+    from repro.database import Database
+
+_log = logging.getLogger(__name__)
 
 #: default connection cap — connections are cheap here, so the default
 #: is two orders of magnitude above the threaded server's
 DEFAULT_ASYNC_CONNECTIONS = 2048
 DEFAULT_ASYNC_ADMISSION_QUEUE = 128
 
-#: execute frames a connection may have in flight before its reader
-#: coroutine stops reading (per-connection pipeline depth)
-DEFAULT_MAX_PIPELINE = 32
-
 #: bounded worker pool bridging onto the threaded engine — the knob that
 #: decouples thread count from connection count
 DEFAULT_WORKERS = 8
 
+#: execute frames a connection may have in flight before its reader
+#: coroutine stops reading (per-connection pipeline depth)
+MAX_PIPELINE = 32
+
 #: consecutive pipelined execute frames bridged to the pool in one hop
-DEFAULT_EXEC_BATCH = 16
+EXEC_BATCH = 16
 
 #: transport write-buffer high-water mark: past this, ``drain()`` blocks
 #: and the connection's streaming (and reading) pauses
-DEFAULT_WRITE_HIGH_WATER = 256 * 1024
-
-#: journal-subscription tail poll interval while the stream is idle
-DEFAULT_SUBSCRIBE_POLL = 0.02
+WRITE_HIGH_WATER = 256 * 1024
 
 
 class _AsyncConnection:
     """Per-connection state shared by the reader/consumer coroutines."""
 
-    __slots__ = (
-        "reader", "writer", "session", "closed_event",
-        "peer_done", "dead", "subscribed",
-    )
+    __slots__ = ("reader", "writer", "session", "closed_event")
 
     def __init__(
         self,
@@ -114,16 +93,11 @@ class _AsyncConnection:
         self.reader = reader
         self.writer = writer
         self.session = session
-        #: set when the peer is gone or shutdown wants the stream ended
+        #: set when the peer is gone or the server ended the connection
         self.closed_event = asyncio.Event()
-        self.peer_done = False
-        #: the socket died mid-reply: discard queued frames, stop writing
-        self.dead = False
-        #: journal subscribers idle by design; exempt from reaping
-        self.subscribed = False
 
 
-class AsyncServer:
+class AsyncServer(Frontend):
     """An asyncio TCP front end over one :class:`~repro.database.Database`.
 
     Drop-in peer of the threaded :class:`~repro.server.server.Server`:
@@ -144,43 +118,30 @@ class AsyncServer:
         admission_timeout: float = 5.0,
         statement_timeout: float | None = None,
         idle_timeout: float | None = None,
-        reap_interval: float = 0.25,
-        handshake_timeout: float = 5.0,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        max_pipeline: int = DEFAULT_MAX_PIPELINE,
         workers: int = DEFAULT_WORKERS,
-        exec_batch: int = DEFAULT_EXEC_BATCH,
-        write_high_water: int = DEFAULT_WRITE_HIGH_WATER,
-        subscribe_poll_interval: float = DEFAULT_SUBSCRIBE_POLL,
         authenticator: Authenticator | None = None,
         close_database: bool = True,
     ) -> None:
-        self.database = database
+        self.core = ServingCore(
+            database,
+            authenticator=authenticator,
+            batch_rows=batch_rows,
+            statement_timeout=statement_timeout,
+            idle_timeout=idle_timeout,
+            close_database=close_database,
+        )
         self.host = host
         self.port = port
-        self.statement_timeout = statement_timeout
-        self.idle_timeout = idle_timeout
-        self.batch_rows = max(1, batch_rows)
-        self.max_pipeline = max(1, max_pipeline)
         self.workers = max(1, workers)
         # a statement timeout needs one wait_for per statement, so the
         # one-hop batching of consecutive executes is disabled with it
-        self.exec_batch = 1 if statement_timeout is not None \
-            else max(1, exec_batch)
-        self.write_high_water = max(1, write_high_water)
-        self.authenticator = authenticator or OpenAuthenticator()
-        self._close_database = close_database
-        self._handshake_timeout = handshake_timeout
-        self._reap_interval = reap_interval
-        self._subscribe_poll = subscribe_poll_interval
-        self._heartbeat_interval = DEFAULT_HEARTBEAT_INTERVAL
+        self._exec_batch = 1 if statement_timeout is not None else EXEC_BATCH
         self.admission = AsyncAdmissionController(
             max_connections,
             queue_limit=admission_queue,
             queue_timeout=admission_timeout,
         )
-        #: in-flight statement accounting; closed+drained by shutdown
-        self.gate = DrainGate()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers,
             thread_name_prefix="repro-aworker",
@@ -193,16 +154,7 @@ class AsyncServer:
         self._connections: dict[asyncio.StreamWriter, _AsyncConnection] = {}
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
-        self._stopping = False
-        self._stopped = threading.Event()
-        self._shutdown_lock = threading.Lock()
         self._started = False
-        # telemetry
-        self.statements_total = 0
-        self.timeouts_total = 0
-        self.reaped_total = 0
-        self.subscriptions_total = 0
-        self.intents_forwarded_total = 0
         #: pipelined execute frames bridged in multi-statement hops
         self.batched_statements_total = 0
 
@@ -225,77 +177,30 @@ class AsyncServer:
             raise error
         return self
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
-    def __enter__(self) -> "AsyncServer":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, traceback) -> bool:
-        self.shutdown()
-        return False
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes (signal-handler friendly)."""
-        if not self._started:
-            self.start()
-        self._stopped.wait()
-
-    def shutdown(self, timeout: float | None = 30.0) -> dict:
-        """Audited graceful shutdown; same ordering as the threaded server.
-
-        (1) stop accepting and shed queued admissions, (2) refuse new
-        statements, (3) drain in-flight statements, (4) drain the async
-        trigger pipeline, (5) goodbye + close connections, (6) close the
-        database (pipeline, then journal).
-        """
-        with self._shutdown_lock:
-            if self._stopped.is_set():
-                return self._shutdown_stats(drained=True)
-            self._stopping = True
-            loop = self._loop
-            if loop is not None and loop.is_running():
-                loop.call_soon_threadsafe(self._stop_accepting)
-            self.gate.close()
-            drained = self.gate.drain(timeout)
-            self.database.drain_triggers()
-            if loop is not None and loop.is_running():
-                loop.call_soon_threadsafe(self._finalize_connections)
-            thread = self._thread
-            if thread is not None and thread is not threading.current_thread():
-                thread.join(timeout=10.0)
-            self._executor.shutdown(wait=False)
-            if self._close_database:
-                self.database.close()
-            self._stopped.set()
-            return self._shutdown_stats(drained=drained)
-
-    def _shutdown_stats(self, drained: bool) -> dict:
-        return {
-            "drained": drained,
-            "statements_total": self.statements_total,
-            "timeouts_total": self.timeouts_total,
-            "reaped_total": self.reaped_total,
-            "admission": self.admission.stats(),
-        }
-
     def stats(self) -> dict:
-        """Live serving counters (tests and operators)."""
         return {
-            "connections": len(self._connections),
-            "in_flight": self.gate.active,
+            **super().stats(),
             "workers": self.workers,
-            "statements_total": self.statements_total,
-            "timeouts_total": self.timeouts_total,
-            "reaped_total": self.reaped_total,
-            "subscriptions_total": self.subscriptions_total,
-            "intents_forwarded_total": self.intents_forwarded_total,
             "batched_statements_total": self.batched_statements_total,
-            "admission": self.admission.stats(),
         }
+
+    def _connection_count(self) -> int:
+        return len(self._connections)
+
+    def _on_loop(self, callback) -> None:
+        loop = self._loop
+        if loop is not None and loop.is_running():
+            loop.call_soon_threadsafe(callback)
+
+    def _stop_accepting(self) -> None:
+        self._on_loop(self._stop_accepting_on_loop)
+
+    def _close_connections(self) -> None:
+        self._on_loop(self._finalize_connections)
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=10.0)
+        self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # event-loop thread
@@ -307,7 +212,6 @@ class AsyncServer:
             self._startup_error = self._startup_error or error
         finally:
             self._ready.set()
-            self._stopped.set()
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -324,7 +228,7 @@ class AsyncServer:
         self._asyncio_server = server
         self.port = server.sockets[0].getsockname()[1]
         reaper: asyncio.Task | None = None
-        if self.idle_timeout is not None:
+        if self.core.reap_interval is not None:
             reaper = asyncio.create_task(self._reap_loop())
         self._ready.set()
         await self._stop_event.wait()
@@ -337,56 +241,28 @@ class AsyncServer:
             await asyncio.wait(list(self._conn_tasks), timeout=5.0)
         for task in list(self._conn_tasks):
             task.cancel()
-        try:
+        with contextlib.suppress(Exception):  # best-effort teardown
             await server.wait_closed()
-        except Exception:  # noqa: BLE001 — best-effort teardown
-            pass
 
-    def _stop_accepting(self) -> None:
-        """Loop-thread half of shutdown step (1)."""
+    def _stop_accepting_on_loop(self) -> None:
         self.admission.close()
         if self._asyncio_server is not None:
             self._asyncio_server.close()
 
     def _finalize_connections(self) -> None:
-        """Loop-thread half of shutdown step (5)."""
         for conn in list(self._connections.values()):
-            try:
-                conn.writer.write(protocol.frame_bytes(
-                    {"type": "goodbye", "reason": "server shutdown"}
-                ))
-            except Exception:  # noqa: BLE001 — peer may be gone
-                pass
-            conn.peer_done = True
-            conn.closed_event.set()
-            try:
-                conn.writer.close()
-            except Exception:  # noqa: BLE001
-                pass
+            _say_goodbye(conn, "server shutdown")
         if self._stop_event is not None:
             self._stop_event.set()
 
     async def _reap_loop(self) -> None:
-        assert self.idle_timeout is not None
-        while not self._stopping:
-            await asyncio.sleep(self._reap_interval)
+        while not self.core.stopping.is_set():
+            await asyncio.sleep(self.core.reap_interval)
             for conn in list(self._connections.values()):
-                if conn.subscribed or conn.peer_done:
-                    continue
-                if conn.session.idle_for() > self.idle_timeout:
-                    self.reaped_total += 1
-                    try:
-                        conn.writer.write(protocol.frame_bytes(
-                            {"type": "goodbye", "reason": "idle timeout"}
-                        ))
-                    except Exception:  # noqa: BLE001
-                        pass
-                    conn.peer_done = True
-                    conn.closed_event.set()
-                    try:
-                        conn.writer.close()
-                    except Exception:  # noqa: BLE001
-                        pass
+                if not conn.closed_event.is_set() and \
+                        self.core.reapable(conn.session):
+                    self.core.count("reaped_total")
+                    _say_goodbye(conn, "idle timeout")
 
     # ------------------------------------------------------------------
     # per-connection coroutines
@@ -394,7 +270,7 @@ class AsyncServer:
     async def _client_connected(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self._stopping:
+        if self.core.stopping.is_set():
             writer.close()
             return
         task = asyncio.current_task()
@@ -406,15 +282,13 @@ class AsyncServer:
             # Nagle vs delayed-ACK stalls small reply frames, same as in
             # the threaded server
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        writer.transport.set_write_buffer_limits(high=self.write_high_water)
+        writer.transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
         conn: _AsyncConnection | None = None
         try:
             try:
                 await self.admission.admit()
             except ServerOverloadedError as error:
-                await self._write_best_effort(
-                    writer, protocol.error_frame(error)
-                )
+                await _write_best_effort(writer, protocol.error_frame(error))
                 return
             try:
                 session = await self._handshake(reader, writer)
@@ -422,9 +296,7 @@ class AsyncServer:
                     return
                 conn = _AsyncConnection(reader, writer, session)
                 self._connections[writer] = conn
-                queue: asyncio.Queue = asyncio.Queue(
-                    maxsize=self.max_pipeline
-                )
+                queue: asyncio.Queue = asyncio.Queue(maxsize=MAX_PIPELINE)
                 consumer = asyncio.create_task(self._consume(conn, queue))
                 try:
                     await self._read_loop(conn, queue)
@@ -434,60 +306,33 @@ class AsyncServer:
                 self.admission.release()
         except asyncio.CancelledError:
             pass  # shutdown teardown cancelled a straggler
-        except (ConnectionClosedError, ConnectionResetError,
-                BrokenPipeError, OSError):
+        except (ConnectionClosedError, OSError):
             pass  # peer vanished; nothing to tell it
-        except ProtocolError as error:
-            await self._write_best_effort(writer, protocol.error_frame(error))
+        except ProtocolError as error:  # an unreadable stream
+            await _write_best_effort(writer, protocol.error_frame(error))
+        except Exception as error:  # noqa: BLE001 — a bug must not go silent
+            _log.exception("connection %s failed", _peer(writer))
+            await _write_best_effort(writer, protocol.error_frame(error))
         finally:
             if conn is not None:
                 self._connections.pop(writer, None)
-            try:
+            with contextlib.suppress(Exception):
                 writer.close()
-            except Exception:  # noqa: BLE001
-                pass
 
     async def _handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> ClientSession | None:
         try:
             frame = await asyncio.wait_for(
-                protocol.read_frame_async(reader), self._handshake_timeout
+                protocol.read_frame_async(reader), HANDSHAKE_TIMEOUT
             )
         except asyncio.TimeoutError:
-            await self._write_best_effort(
-                writer,
-                protocol.error_frame(
-                    ProtocolError("handshake timed out waiting for hello")
-                ),
-            )
+            await _write_best_effort(writer, HANDSHAKE_TIMED_OUT)
             return None
         if frame is None:
             return None
-        if frame.get("type") != "hello":
-            raise ProtocolError(
-                f"expected a hello frame, got {frame.get('type')!r}"
-            )
-        if frame.get("protocol") != protocol.PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"unsupported protocol version {frame.get('protocol')!r} "
-                f"(server speaks {protocol.PROTOCOL_VERSION})"
-            )
-        try:
-            user = self.authenticator.authenticate(
-                frame.get("user", ""), frame.get("password")
-            )
-        except AuthenticationError as error:
-            await self._write_best_effort(writer, protocol.error_frame(error))
-            return None
-        peer = writer.get_extra_info("peername") or ("?", 0)
-        session = ClientSession(user_id=user, peer=f"{peer[0]}:{peer[1]}")
-        writer.write(protocol.frame_bytes({
-            "type": "hello_ok",
-            "server": "repro",
-            "protocol": protocol.PROTOCOL_VERSION,
-            "session": session.session_id,
-        }))
+        session, reply = self.core.hello(frame, _peer(writer))
+        writer.write(protocol.frame_bytes(reply))
         await writer.drain()
         return session
 
@@ -514,26 +359,32 @@ class AsyncServer:
     async def _consume(
         self, conn: _AsyncConnection, queue: asyncio.Queue
     ) -> None:
-        """Single consumer per connection: replies stay in request order."""
+        """Single consumer per connection: replies stay in request order.
+
+        A ``ProtocolError`` answers its own frame and the connection
+        serves on; any other failure ends the connection with an
+        ``error`` frame — the consumer never dies while the reader runs.
+        """
         pending: collections.deque = collections.deque()
         while True:
             item = pending.popleft() if pending else await queue.get()
             if item is None:
                 return
-            if conn.dead:
-                continue  # discard: the peer is gone mid-reply
+            if conn.writer.is_closing():
+                continue  # discard: the connection ended mid-pipeline
             try:
-                await self._dispatch(conn, queue, pending, item)
-            except (ConnectionClosedError, ConnectionResetError,
-                    BrokenPipeError, OSError):
-                conn.dead = True
-                conn.closed_event.set()
-            except ProtocolError as error:
                 try:
+                    await self._dispatch(conn, queue, pending, item)
+                except ProtocolError as error:
                     await self._send(conn, protocol.error_frame(error))
-                except Exception:  # noqa: BLE001
-                    conn.dead = True
-                    conn.closed_event.set()
+            except (ConnectionClosedError, OSError):
+                _say_goodbye(conn, None)
+            except Exception as error:  # noqa: BLE001 — never strand it
+                _log.exception("connection %s failed", conn.session.peer)
+                await _write_best_effort(
+                    conn.writer, protocol.error_frame(error)
+                )
+                _say_goodbye(conn, None)
 
     async def _dispatch(
         self,
@@ -542,13 +393,14 @@ class AsyncServer:
         pending: collections.deque,
         frame: dict,
     ) -> None:
+        core = self.core
         kind = frame.get("type")
         if kind == "execute":
             batch = [frame]
             # greedy pipelining: bridge consecutive queued executes to
             # the worker pool in one hop (order preserved; a non-execute
             # frame ends the run and is handled next)
-            while len(batch) < self.exec_batch:
+            while len(batch) < self._exec_batch:
                 try:
                     nxt = queue.get_nowait()
                 except asyncio.QueueEmpty:
@@ -558,301 +410,95 @@ class AsyncServer:
                 else:
                     pending.append(nxt)
                     break
-            await self._handle_executes(conn, batch)
+            await self._execute(conn, batch)
             conn.session.touch()
-        elif kind == "set_user":
-            await self._handle_set_user(conn, frame)
-        elif kind == "health":
-            await self._handle_health(conn)
-        elif kind == "ping":
-            await self._send(conn, {"type": "pong"})
-        elif kind == "intent":
-            await self._handle_intent(conn, frame)
         elif kind == "subscribe":
-            await self._stream_journal(conn, frame)
-        elif kind == "quit":
-            await self._send(
-                conn, {"type": "goodbye", "reason": "client quit"}
-            )
-            conn.peer_done = True
-        else:
+            reply, stream = core.subscribe(conn.session, frame)
+            await self._send(conn, reply)
+            if stream is not None:
+                await self._stream_journal(conn, stream)
+        elif kind == "intent":
+            loop = asyncio.get_running_loop()
             await self._send(
                 conn,
-                protocol.error_frame(
-                    ProtocolError(f"unknown frame type {kind!r}")
-                ),
+                await loop.run_in_executor(self._executor, core.intent, frame),
             )
+        else:
+            reply = core.control(conn.session, frame)
+            await self._send(conn, reply)
+            if reply["type"] == "goodbye":
+                conn.closed_event.set()
 
     # ------------------------------------------------------------------
     # statements
 
-    async def _handle_executes(
+    async def _execute(
         self, conn: _AsyncConnection, frames: list[dict]
     ) -> None:
-        prepared: list[tuple | BaseException] = []
-        for frame in frames:
-            sql = frame.get("sql")
-            if not isinstance(sql, str) or not sql.strip():
-                prepared.append(
-                    ProtocolError("execute frame carries no sql")
-                )
-                continue
-            raw_parameters = frame.get("parameters") or None
-            parameters = None
-            if raw_parameters is not None:
-                try:
-                    parameters = {
-                        name: protocol.decode_value(value)
-                        for name, value in raw_parameters.items()
-                    }
-                except ReproError as error:
-                    prepared.append(error)
-                    continue
-            prepared.append((sql, parameters))
-        work = [item for item in prepared if isinstance(item, tuple)]
-        results: list = []
-        if work:
-            if len(work) > 1:
-                self.batched_statements_total += len(work)
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(
-                self._executor, self._run_batch, conn.session, work
+        """One worker-pool hop for ``frames``, then their replies in order."""
+        if len(frames) > 1:
+            self.batched_statements_total += len(frames)
+        loop = asyncio.get_running_loop()
+        future = loop.run_in_executor(
+            self._executor, self._run_batch, conn.session, frames
+        )
+        timeout = self.core.statement_timeout
+        try:
+            # one statement per hop in timeout mode (see _exec_batch)
+            outcomes = await (
+                future if timeout is None
+                else asyncio.wait_for(asyncio.shield(future), timeout)
             )
-            if self.statement_timeout is not None:
-                # exec_batch is 1 in timeout mode: one wait per statement
-                try:
-                    results = await asyncio.wait_for(
-                        asyncio.shield(future), self.statement_timeout
-                    )
-                except asyncio.TimeoutError:
-                    # not killed (no safe preemption): the statement
-                    # finishes in the background and its audit firings
-                    # land — a timeout withholds results, never evidence
-                    self.timeouts_total += 1
-                    results = [
-                        StatementTimeoutError(
-                            "statement exceeded "
-                            f"{self.statement_timeout:.3f}s (it completes "
-                            "in the background; its audit records are "
-                            "preserved)"
-                        )
-                    ]
-            else:
-                results = await future
-        cursor = 0
-        for item in prepared:
-            if isinstance(item, BaseException):
-                await self._send(conn, protocol.error_frame(item))
+        except asyncio.TimeoutError as error:
+            outcomes = [error]
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                await self._send(conn, self.core.failure_frame(outcome))
                 continue
-            outcome = results[cursor]
-            cursor += 1
-            if isinstance(outcome, GateClosedError):
-                await self._send(
-                    conn,
-                    protocol.error_frame(
-                        ServerShutdownError(
-                            "server is draining for shutdown; "
-                            "statement refused"
-                        )
-                    ),
-                )
-            elif isinstance(outcome, BaseException):
-                await self._send(conn, protocol.error_frame(outcome))
-            else:
-                self.statements_total += 1
-                await self._stream_result(conn, outcome)
+            for reply in self.core.reply_frames(outcome):
+                await self._send(conn, reply)
 
     def _run_batch(
-        self,
-        session: ClientSession,
-        items: list[tuple[str, dict | None]],
+        self, session: ClientSession, frames: list[dict]
     ) -> list:
-        """Worker-pool body: run a pipelined run of statements in order.
+        """Worker-pool body: decode and run pipelined executes in order.
 
-        Per-statement failures become list entries, not raises — the
-        consumer maps each back to an ``error`` frame so one bad
-        statement never corrupts the framing of its pipeline neighbors.
+        Per-statement failures become list entries, not raises — each
+        maps back to its own ``error`` frame, so one bad statement never
+        corrupts the framing of its pipeline neighbors.
         """
         outcomes: list = []
-        for sql, parameters in items:
+        for frame in frames:
             try:
-                with self.gate.entered():
-                    session.statements += 1
-                    # pins this worker thread's identity to the
-                    # connection for the statement's duration, so the
-                    # shared engine attributes per-connection
-                    with self.database.session.override(
-                        sql, session.user_id
-                    ):
-                        outcomes.append(
-                            self.database.execute(sql, parameters)
-                        )
-            except BaseException as error:  # noqa: BLE001 — typed frame
+                sql, parameters = self.core.decode_execute(frame)
+                outcomes.append(self.core.run(session, sql, parameters))
+            except Exception as error:  # noqa: BLE001 — typed frame
                 outcomes.append(error)
         return outcomes
 
-    async def _stream_result(
-        self, conn: _AsyncConnection, result: "QueryResult"
-    ) -> None:
-        rows = result.rows
-        for start in range(0, len(rows), self.batch_rows):
-            await self._send(conn, {
-                "type": "rows",
-                "rows": [
-                    protocol.encode_row(row)
-                    for row in rows[start:start + self.batch_rows]
-                ],
-            })
-        done = {
-            "type": "done",
-            "columns": list(result.columns),
-            "rowcount": result.rowcount,
-            "accessed": protocol.encode_accessed(result.accessed),
-        }
-        if getattr(self.database, "replicate_statements", False):
-            token = self.database.replication_token()
-            if token is not None:
-                done["token"] = token
-        await self._send(conn, done)
-
-    # ------------------------------------------------------------------
-    # control frames
-
-    async def _handle_set_user(
-        self, conn: _AsyncConnection, frame: dict
-    ) -> None:
-        try:
-            user = self.authenticator.authenticate(
-                frame.get("user", ""), frame.get("password")
-            )
-        except AuthenticationError as error:
-            await self._send(conn, protocol.error_frame(error))
-            return
-        conn.session.user_id = user
-        await self._send(conn, {"type": "ok", "user": user})
-
-    async def _handle_health(self, conn: _AsyncConnection) -> None:
-        cluster_health = getattr(self.database, "cluster_health", None)
-        await self._send(conn, {
-            "type": "health",
-            "audit_trail": self.database.audit_trail_health(),
-            "cluster": (
-                cluster_health() if callable(cluster_health) else None
-            ),
-        })
-
-    # ------------------------------------------------------------------
-    # replication frames (DESIGN.md §13)
-
-    async def _handle_intent(
-        self, conn: _AsyncConnection, frame: dict
-    ) -> None:
-        """A replica hands a firing to this (primary) server."""
-        try:
-            accessed = protocol.decode_accessed(frame.get("accessed") or {})
-        except ReproError as error:
-            await self._send(conn, protocol.error_frame(error))
-            return
-        sql_text = frame.get("sql", "")
-        user_id = frame.get("user", "")
-
-        def body() -> int | None:
-            with self.gate.entered():
-                return self.database.apply_forwarded_intent(
-                    accessed, sql_text, user_id
-                )
-
-        loop = asyncio.get_running_loop()
-        try:
-            seq = await loop.run_in_executor(self._executor, body)
-        except GateClosedError:
-            await self._send(
-                conn,
-                protocol.error_frame(
-                    ServerShutdownError(
-                        "server is draining for shutdown; intent refused"
-                    )
-                ),
-            )
-            return
-        except Exception as error:  # noqa: BLE001 — typed frame
-            await self._send(conn, protocol.error_frame(error))
-            return
-        self.intents_forwarded_total += 1
-        await self._send(conn, {"type": "intent_ok", "seq": seq})
-
     async def _stream_journal(
-        self, conn: _AsyncConnection, frame: dict
+        self, conn: _AsyncConnection, stream: JournalStream
     ) -> None:
-        """Turn this connection into a one-way journal stream."""
-        journal = getattr(self.database, "journal", None)
-        if journal is None:
-            await self._send(
-                conn,
-                protocol.error_frame(
-                    DurabilityError(
-                        "no audit journal attached; nothing to stream"
-                    )
-                ),
-            )
-            return
-        try:
-            from_seq = int(frame.get("from_seq") or 0)
-        except (TypeError, ValueError):
-            await self._send(
-                conn,
-                protocol.error_frame(
-                    ProtocolError("subscribe from_seq is not an integer")
-                ),
-            )
-            return
-        conn.subscribed = True
-        self.subscriptions_total += 1
-        await self._send(
-            conn, {"type": "subscribe_ok", "next_seq": journal.next_seq}
-        )
-        cursor = JournalCursor(journal.path, from_seq=from_seq)
+        """Carry ``stream`` until the subscriber leaves or shutdown."""
         loop = asyncio.get_running_loop()
-        last_beat = loop.time()
         while not (
-            self._stopping
-            or conn.peer_done
+            self.core.stopping.is_set()
             or conn.closed_event.is_set()
             or conn.writer.is_closing()
         ):
-            records = await loop.run_in_executor(
-                self._executor, cursor.poll
+            frame = await loop.run_in_executor(
+                self._executor, stream.next_frame
             )
-            if records:
-                await self._send(conn, {
-                    "type": "journal",
-                    "records": [
-                        {"seq": r.seq, "kind": r.kind, "data": r.data}
-                        for r in records
-                    ],
-                    "primary_seq": journal.next_seq,
-                })
-                last_beat = loop.time()
-                continue
-            if loop.time() - last_beat >= self._heartbeat_interval:
-                # idle heartbeat keeps the replica's lag metric honest
-                await self._send(conn, {
-                    "type": "journal",
-                    "records": [],
-                    "primary_seq": journal.next_seq,
-                })
-                last_beat = loop.time()
+            if frame is not None:
+                await self._send(conn, frame)
+                if frame["records"]:
+                    continue
             try:
                 await asyncio.wait_for(
-                    conn.closed_event.wait(), self._subscribe_poll
+                    conn.closed_event.wait(), SUBSCRIBE_POLL
                 )
             except asyncio.TimeoutError:
                 pass
-            else:
-                break  # subscriber disconnected: stop tailing
-
-    # ------------------------------------------------------------------
-    # write helpers
 
     async def _send(self, conn: _AsyncConnection, frame: dict) -> None:
         if conn.writer.is_closing():
@@ -860,20 +506,34 @@ class AsyncServer:
         conn.writer.write(protocol.frame_bytes(frame))
         await conn.writer.drain()
 
-    async def _write_best_effort(
-        self, writer: asyncio.StreamWriter, frame: dict
-    ) -> None:
-        try:
-            writer.write(protocol.frame_bytes(frame))
-            await writer.drain()
-        except Exception:  # noqa: BLE001 — the peer may already be gone
-            pass
+
+# ----------------------------------------------------------------------
+# write helpers (best-effort: the peer may already be gone)
+
+def _peer(writer: asyncio.StreamWriter) -> str:
+    host, port = (writer.get_extra_info("peername") or ("?", 0))[:2]
+    return f"{host}:{port}"
+
+
+def _say_goodbye(conn: _AsyncConnection, reason: str | None) -> None:
+    """End ``conn`` from the loop: a ``goodbye`` (if ``reason``), close."""
+    with contextlib.suppress(Exception):
+        if reason is not None:
+            conn.writer.write(protocol.frame_bytes(goodbye_frame(reason)))
+        conn.writer.close()
+    conn.closed_event.set()
+
+
+async def _write_best_effort(
+    writer: asyncio.StreamWriter, frame: dict
+) -> None:
+    with contextlib.suppress(Exception):
+        writer.write(protocol.frame_bytes(frame))
+        await writer.drain()
 
 
 __all__ = [
     "AsyncServer",
     "DEFAULT_ASYNC_CONNECTIONS",
-    "DEFAULT_MAX_PIPELINE",
     "DEFAULT_WORKERS",
-    "DEFAULT_WRITE_HIGH_WATER",
 ]

@@ -72,7 +72,8 @@ class ClientSession:
     started_at: float = field(default_factory=time.monotonic)
     #: monotonic timestamp of the last frame received (idle reaping)
     last_activity: float = field(default_factory=time.monotonic)
-    statements: int = 0
+    #: a journal subscriber idles by design: exempt from idle reaping
+    subscribed: bool = False
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def touch(self) -> None:

@@ -213,14 +213,21 @@ def recv_frame(sock: socket.socket) -> dict | None:
     header = _recv_exact(sock, _LENGTH.size, eof_ok=True)
     if header is None:
         return None
+    length = frame_length(header)
+    data = _recv_exact(sock, length, eof_ok=False)
+    return decode_frame(data)
+
+
+def frame_length(header: bytes) -> int:
+    """The body length a frame header announces, refusing oversized ones
+    (shared by the sync and async read paths)."""
     (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"incoming frame claims {length} bytes "
             f"(limit {MAX_FRAME_BYTES}); stream is corrupt or hostile"
         )
-    data = _recv_exact(sock, length, eof_ok=False)
-    return decode_frame(data)
+    return length
 
 
 def decode_frame(data: bytes) -> dict:
@@ -251,12 +258,7 @@ async def read_frame_async(reader) -> dict | None:
             "connection closed mid-frame "
             f"({len(error.partial)}/{_LENGTH.size} header bytes received)"
         ) from error
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"incoming frame claims {length} bytes "
-            f"(limit {MAX_FRAME_BYTES}); stream is corrupt or hostile"
-        )
+    length = frame_length(header)
     try:
         data = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:

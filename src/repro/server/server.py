@@ -1,85 +1,65 @@
-"""The threaded TCP server multiplexing clients onto one ``Database``.
+"""The threaded TCP transport over the serving core.
 
 Architecture (DESIGN.md §9)::
 
     accept thread ──► AdmissionController ──► handler thread per client
-                                                   │  (handshake, frames)
+                                                   │  (blocking frames)
                                                    ▼
                                    statement executor (thread pool)
-                                     DrainGate ▸ Session.override ▸
-                                     Database.execute ▸ stream batches
+                                     ServingCore.run: DrainGate ▸
+                                     Session.override ▸ Database.execute
 
-Each connection is authenticated once (the handshake sets its
-``user_id``); every statement then executes under
-``Session.override(sql, user)`` on an executor thread, so audit-trigger
-attribution is per-connection even though the engine and its async
-trigger pipeline are shared. Results stream back in bounded ``rows``
-frames followed by a ``done`` frame carrying the ACCESSED metadata;
-engine errors become typed ``error`` frames the client re-raises.
-
-Production-shape controls are built in, not bolted on:
-
-* **admission control** — connection cap + bounded wait queue, typed
-  :class:`~repro.errors.ServerOverloadedError` shedding;
-* **per-statement timeout** — the client gets
-  :class:`~repro.errors.StatementTimeoutError`; the statement itself
-  runs to completion so its audit firings still land;
-* **idle reaping** — connections silent past ``idle_timeout`` are closed
-  with a ``goodbye`` frame;
-* **audited graceful shutdown** — stop accepting, shed queued
-  admissions, drain in-flight statements (:class:`DrainGate`), drain the
-  async trigger pipeline, and only then close the database (which closes
-  the audit journal) — so every journaled intent gets its commit and no
-  recorded firing is lost.
+What a frame *means* — the handshake, per-connection attribution, the
+``rows``/``done`` reply carrying ACCESSED, control and replication
+frames, the idle policy and the audited shutdown ordering — is
+:class:`~repro.server.session.ServingCore`'s, shared with the asyncio
+front end. This module owns only the concurrency shape: the accept
+thread, one handler thread per connection doing blocking
+``recv_frame``/``send_frame``, the reaper thread, and the executor
+future whose bounded wait enforces ``statement_timeout`` (the statement
+itself runs to completion so its audit firings still land).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import logging
 import select
 import socket
 import threading
-import time
 from typing import TYPE_CHECKING
 
-from repro.concurrency import DrainGate, GateClosedError
-from repro.durability.journal import JournalCursor
 from repro.errors import (
-    AuthenticationError,
     ConnectionClosedError,
-    DurabilityError,
     ProtocolError,
-    ReproError,
     ServerError,
     ServerOverloadedError,
-    ServerShutdownError,
-    StatementTimeoutError,
-)
-from repro.server.admission import AdmissionController
-from repro.server.auth import (
-    Authenticator,
-    ClientSession,
-    OpenAuthenticator,
 )
 from repro.server import protocol
+from repro.server.admission import AdmissionController
+from repro.server.auth import Authenticator, ClientSession
+from repro.server.session import (
+    DEFAULT_BATCH_ROWS,
+    HANDSHAKE_TIMED_OUT,
+    HANDSHAKE_TIMEOUT,
+    SUBSCRIBE_POLL,
+    Frontend,
+    JournalStream,
+    ServingCore,
+    goodbye_frame,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
-    from repro.database import Database, QueryResult
+    from repro.database import Database
 
-#: rows per ``rows`` frame (bounds per-frame memory, keeps latency low)
-DEFAULT_BATCH_ROWS = 256
-
-#: idle journal-stream heartbeat: an empty ``journal`` frame refreshing
-#: ``primary_seq`` so a subscriber's lag metric stays honest on a quiet
-#: primary (both front ends send it; the socket tailer's liveness and
-#: EOF detection rely on the traffic)
-DEFAULT_HEARTBEAT_INTERVAL = 1.0
+_log = logging.getLogger(__name__)
 
 DEFAULT_MAX_CONNECTIONS = 32
 DEFAULT_ADMISSION_QUEUE = 8
 
 
-class Server:
+class Server(Frontend):
     """A threaded TCP front end over one :class:`~repro.database.Database`.
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
@@ -99,47 +79,35 @@ class Server:
         admission_timeout: float = 5.0,
         statement_timeout: float | None = None,
         idle_timeout: float | None = None,
-        reap_interval: float = 0.25,
-        handshake_timeout: float = 5.0,
         batch_rows: int = DEFAULT_BATCH_ROWS,
         authenticator: Authenticator | None = None,
         close_database: bool = True,
     ) -> None:
-        self.database = database
+        self.core = ServingCore(
+            database,
+            authenticator=authenticator,
+            batch_rows=batch_rows,
+            statement_timeout=statement_timeout,
+            idle_timeout=idle_timeout,
+            close_database=close_database,
+        )
         self.host = host
         self.port = port
-        self.statement_timeout = statement_timeout
-        self.idle_timeout = idle_timeout
-        self.batch_rows = max(1, batch_rows)
-        self.authenticator = authenticator or OpenAuthenticator()
-        self._close_database = close_database
-        self._handshake_timeout = handshake_timeout
-        self._reap_interval = reap_interval
         self.admission = AdmissionController(
             max_connections,
             queue_limit=admission_queue,
             queue_timeout=admission_timeout,
         )
-        #: in-flight statement accounting; closed+drained by shutdown
-        self.gate = DrainGate()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=max_connections + 4,
             thread_name_prefix="repro-stmt",
         )
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._reaper_thread: threading.Thread | None = None
         self._connections: dict[socket.socket, ClientSession] = {}
         self._handlers: list[threading.Thread] = []
         self._conn_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._stopped = threading.Event()
-        self._shutdown_lock = threading.Lock()
         self._started = False
-        # telemetry
-        self.statements_total = 0
-        self.timeouts_total = 0
-        self.reaped_total = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -159,98 +127,42 @@ class Server:
             target=self._accept_loop, name="repro-accept", daemon=True
         )
         self._accept_thread.start()
-        if self.idle_timeout is not None:
-            self._reaper_thread = threading.Thread(
+        if self.core.reap_interval is not None:
+            threading.Thread(
                 target=self._reap_loop, name="repro-reaper", daemon=True
-            )
-            self._reaper_thread.start()
+            ).start()
         return self
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
+    def _stop_accepting(self) -> None:
+        self.admission.close()
+        if self._listener is not None:
+            _quietly_close(self._listener)
 
-    def __enter__(self) -> "Server":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, traceback) -> bool:
-        self.shutdown()
-        return False
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes (signal-handler friendly)."""
-        if not self._started:
-            self.start()
-        self._stopped.wait()
-
-    def shutdown(self, timeout: float | None = 30.0) -> dict:
-        """Audited graceful shutdown; idempotent and thread-safe.
-
-        Ordering is the durability contract: (1) stop accepting and shed
-        queued admissions, (2) refuse new statements, (3) drain in-flight
-        statements, (4) drain the async trigger pipeline so every
-        journaled intent commits, (5) close client connections, (6) close
-        the database — trigger pipeline then audit journal. Returns a
-        stats dict describing what was drained.
-        """
-        with self._shutdown_lock:
-            if self._stopped.is_set():
-                return self._shutdown_stats(drained=True)
-            self._stopping.set()
-            self.admission.close()
-            if self._listener is not None:
-                _quietly_close(self._listener)
-            self.gate.close()
-            drained = self.gate.drain(timeout)
-            self.database.drain_triggers()
-            with self._conn_lock:
-                sockets = list(self._connections)
-            for sock in sockets:
-                _say_goodbye(sock, "server shutdown")
-            accept = self._accept_thread
-            if accept is not None and accept is not threading.current_thread():
-                accept.join(timeout=5.0)
-            with self._conn_lock:
-                handlers = list(self._handlers)
-            for handler in handlers:
-                if handler is not threading.current_thread():
-                    handler.join(timeout=5.0)
-            self._executor.shutdown(wait=False)
-            if self._close_database:
-                self.database.close()
-            self._stopped.set()
-            return self._shutdown_stats(drained=drained)
-
-    def _shutdown_stats(self, drained: bool) -> dict:
-        return {
-            "drained": drained,
-            "statements_total": self.statements_total,
-            "timeouts_total": self.timeouts_total,
-            "reaped_total": self.reaped_total,
-            "admission": self.admission.stats(),
-        }
-
-    def stats(self) -> dict:
-        """Live serving counters (tests and operators)."""
+    def _close_connections(self) -> None:
         with self._conn_lock:
-            connections = len(self._connections)
-        return {
-            "connections": connections,
-            "in_flight": self.gate.active,
-            "statements_total": self.statements_total,
-            "timeouts_total": self.timeouts_total,
-            "reaped_total": self.reaped_total,
-            "admission": self.admission.stats(),
-        }
+            sockets = list(self._connections)
+        for sock in sockets:
+            _say_goodbye(sock, "server shutdown")
+        accept = self._accept_thread
+        if accept is not None and accept is not threading.current_thread():
+            accept.join(timeout=5.0)
+        with self._conn_lock:
+            handlers = list(self._handlers)
+        for handler in handlers:
+            if handler is not threading.current_thread():
+                handler.join(timeout=5.0)
+        self._executor.shutdown(wait=False)
+
+    def _connection_count(self) -> int:
+        with self._conn_lock:
+            return len(self._connections)
 
     # ------------------------------------------------------------------
     # accept / reap threads
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
-        while not self._stopping.is_set():
+        while not self.core.stopping.is_set():
             try:
                 sock, addr = self._listener.accept()
             except OSError:
@@ -270,19 +182,18 @@ class Server:
             handler.start()
 
     def _reap_loop(self) -> None:
-        while not self._stopping.is_set():
-            self._stopping.wait(self._reap_interval)
-            if self._stopping.is_set():
-                return
-            assert self.idle_timeout is not None
+        while not self.core.stopping.wait(self.core.reap_interval):
             with self._conn_lock:
                 victims = [
                     sock
                     for sock, session in self._connections.items()
-                    if session.idle_for() > self.idle_timeout
+                    if self.core.reapable(session)
                 ]
+                for sock in victims:
+                    # ended: not reaped twice, nor said goodbye to twice
+                    del self._connections[sock]
             for sock in victims:
-                self.reaped_total += 1
+                self.core.count("reaped_total")
                 _say_goodbye(sock, "idle timeout")
 
     # ------------------------------------------------------------------
@@ -307,7 +218,10 @@ class Server:
                 self.admission.release()
         except (ConnectionClosedError, OSError):
             pass  # peer vanished; nothing to tell it
-        except ProtocolError as error:
+        except ProtocolError as error:  # an unreadable stream
+            _quietly_send(sock, protocol.error_frame(error))
+        except Exception as error:  # noqa: BLE001 — a bug must not go silent
+            _log.exception("connection %s failed", peer)
             _quietly_send(sock, protocol.error_frame(error))
         finally:
             if session is not None:
@@ -321,195 +235,74 @@ class Server:
     def _handshake(
         self, sock: socket.socket, peer: str
     ) -> ClientSession | None:
-        sock.settimeout(self._handshake_timeout)
+        sock.settimeout(HANDSHAKE_TIMEOUT)
         try:
             frame = protocol.recv_frame(sock)
         except socket.timeout:
-            _quietly_send(
-                sock,
-                protocol.error_frame(
-                    ProtocolError("handshake timed out waiting for hello")
-                ),
-            )
+            _quietly_send(sock, HANDSHAKE_TIMED_OUT)
             return None
         finally:
             sock.settimeout(None)
         if frame is None:
             return None
-        if frame.get("type") != "hello":
-            raise ProtocolError(
-                f"expected a hello frame, got {frame.get('type')!r}"
-            )
-        if frame.get("protocol") != protocol.PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"unsupported protocol version {frame.get('protocol')!r} "
-                f"(server speaks {protocol.PROTOCOL_VERSION})"
-            )
-        try:
-            user = self.authenticator.authenticate(
-                frame.get("user", ""), frame.get("password")
-            )
-        except AuthenticationError as error:
-            _quietly_send(sock, protocol.error_frame(error))
-            return None
-        session = ClientSession(user_id=user, peer=peer)
-        protocol.send_frame(
-            sock,
-            {
-                "type": "hello_ok",
-                "server": "repro",
-                "protocol": protocol.PROTOCOL_VERSION,
-                "session": session.session_id,
-            },
-        )
+        session, reply = self.core.hello(frame, peer)
+        protocol.send_frame(sock, reply)
         return session
 
     def _frame_loop(self, sock: socket.socket, session: ClientSession) -> None:
+        core = self.core
         while True:
             frame = protocol.recv_frame(sock)
             if frame is None:
                 return
             session.touch()
             kind = frame.get("type")
-            if kind == "execute":
-                self._handle_execute(sock, session, frame)
-                session.touch()
-            elif kind == "set_user":
-                self._handle_set_user(sock, session, frame)
-            elif kind == "health":
-                self._handle_health(sock)
-            elif kind == "ping":
-                protocol.send_frame(sock, {"type": "pong"})
-            elif kind == "intent":
-                self._handle_intent(sock, session, frame)
-            elif kind == "subscribe":
-                self._handle_subscribe(sock, frame)
-                return  # a subscribed connection is a one-way stream
-            elif kind == "quit":
-                _say_goodbye(sock, "client quit")
-                return
-            else:
-                protocol.send_frame(
-                    sock,
-                    protocol.error_frame(
-                        ProtocolError(f"unknown frame type {kind!r}")
-                    ),
-                )
+            try:
+                if kind == "execute":
+                    self._execute(sock, session, frame)
+                elif kind == "subscribe":
+                    reply, stream = core.subscribe(session, frame)
+                    protocol.send_frame(sock, reply)
+                    if stream is not None:
+                        # a subscribed connection is a one-way stream
+                        self._stream_journal(sock, stream)
+                        return
+                elif kind == "intent":
+                    protocol.send_frame(sock, core.intent(frame))
+                else:
+                    reply = core.control(session, frame)
+                    protocol.send_frame(sock, reply)
+                    if reply["type"] == "goodbye":
+                        return
+            except ProtocolError as error:
+                protocol.send_frame(sock, protocol.error_frame(error))
 
-    def _handle_health(self, sock: socket.socket) -> None:
-        """Answer a ``health`` frame: trail damage + cluster breaker state.
-
-        ``cluster`` is null on a single-node server; over a
-        :class:`~repro.cluster.ClusterDatabase` it carries the
-        ``cluster_health()`` snapshot (per-shard circuit states,
-        degraded-read / retry / deadline counters, stale replicas), so
-        remote operators can distinguish "gaps because the journal
-        hiccuped" from "gaps because shard 2 is quarantined".
-        """
-        cluster_health = getattr(self.database, "cluster_health", None)
-        protocol.send_frame(
-            sock,
-            {
-                "type": "health",
-                "audit_trail": self.database.audit_trail_health(),
-                "cluster": (
-                    cluster_health() if callable(cluster_health) else None
-                ),
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # replication frames (DESIGN.md §13)
-
-    def _handle_intent(
+    def _execute(
         self, sock: socket.socket, session: ClientSession, frame: dict
     ) -> None:
-        """A replica hands a firing to this (primary) server.
-
-        The intent is journaled and fired under the *original* session's
-        attribution (the replica forwards the sql/user it computed the
-        ACCESSED set under), so the primary's audit log is identical to
-        the single-node log for the same statement stream.
-        """
+        sql, parameters = self.core.decode_execute(frame)
+        future = self._executor.submit(self.core.run, session, sql, parameters)
         try:
-            accessed = protocol.decode_accessed(frame.get("accessed") or {})
-        except ReproError as error:
-            protocol.send_frame(sock, protocol.error_frame(error))
-            return
-        sql_text = frame.get("sql", "")
-        user_id = frame.get("user", "")
-        try:
-            with self.gate.entered():
-                seq = self.database.apply_forwarded_intent(
-                    accessed, sql_text, user_id
-                )
-        except GateClosedError:
-            protocol.send_frame(
-                sock,
-                protocol.error_frame(
-                    ServerShutdownError(
-                        "server is draining for shutdown; intent refused"
-                    )
-                ),
-            )
-            return
+            result = future.result(timeout=self.core.statement_timeout)
         except Exception as error:  # noqa: BLE001 — typed frame
-            protocol.send_frame(sock, protocol.error_frame(error))
+            protocol.send_frame(sock, self.core.failure_frame(error))
             return
-        protocol.send_frame(sock, {"type": "intent_ok", "seq": seq})
+        for reply in self.core.reply_frames(result):
+            protocol.send_frame(sock, reply)
+        session.touch()
 
-    def _handle_subscribe(self, sock: socket.socket, frame: dict) -> None:
-        """Turn this connection into a one-way journal stream."""
-        journal = getattr(self.database, "journal", None)
-        if journal is None:
-            protocol.send_frame(
-                sock,
-                protocol.error_frame(
-                    DurabilityError(
-                        "no audit journal attached; nothing to stream"
-                    )
-                ),
-            )
-            return
-        try:
-            from_seq = int(frame.get("from_seq") or 0)
-        except (TypeError, ValueError):
-            protocol.send_frame(
-                sock,
-                protocol.error_frame(
-                    ProtocolError("subscribe from_seq is not an integer")
-                ),
-            )
-            return
-        protocol.send_frame(
-            sock, {"type": "subscribe_ok", "next_seq": journal.next_seq}
-        )
-        cursor = JournalCursor(journal.path, from_seq=from_seq)
-        last_beat = time.monotonic()
-        while not self._stopping.is_set():
-            records = cursor.poll()
-            if records:
-                protocol.send_frame(sock, {
-                    "type": "journal",
-                    "records": [
-                        {"seq": r.seq, "kind": r.kind, "data": r.data}
-                        for r in records
-                    ],
-                    "primary_seq": journal.next_seq,
-                })
-                last_beat = time.monotonic()
-                continue
-            if time.monotonic() - last_beat >= DEFAULT_HEARTBEAT_INTERVAL:
-                # idle heartbeat keeps the replica's lag metric honest
-                protocol.send_frame(sock, {
-                    "type": "journal",
-                    "records": [],
-                    "primary_seq": journal.next_seq,
-                })
-                last_beat = time.monotonic()
+    def _stream_journal(
+        self, sock: socket.socket, stream: JournalStream
+    ) -> None:
+        while not self.core.stopping.is_set():
+            frame = stream.next_frame()
+            if frame is not None:
+                protocol.send_frame(sock, frame)
+                if frame["records"]:
+                    continue
             # idle: watch the socket so a departing subscriber is
             # noticed promptly (readable + empty recv = EOF)
-            readable, _, _ = select.select([sock], [], [], 0.02)
+            readable, _, _ = select.select([sock], [], [], SUBSCRIBE_POLL)
             if readable:
                 try:
                     if not sock.recv(1, socket.MSG_PEEK):
@@ -517,158 +310,30 @@ class Server:
                 except OSError:
                     return
 
-    # ------------------------------------------------------------------
-    # statements
-
-    def _handle_execute(
-        self, sock: socket.socket, session: ClientSession, frame: dict
-    ) -> None:
-        sql = frame.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            protocol.send_frame(
-                sock,
-                protocol.error_frame(
-                    ProtocolError("execute frame carries no sql")
-                ),
-            )
-            return
-        raw_parameters = frame.get("parameters") or None
-        parameters = None
-        if raw_parameters is not None:
-            parameters = {
-                name: protocol.decode_value(value)
-                for name, value in raw_parameters.items()
-            }
-        future = self._executor.submit(
-            self._run_statement, session, sql, parameters
-        )
-        try:
-            result = future.result(timeout=self.statement_timeout)
-        except concurrent.futures.TimeoutError:
-            # the statement is NOT killed: Python offers no safe thread
-            # preemption, and killing it would strand a journaled intent
-            # without its firing. Results are withheld; audit runs on.
-            self.timeouts_total += 1
-            protocol.send_frame(
-                sock,
-                protocol.error_frame(
-                    StatementTimeoutError(
-                        f"statement exceeded {self.statement_timeout:.3f}s "
-                        "(it completes in the background; its audit "
-                        "records are preserved)"
-                    )
-                ),
-            )
-            return
-        except GateClosedError:
-            protocol.send_frame(
-                sock,
-                protocol.error_frame(
-                    ServerShutdownError(
-                        "server is draining for shutdown; statement refused"
-                    )
-                ),
-            )
-            return
-        except ReproError as error:
-            protocol.send_frame(sock, protocol.error_frame(error))
-            return
-        except Exception as error:  # noqa: BLE001 — typed frame, not a dead conn
-            protocol.send_frame(sock, protocol.error_frame(error))
-            return
-        self.statements_total += 1
-        self._stream_result(sock, result)
-
-    def _run_statement(
-        self,
-        session: ClientSession,
-        sql: str,
-        parameters: dict[str, object] | None,
-    ) -> "QueryResult":
-        """Executor-thread body: gate, impersonate, execute."""
-        with self.gate.entered():
-            session.statements += 1
-            # the override pins this executor thread's identity to the
-            # connection for the duration of the statement — including
-            # the ACCESSED capture the async pipeline snapshots — so a
-            # shared engine still attributes per-connection
-            with self.database.session.override(sql, session.user_id):
-                return self.database.execute(sql, parameters)
-
-    def _stream_result(self, sock: socket.socket, result: "QueryResult") -> None:
-        rows = result.rows
-        for start in range(0, len(rows), self.batch_rows):
-            protocol.send_frame(
-                sock,
-                {
-                    "type": "rows",
-                    "rows": [
-                        protocol.encode_row(row)
-                        for row in rows[start:start + self.batch_rows]
-                    ],
-                },
-            )
-        done = {
-            "type": "done",
-            "columns": list(result.columns),
-            "rowcount": result.rowcount,
-            "accessed": protocol.encode_accessed(result.accessed),
-        }
-        if getattr(self.database, "replicate_statements", False):
-            # read-your-writes token: a replica that has applied every
-            # journal record below this seq has seen this statement
-            token = self.database.replication_token()
-            if token is not None:
-                done["token"] = token
-        protocol.send_frame(sock, done)
-
-    def _handle_set_user(
-        self, sock: socket.socket, session: ClientSession, frame: dict
-    ) -> None:
-        try:
-            user = self.authenticator.authenticate(
-                frame.get("user", ""), frame.get("password")
-            )
-        except AuthenticationError as error:
-            protocol.send_frame(sock, protocol.error_frame(error))
-            return
-        session.user_id = user
-        protocol.send_frame(sock, {"type": "ok", "user": user})
-
 
 # ----------------------------------------------------------------------
 # socket helpers (best-effort: the peer may already be gone)
 
 def _quietly_send(sock: socket.socket, frame: dict) -> None:
-    try:
+    with contextlib.suppress(OSError):
         protocol.send_frame(sock, frame)
-    except OSError:
-        pass
 
 
 def _say_goodbye(sock: socket.socket, reason: str) -> None:
-    _quietly_send(sock, {"type": "goodbye", "reason": reason})
-    try:
+    _quietly_send(sock, goodbye_frame(reason))
+    with contextlib.suppress(OSError):
         sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
 
 
 def _quietly_close(sock: socket.socket) -> None:
-    try:
+    with contextlib.suppress(OSError):
         sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
+    with contextlib.suppress(OSError):
         sock.close()
-    except OSError:
-        pass
 
 
 __all__ = [
     "Server",
-    "DEFAULT_BATCH_ROWS",
-    "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_MAX_CONNECTIONS",
     "DEFAULT_ADMISSION_QUEUE",
 ]

@@ -1,12 +1,11 @@
 """Tests for the asyncio serving front end (``repro.server.aserver``).
 
-The contract under test: :class:`AsyncServer` is protocol-equivalent to
-the threaded :class:`Server` — the same blocking ``Connection`` works
-unchanged, typed errors re-raise, attribution is per-connection — while
-changing the concurrency shape: idle connections do not consume threads,
-statements run on a bounded worker pool, admission sheds with a
-machine-readable ``retry_after``, and graceful shutdown still ends with
-zero uncommitted intents.
+The protocol and session behaviour both front ends share is one suite
+in ``tests/test_server.py``, run against each. This module keeps what is
+particular to the asyncio concurrency shape: idle connections do not
+consume threads, statements run on a bounded worker pool, admission
+sheds with a machine-readable ``retry_after``, and graceful shutdown
+still ends with zero uncommitted intents.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ import pytest
 from repro.database import Database
 from repro.durability.journal import scan_journal
 from repro.durability.recovery import uncommitted_intents
-from repro.errors import (
-    AccessDeniedError,
-    CatalogError,
-    ServerOverloadedError,
-    StatementTimeoutError,
-)
+from repro.errors import AccessDeniedError, ServerOverloadedError
 from repro.server import AsyncServer, Connection
 
 INIT_SQL = """
@@ -55,26 +49,6 @@ def log_rows(db: Database) -> list[tuple]:
 
 
 class TestRoundTrip:
-    def test_select_rows_and_accessed(self) -> None:
-        with AsyncServer(make_db()) as server:
-            with Connection(server.host, server.port, user_id="alice") as c:
-                result = c.execute(
-                    "SELECT name FROM patients WHERE pid <= 3 ORDER BY pid"
-                )
-                assert result.rows == [("P1",), ("P2",), ("P3",)]
-                assert result.accessed == {"aud": frozenset({1, 2, 3})}
-
-    def test_typed_errors_reraise(self) -> None:
-        with AsyncServer(make_db()) as server:
-            with Connection(server.host, server.port) as c:
-                with pytest.raises(CatalogError):
-                    c.execute("SELECT * FROM missing")
-                # the connection survives a failed statement
-                assert c.ping()
-                assert c.execute("SELECT COUNT(*) FROM patients").rows == [
-                    (N_PATIENTS,)
-                ]
-
     def test_attribution_per_connection(self) -> None:
         db = make_db()
         with AsyncServer(db, close_database=False) as server:
@@ -143,35 +117,6 @@ class TestConcurrencyShape:
             assert second.ping()
             second.close()
 
-    def test_statement_timeout_preserves_audit_evidence(self) -> None:
-        db = make_db()
-        original = db.execute
-
-        def slow_execute(sql, parameters=None):
-            if "pid = 5" in sql:
-                time.sleep(0.4)
-            return original(sql, parameters)
-
-        db.execute = slow_execute
-        with AsyncServer(
-            db, statement_timeout=0.1, close_database=False
-        ) as server:
-            with Connection(server.host, server.port, user_id="slowpoke") as c:
-                with pytest.raises(StatementTimeoutError):
-                    c.execute("SELECT * FROM patients WHERE pid = 5")
-                # the connection survives; fast statements still serve
-                assert c.execute("SELECT 1").scalar() == 1
-            # the timed-out statement ran to completion in the
-            # background: a timeout withholds results, not evidence
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if ("slowpoke", 5) in log_rows(db):
-                    break
-                time.sleep(0.02)
-        assert ("slowpoke", 5) in log_rows(db)
-        assert server.stats()["timeouts_total"] == 1
-        db.close()
-
     def test_before_deny_refuses_over_the_wire(self) -> None:
         db = make_db()
         db.execute(
@@ -201,8 +146,3 @@ class TestShutdown:
         result = scan_journal(tmp_path / "journal")
         assert result.records
         assert not uncommitted_intents(tmp_path / "journal")
-
-    def test_shutdown_is_idempotent(self) -> None:
-        server = AsyncServer(make_db()).start()
-        assert server.shutdown()["drained"]
-        assert server.shutdown()["drained"]

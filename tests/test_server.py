@@ -3,8 +3,13 @@
 Covers the wire protocol codec, authenticated sessions and per-connection
 audit attribution, admission control and load shedding, statement
 timeouts, idle reaping, audited graceful shutdown (zero uncommitted
-intents), ``Database.close()`` signal-path safety, and a kill -9-style
-crash of a real server subprocess followed by journal recovery.
+intents), malformed and replication frames byte for byte,
+``Database.close()`` signal-path safety, and a kill -9-style crash of a
+real server subprocess followed by journal recovery.
+
+Every protocol and session class derives from :class:`FrontendSuite`
+and has an ``...Async`` twin at the end of the module, so the same tests
+run against the threaded and the asyncio front end.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.errors import (
     SqlSyntaxError,
     StatementTimeoutError,
 )
-from repro.server import Connection, Server, StaticAuthenticator
+from repro.server import AsyncServer, Connection, Server, StaticAuthenticator
 from repro.server import protocol
 
 INIT_SQL = """
@@ -62,6 +67,23 @@ def make_db(**kwargs) -> Database:
 def log_rows(db: Database) -> list[tuple]:
     db.drain_triggers()
     return sorted(db.execute("SELECT uid, pid FROM log").rows)
+
+
+FRONTENDS = {"threaded": Server, "async": AsyncServer}
+
+
+class FrontendSuite:
+    """Protocol and session behaviour both front ends must share.
+
+    Each subclass runs against the threaded server; its ``...Async``
+    twin at the end of this module runs the same tests against the
+    asyncio server.
+    """
+
+    frontend = "threaded"
+
+    def serve(self, db: Database, **kwargs):
+        return FRONTENDS[self.frontend](db, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +153,10 @@ class TestProtocol:
 # sessions, execution, typed errors
 
 
-class TestServing:
+class TestServing(FrontendSuite):
     def test_execute_rows_accessed_and_columns(self):
         db = make_db()
-        with db.serve() as server:
+        with self.serve(db) as server:
             with Connection(
                 server.host, server.port, user_id="dr_house"
             ) as conn:
@@ -149,14 +171,14 @@ class TestServing:
 
     def test_row_batching_streams_large_results(self):
         db = make_db()
-        with db.serve(batch_rows=5) as server:
+        with self.serve(db, batch_rows=5) as server:
             with Connection(server.host, server.port, user_id="u") as conn:
                 result = conn.execute("SELECT pid FROM patients ORDER BY pid")
         assert result.column(0) == list(range(1, N_PATIENTS + 1))
 
     def test_parameters_round_trip(self):
         db = make_db()
-        with db.serve() as server:
+        with self.serve(db) as server:
             with Connection(server.host, server.port, user_id="u") as conn:
                 result = conn.execute(
                     "SELECT name FROM patients WHERE pid = :pid",
@@ -166,7 +188,7 @@ class TestServing:
 
     def test_engine_errors_are_reraised_by_class(self):
         db = make_db()
-        with db.serve() as server:
+        with self.serve(db) as server:
             with Connection(server.host, server.port, user_id="u") as conn:
                 with pytest.raises(SqlSyntaxError):
                     conn.execute("SELEKT 1")
@@ -180,7 +202,7 @@ class TestServing:
             "IF ((SELECT COUNT(*) FROM accessed) > 3) "
             "DENY 'bulk export denied'"
         )
-        with db.serve(close_database=False) as server:
+        with self.serve(db, close_database=False) as server:
             with Connection(server.host, server.port, user_id="u") as conn:
                 small = conn.execute("SELECT * FROM patients WHERE pid = 1")
                 assert len(small.rows) == 1
@@ -191,7 +213,7 @@ class TestServing:
 
     def test_dml_and_ddl_over_the_wire(self):
         db = make_db()
-        with db.serve(close_database=False) as server:
+        with self.serve(db, close_database=False) as server:
             with Connection(server.host, server.port, user_id="writer") as conn:
                 conn.execute("CREATE TABLE notes (id INT PRIMARY KEY, t VARCHAR)")
                 result = conn.execute(
@@ -202,7 +224,7 @@ class TestServing:
 
     def test_session_user_reported_by_user_id_function(self):
         db = make_db()
-        with db.serve(close_database=False) as server:
+        with self.serve(db, close_database=False) as server:
             with Connection(server.host, server.port, user_id="carol") as conn:
                 assert conn.execute("SELECT user_id()").scalar() == "carol"
                 conn.set_user("mallory")
@@ -212,16 +234,16 @@ class TestServing:
 
     def test_ping(self):
         db = make_db()
-        with db.serve() as server:
+        with self.serve(db) as server:
             with Connection(server.host, server.port, user_id="u") as conn:
                 assert conn.ping() is True
 
 
-class TestAuthentication:
+class TestAuthentication(FrontendSuite):
     def test_static_authenticator_accepts_and_rejects(self):
         db = make_db()
         auth = StaticAuthenticator({"alice": "s3cret"})
-        with db.serve(authenticator=auth) as server:
+        with self.serve(db, authenticator=auth) as server:
             with Connection(
                 server.host, server.port, user_id="alice", password="s3cret"
             ) as conn:
@@ -237,7 +259,7 @@ class TestAuthentication:
     def test_set_user_reauthenticates(self):
         db = make_db()
         auth = StaticAuthenticator({"alice": "a", "bob": "b"})
-        with db.serve(authenticator=auth) as server:
+        with self.serve(db, authenticator=auth) as server:
             with Connection(
                 server.host, server.port, user_id="alice", password="a"
             ) as conn:
@@ -249,7 +271,7 @@ class TestAuthentication:
 
     def test_empty_user_rejected_by_open_authenticator(self):
         db = make_db()
-        with db.serve() as server:
+        with self.serve(db) as server:
             with pytest.raises(AuthenticationError):
                 Connection(server.host, server.port, user_id="")
 
@@ -258,7 +280,7 @@ class TestAuthentication:
 # multi-client attribution (the point of the subsystem)
 
 
-class TestAttribution:
+class TestAttribution(FrontendSuite):
     def test_concurrent_clients_attribute_per_connection(self):
         """N threads, distinct users: every audit row names the right user."""
         db = make_db()
@@ -266,7 +288,7 @@ class TestAttribution:
         per_user_pid = {user: i + 1 for i, user in enumerate(users)}
         errors: list = []
 
-        with db.serve(close_database=False) as server:
+        with self.serve(db, close_database=False) as server:
             def client(user: str) -> None:
                 try:
                     with Connection(
@@ -315,7 +337,7 @@ class TestAttribution:
         db = make_db()
         db.trigger_mode = "async"
         errors: list = []
-        with db.serve(max_connections=16, close_database=False) as server:
+        with self.serve(db, max_connections=16, close_database=False) as server:
             def client(user: str, sqls: list[str]) -> None:
                 try:
                     with Connection(
@@ -353,18 +375,18 @@ class TestAttribution:
 # admission control / backpressure
 
 
-class TestAdmission:
+class TestAdmission(FrontendSuite):
     def test_overloaded_connection_is_shed_with_typed_error(self):
         db = make_db()
-        with db.serve(max_connections=1, admission_queue=0) as server:
+        with self.serve(db, max_connections=1, admission_queue=0) as server:
             with Connection(server.host, server.port, user_id="first"):
                 with pytest.raises(ServerOverloadedError):
                     Connection(server.host, server.port, user_id="second")
 
     def test_queue_wait_timeout_sheds(self):
         db = make_db()
-        with db.serve(
-            max_connections=1, admission_queue=1, admission_timeout=0.15
+        with self.serve(
+            db, max_connections=1, admission_queue=1, admission_timeout=0.15
         ) as server:
             with Connection(server.host, server.port, user_id="first"):
                 started = time.monotonic()
@@ -374,8 +396,8 @@ class TestAdmission:
 
     def test_queued_connection_admitted_when_slot_frees(self):
         db = make_db()
-        with db.serve(
-            max_connections=1, admission_queue=1, admission_timeout=5.0
+        with self.serve(
+            db, max_connections=1, admission_queue=1, admission_timeout=5.0
         ) as server:
             first = Connection(server.host, server.port, user_id="first")
             timer = threading.Timer(0.1, first.close)
@@ -396,7 +418,7 @@ class TestAdmission:
 # timeouts and idle reaping
 
 
-class TestTimeouts:
+class TestTimeouts(FrontendSuite):
     def test_statement_timeout_is_typed_and_audit_still_lands(self):
         db = make_db()
         original = db.execute
@@ -407,8 +429,8 @@ class TestTimeouts:
             return original(sql, parameters)
 
         db.execute = slow_execute
-        with db.serve(
-            statement_timeout=0.1, close_database=False
+        with self.serve(
+            db, statement_timeout=0.1, close_database=False
         ) as server:
             with Connection(server.host, server.port, user_id="slowpoke") as conn:
                 with pytest.raises(StatementTimeoutError):
@@ -427,9 +449,7 @@ class TestTimeouts:
 
     def test_idle_connection_is_reaped(self):
         db = make_db()
-        with db.serve(
-            idle_timeout=0.15, reap_interval=0.05
-        ) as server:
+        with self.serve(db, idle_timeout=0.15) as server:
             conn = Connection(server.host, server.port, user_id="u")
             assert conn.execute("SELECT 1").scalar() == 1
             deadline = time.monotonic() + 5.0
@@ -442,7 +462,7 @@ class TestTimeouts:
 
     def test_active_connection_is_not_reaped(self):
         db = make_db()
-        with db.serve(idle_timeout=0.3, reap_interval=0.05) as server:
+        with self.serve(db, idle_timeout=0.3) as server:
             with Connection(server.host, server.port, user_id="u") as conn:
                 for _ in range(10):
                     assert conn.execute("SELECT 1").scalar() == 1
@@ -454,12 +474,12 @@ class TestTimeouts:
 # graceful shutdown (audited)
 
 
-class TestShutdown:
+class TestShutdown(FrontendSuite):
     def test_shutdown_under_load_loses_no_journaled_intents(self, tmp_path):
         journal_dir = tmp_path / "journal"
         db = make_db(journal_path=str(journal_dir), journal_fsync="always")
         db.trigger_mode = "async"
-        server = db.serve(max_connections=8).start()
+        server = self.serve(db, max_connections=8).start()
         stop = threading.Event()
         completed: list[int] = []
         errors: list = []
@@ -500,17 +520,150 @@ class TestShutdown:
 
     def test_shutdown_is_idempotent_and_reentrant(self):
         db = make_db()
-        server = db.serve().start()
+        server = self.serve(db).start()
         first = server.shutdown()
         second = server.shutdown()
         assert first["drained"] and second["drained"]
 
     def test_new_connections_refused_after_shutdown(self):
         db = make_db()
-        server = db.serve().start()
+        server = self.serve(db).start()
         server.shutdown()
         with pytest.raises(ConnectionClosedError):
             Connection(server.host, server.port, user_id="late")
+
+
+# ----------------------------------------------------------------------
+# malformed frames and replication frames, byte for byte
+
+
+def raw_session(server, user: str = "raw") -> socket.socket:
+    sock = socket.create_connection((server.host, server.port), timeout=5.0)
+    protocol.send_frame(sock, {
+        "type": "hello",
+        "protocol": protocol.PROTOCOL_VERSION,
+        "user": user,
+        "password": None,
+    })
+    assert protocol.recv_frame(sock)["type"] == "hello_ok"
+    return sock
+
+
+def assert_serves(sock: socket.socket) -> None:
+    protocol.send_frame(sock, {"type": "ping"})
+    assert protocol.recv_frame(sock) == {"type": "pong"}
+
+
+MALFORMED = {
+    "parameters-list": (
+        {"type": "execute", "sql": "SELECT 1", "parameters": [1]},
+        "parameters",
+    ),
+    "parameter-bad-date": (
+        {"type": "execute", "sql": "SELECT :d",
+         "parameters": {"d": {"$id": "date", "v": "notadate"}}},
+        "parameters",
+    ),
+    "parameter-unknown-tag": (
+        {"type": "execute", "sql": "SELECT :d",
+         "parameters": {"d": {"$id": "bogus"}}},
+        "parameters",
+    ),
+    "intent-accessed-list": (
+        {"type": "intent", "accessed": [1, 2], "sql": "SELECT 1",
+         "user": "replica"},
+        "accessed",
+    ),
+}
+
+
+class TestMalformedFrames(FrontendSuite):
+    @pytest.mark.parametrize(
+        "frame, field", list(MALFORMED.values()), ids=list(MALFORMED)
+    )
+    def test_malformed_payload_is_answered_and_connection_serves_on(
+        self, frame, field
+    ):
+        with self.serve(make_db()) as server:
+            sock = raw_session(server)
+            try:
+                protocol.send_frame(sock, frame)
+                reply = protocol.recv_frame(sock)
+                assert reply["type"] == "error"
+                assert reply["code"] == "ProtocolError"
+                assert field in reply["message"]
+                assert_serves(sock)
+            finally:
+                sock.close()
+
+    def test_unexpected_failure_ends_connection_with_error_frame(
+        self, monkeypatch
+    ):
+        with self.serve(make_db()) as server:
+            def boom(session, frame):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(server.core, "control", boom)
+            sock = raw_session(server)
+            try:
+                protocol.send_frame(sock, {"type": "ping"})
+                reply = protocol.recv_frame(sock)
+                assert reply["type"] == "error"
+                assert "boom" in reply["message"]
+                assert protocol.recv_frame(sock) is None  # closed, not hung
+            finally:
+                sock.close()
+
+
+class TestReplicationFrames(FrontendSuite):
+    def test_subscriber_is_never_reaped_beside_a_reaped_connection(
+        self, tmp_path
+    ):
+        db = make_db(journal_path=str(tmp_path / "journal"))
+        db.replicate_statements = True
+        with self.serve(db, idle_timeout=0.3) as server:
+            idle = raw_session(server)
+            stream = raw_session(server, "replica")
+            try:
+                protocol.send_frame(stream, {
+                    "type": "subscribe", "from_seq": db.journal.next_seq,
+                })
+                assert protocol.recv_frame(stream)["type"] == "subscribe_ok"
+                assert protocol.recv_frame(idle) == {
+                    "type": "goodbye", "reason": "idle timeout",
+                }
+                # two idle heartbeats span well over 3x idle_timeout
+                for _ in range(2):
+                    frame = protocol.recv_frame(stream)
+                    assert frame["type"] == "journal"
+                    assert frame["records"] == []
+                assert server.stats()["reaped_total"] == 1
+            finally:
+                idle.close()
+                stream.close()
+
+    def test_failed_subscribe_keeps_the_connection(self):
+        with self.serve(make_db()) as server:
+            sock = raw_session(server)
+            try:
+                protocol.send_frame(sock, {"type": "subscribe", "from_seq": 0})
+                reply = protocol.recv_frame(sock)
+                assert reply["type"] == "error"
+                assert reply["code"] == "DurabilityError"
+                assert_serves(sock)
+            finally:
+                sock.close()
+            assert server.stats()["subscriptions_total"] == 0
+
+    def test_forwarded_intent_fires_and_is_counted(self):
+        db = make_db()
+        with self.serve(db, close_database=False) as server:
+            with Connection(server.host, server.port, user_id="r") as conn:
+                conn.forward_intent(
+                    {"aud": frozenset({3})}, "SELECT * FROM patients", "dr_x"
+                )
+            assert server.stats()["intents_forwarded_total"] == 1
+        assert log_rows(db) == [("dr_x", 3)]
 
 
 # ----------------------------------------------------------------------
@@ -720,3 +873,38 @@ class TestCrashRecovery:
         assert process.wait(timeout=60) == 0
         # graceful: every journaled intent committed before exit
         assert uncommitted_intents(journal_dir) == []
+
+# ----------------------------------------------------------------------
+# the same suite against the asyncio front end
+
+
+class TestServingAsync(TestServing):
+    frontend = "async"
+
+
+class TestAuthenticationAsync(TestAuthentication):
+    frontend = "async"
+
+
+class TestAttributionAsync(TestAttribution):
+    frontend = "async"
+
+
+class TestAdmissionAsync(TestAdmission):
+    frontend = "async"
+
+
+class TestTimeoutsAsync(TestTimeouts):
+    frontend = "async"
+
+
+class TestShutdownAsync(TestShutdown):
+    frontend = "async"
+
+
+class TestMalformedFramesAsync(TestMalformedFrames):
+    frontend = "async"
+
+
+class TestReplicationFramesAsync(TestReplicationFrames):
+    frontend = "async"
