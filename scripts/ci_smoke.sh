@@ -12,6 +12,14 @@ echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
 echo
+echo "== statement-template differential (hypothesis 'ci' profile) =="
+# the shape memo lets a plan-cache hit skip the lexer; that is sound only
+# while a memoized skeleton means the same lift decision the tokens would
+# give, which this differential checks on generated adversarial texts
+PYTHONPATH=src python -m pytest -q tests/test_statement_template.py \
+    --hypothesis-profile=ci
+
+echo
 echo "== e2e benchmark: its own tests, then one traced workload =="
 # the run's gate checks armed == unarmed rows and micro-join ACCESSED ==
 # offline_audit; the traced pass goes through the staged driver, the one

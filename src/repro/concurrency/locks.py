@@ -20,7 +20,6 @@ queue behind it, so a stream of short SELECTs cannot starve DML.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 
 class ReadWriteLock:
@@ -33,6 +32,8 @@ class ReadWriteLock:
         self._writer: int | None = None
         self._writer_nesting = 0
         self._writers_waiting = 0
+        self._read = _Side(self, self.acquire_read, self.release_read)
+        self._write = _Side(self, self.acquire_write, self.release_write)
 
     # ------------------------------------------------------------------
     # read side
@@ -60,7 +61,9 @@ class ReadWriteLock:
                 self._readers[me] = nesting - 1
                 return
             del self._readers[me]
-            self._condition.notify_all()
+            # only writers wait for readers to leave
+            if self._writers_waiting and not self._readers:
+                self._condition.notify_all()
 
     # ------------------------------------------------------------------
     # write side
@@ -80,6 +83,10 @@ class ReadWriteLock:
             try:
                 while self._writer is not None or self._readers:
                     self._condition.wait()
+            except BaseException:
+                # readers queued behind this writer must not wait for it
+                self._condition.notify_all()
+                raise
             finally:
                 self._writers_waiting -= 1
             self._writer = me
@@ -98,21 +105,13 @@ class ReadWriteLock:
     # ------------------------------------------------------------------
     # context managers and introspection
 
-    @contextmanager
-    def read(self):
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
+    def read(self) -> _Side:
+        """``with lock.read():`` holds the read side for the block."""
+        return self._read
 
-    @contextmanager
-    def write(self):
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()
+    def write(self) -> _Side:
+        """``with lock.write():`` holds the write side for the block."""
+        return self._write
 
     def held_read(self) -> bool:
         """True when the calling thread holds the read side."""
@@ -123,6 +122,26 @@ class ReadWriteLock:
         """True when the calling thread holds the write side."""
         with self._condition:
             return self._writer == threading.get_ident()
+
+
+class _Side:
+    """One side of a :class:`ReadWriteLock` as a context manager. It keeps
+    no state (the lock counts holders per thread), so one instance per
+    side serves every ``with`` on every thread."""
+
+    __slots__ = ("_lock", "_acquire", "_release")
+
+    def __init__(self, lock, acquire, release) -> None:
+        self._lock = lock
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> ReadWriteLock:
+        self._acquire()
+        return self._lock
+
+    def __exit__(self, *exc_info) -> None:
+        self._release()
 
 
 __all__ = ["ReadWriteLock"]

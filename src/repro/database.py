@@ -615,10 +615,15 @@ class Database:
         this primary's DDL), so the no-AFTER-trigger check lives here,
         against the authoritative catalog: with nothing armed, a
         single-node run would neither journal nor fire, and neither
-        does the forwarded intent.
+        does the forwarded intent. An intent holding an ID that an armed
+        audit expression's sensitive column cannot store raises and
+        journals nothing; names that would not fire here are ignored.
         """
         if not self.trigger_manager.has_select_triggers("after"):
             return None
+        # refused before it is journaled: an intent that failed only when
+        # it fired would stay in the journal without its commit
+        self.trigger_manager.check_select_triggers(accessed, "after")
         with self.session.override(sql_text, user_id):
             seq = self._journal_intent(accessed)
             self._fire_accessed(accessed, timing="after")

@@ -9,9 +9,12 @@ carries the offset of its first character.
 One compiled pattern recognizes the next token at each offset; only
 quoted strings, quoted identifiers and block comments are finished by
 hand, so their unterminated forms report the offset where they start.
-A statement that inlines a ``column = literal`` value is tokenized on a
-plan-cache hit too — its statement template is computed from the tokens
-— so this loop is on the hot path of a point lookup.
+A plan-cache hit does not tokenize: :mod:`repro.sql.template` finds a
+statement's template with a token-free scan and a memo of statement
+shapes. This loop runs when a statement is parsed (a plan-cache miss,
+and every non-SELECT) and when the memo meets a new shape; on a
+``point_cold`` lookup it was ≈15 of the ≈20 µs the template pass took
+while every hit still tokenized.
 """
 
 from __future__ import annotations

@@ -860,7 +860,12 @@ def literal_value(token: Token) -> object:
     """The value of a NUMBER or STRING token, as a literal carries it."""
     if token.kind == STRING:
         return token.value
-    text = token.value
+    return number_value(token.value)
+
+
+def number_value(text: str) -> object:
+    """The value of a NUMBER lexeme: a float with a point or exponent,
+    else an int."""
     if "." in text or "e" in text or "E" in text:
         return float(text)
     return int(text)

@@ -17,6 +17,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.catalog.schema import Column, TableSchema
+from repro.datatypes.values import coerce_value
 from repro.errors import AccessDeniedError, TriggerError
 from repro.storage.table import RowChange, Table
 from repro.triggers.definitions import DmlTrigger, SelectTrigger
@@ -96,13 +97,28 @@ class TriggerManager:
     ) -> None:
         """Run the actions of matching triggers with the given timing
         (through ``firing``: the cluster coordinator passes its own)."""
+        for trigger, audit_name, ids in self._armed(accessed, timing):
+            (firing or self.firing).run(trigger, audit_name, ids)
+
+    def check_select_triggers(
+        self, accessed: dict[str, set], timing: str = "after"
+    ) -> None:
+        """Raise what :meth:`fire_select_triggers` would raise on
+        ``accessed`` before any action runs: an ID the ``accessed``
+        relation of an armed audit expression cannot store. Names that
+        would not fire (no IDs, no trigger of ``timing``, or unknown
+        here) are ignored, as firing ignores them."""
+        for _, audit_name, ids in self._armed(accessed, timing):
+            self.firing.check(audit_name, ids)
+
+    def _armed(self, accessed: dict[str, set], timing: str):
+        """(trigger, audit name, IDs) of each action firing would run."""
         for audit_name, ids in accessed.items():
             if not ids:
                 continue
             for trigger in self.select_triggers_for(audit_name):
-                if trigger.timing != timing:
-                    continue
-                (firing or self.firing).run(trigger, audit_name, ids)
+                if trigger.timing == timing:
+                    yield trigger, audit_name, ids
 
     # ------------------------------------------------------------------
     # DML trigger firing (row-level AFTER)
@@ -210,10 +226,21 @@ class SelectFiring:
             for table in tables:
                 table.truncate()  # no IDs held between firings
 
-    def _tables(self, audit_name: str, count: int) -> list[Table]:
+    def check(self, audit_name: str, ids) -> None:
+        """Raise if the ``accessed`` relation of ``audit_name`` cannot
+        store one of ``ids``, as :meth:`run` would."""
+        data_type = self._id_column(audit_name).data_type
+        for value in ids:
+            coerce_value(value, data_type)
+
+    def _id_column(self, audit_name: str) -> Column:
+        """The sensitive column the IDs of ``audit_name`` are keys of."""
         expression = self._engine.audit_manager.expression(audit_name)
-        column = self._engine.catalog.table(expression.sensitive_table) \
+        return self._engine.catalog.table(expression.sensitive_table) \
             .schema.column(expression.partition_by)
+
+    def _tables(self, audit_name: str, count: int) -> list[Table]:
+        column = self._id_column(audit_name)
         schema = TableSchema(
             "accessed", (Column(column.name, column.data_type),)
         )

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import Database
 from repro.tpch import load_tpch
+
+#: ``pytest --hypothesis-profile=ci``: ten times the default example
+#: budget for properties that leave ``max_examples`` to the profile
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

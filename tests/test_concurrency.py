@@ -116,6 +116,28 @@ class TestReadWriteLock:
         with pytest.raises(RuntimeError, match="release_write"):
             lock.release_write()
 
+    def test_blocked_writer_wakes_when_the_reader_releases(self):
+        """Only writers wait for readers to leave, so a read release
+        wakes the condition only then, and must wake them."""
+        lock = ReadWriteLock()
+        acquired = threading.Event()
+
+        def writer():
+            with lock.write():
+                acquired.set()
+
+        with lock.read():
+            thread = threading.Thread(target=writer, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 5
+            while not lock._writers_waiting:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            assert not acquired.is_set()
+        assert acquired.wait(timeout=5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
     def test_writer_preference_blocks_new_readers(self):
         """Once a writer waits, a *new* reader queues behind it even
         though a reader currently holds the lock (no writer starvation)."""

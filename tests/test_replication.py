@@ -26,6 +26,7 @@ from repro.durability.journal import AuditJournal, JournalCursor, scan_journal
 from repro.errors import (
     AccessDeniedError,
     AuditUnavailableError,
+    ExecutionError,
     JournalCorruptionError,
     ReadOnlyReplicaError,
     ReplicationError,
@@ -758,3 +759,46 @@ class TestCatalogLagForwarding:
             assert primary.journal.next_seq == head
         finally:
             primary.close()
+
+    def test_bad_intent_is_refused_before_it_is_journaled(
+        self, tmp_path
+    ) -> None:
+        # an intent that failed only when it fired used to be journaled
+        # first, leaving an intent without its commit for recovery
+        primary = make_primary(tmp_path)
+        head = primary.journal.next_seq
+        try:
+            with pytest.raises(ExecutionError, match="cannot store 'zz'"):
+                primary.apply_forwarded_intent(
+                    {"aud": frozenset({"zz"})}, "SELECT 1", "r"
+                )
+            assert primary.journal.next_seq == head
+            assert log_rows(primary) == []
+        finally:
+            primary.close()
+        fresh = Database(user_id="admin")
+        fresh.execute_script(SCHEMA)
+        report = fresh.recover(tmp_path / "journal")
+        assert (report.intents, report.uncommitted) == (0, 0)
+        assert report.skipped_unknown == 0
+
+    def test_names_that_would_not_fire_are_not_checked(
+        self, tmp_path
+    ) -> None:
+        # a lagging replica may still name an expression the primary has
+        # dropped; firing ignores it, so the check must too, and the
+        # armed expression beside it still journals and logs
+        primary = make_primary(tmp_path)
+        try:
+            seq = primary.apply_forwarded_intent(
+                {"gone": frozenset({3}), "aud": frozenset({6})},
+                "SELECT 1", "r",
+            )
+            assert seq is not None
+            assert log_rows(primary) == [("r", 6)]
+        finally:
+            primary.close()
+        fresh = Database(user_id="admin")
+        fresh.execute_script(SCHEMA)
+        report = fresh.recover(tmp_path / "journal")
+        assert (report.intents, report.uncommitted) == (1, 0)

@@ -665,6 +665,31 @@ class TestReplicationFrames(FrontendSuite):
             assert server.stats()["intents_forwarded_total"] == 1
         assert log_rows(db) == [("dr_x", 3)]
 
+    def test_bad_intent_is_refused_and_the_connection_serves_on(
+        self, tmp_path
+    ):
+        journal_dir = tmp_path / "journal"
+        db = make_db(journal_path=str(journal_dir))
+        head = db.journal.next_seq
+        with self.serve(db, close_database=False) as server:
+            sock = raw_session(server, "replica")
+            try:
+                protocol.send_frame(sock, {
+                    "type": "intent", "accessed": {"aud": ["zz"]},
+                    "sql": "SELECT * FROM patients", "user": "dr_x",
+                })
+                reply = protocol.recv_frame(sock)
+                assert reply["type"] == "error"
+                assert reply["code"] == "ExecutionError"
+                assert_serves(sock)
+            finally:
+                sock.close()
+            assert server.stats()["intents_forwarded_total"] == 0
+        assert db.journal.next_seq == head  # nothing journaled
+        assert log_rows(db) == []
+        db.close()
+        assert uncommitted_intents(journal_dir) == []
+
 
 # ----------------------------------------------------------------------
 # Database.close(): signal-handler path safety (satellite)
