@@ -8,11 +8,13 @@ Standalone usage (CI smoke runs this)::
 
     PYTHONPATH=src python benchmarks/bench_offline_lineage.py [--quick]
 
-Both write ``benchmarks/results/BENCH_offline.json`` — a machine-readable
-record of the TPC-H offline-audit timings under the three strategies
-(lineage / serial deletion / pooled deletion), the deletion runs each
-avoided or performed, the worker count, and proof that all three agree on
-the accessed-ID set (the lineage engine is exact, not approximate).
+The full run writes ``benchmarks/results/BENCH_offline.json`` — a
+machine-readable record of the TPC-H offline-audit timings under the
+three strategies (lineage / serial deletion / pooled deletion), the
+deletion runs each avoided or performed, the worker count, and proof
+that all three agree on the accessed-ID set (the lineage engine is
+exact, not approximate).
+``--quick`` checks the agreement only and writes nothing.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ def run(repeats: int) -> dict:
     )
 
     fixture = BenchmarkFixture()
-    results = offline_lineage_benchmark(
+    return offline_lineage_benchmark(
         fixture, repeats=repeats, workers=DEFAULT_WORKERS
     )
+
+
+def write(results: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     RESULT_FILE.write_text(json.dumps(results, indent=2, default=str) + "\n")
-    return results
+    print(f"  written to {RESULT_FILE}")
 
 
 def _summarize(results: dict) -> str:
@@ -56,7 +61,6 @@ def _summarize(results: dict) -> str:
             f"runs avoided {entry['deletion_runs_avoided']}, "
             f"accessed sets equal: {entry['accessed_sets_equal']}"
         )
-    lines.append(f"  written to {RESULT_FILE}")
     return "\n".join(lines)
 
 
@@ -66,6 +70,7 @@ def test_report_offline_lineage():
     results = run(DEFAULT_REPEATS)
     print()
     print(_summarize(results))
+    write(results)
     for entry in results["queries"].values():
         # the lineage strategy is exact: all three strategies agree
         assert entry["accessed_sets_equal"]
@@ -83,9 +88,11 @@ def test_report_offline_lineage():
 def main(argv: list[str]) -> int:
     from repro.bench.offline import DEFAULT_REPEATS, QUICK_REPEATS
 
-    repeats = QUICK_REPEATS if "--quick" in argv else DEFAULT_REPEATS
-    results = run(repeats)
+    quick = "--quick" in argv
+    results = run(QUICK_REPEATS if quick else DEFAULT_REPEATS)
     print(_summarize(results))
+    if not quick:
+        write(results)
     failures = [
         name
         for name, entry in results["queries"].items()

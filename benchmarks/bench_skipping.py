@@ -8,13 +8,13 @@ Standalone usage (CI smoke runs this)::
 
     PYTHONPATH=src python benchmarks/bench_skipping.py [--quick]
 
-Both write ``benchmarks/results/BENCH_skipping.json`` — scan-under-audit
-and end-to-end times plus probe counts at several sensitive
-selectivities, with the ``skipping`` knob on vs off, in online and
-offline audit modes. Every timing is gated on the conservative-skip
+The full run writes ``benchmarks/results/BENCH_skipping.json`` —
+scan-under-audit and end-to-end times plus probe counts at several
+sensitive selectivities, with the ``skipping`` knob on vs off, in online
+and offline audit modes. Every timing is gated on the conservative-skip
 differential: ACCESSED sets and offline-audit verdicts must be identical
-under both knob settings (``--quick`` runs a smaller scale factor and
-checks only the differential, not the speedup floor).
+under both knob settings (``--quick`` runs a smaller scale factor,
+checks only the differential, not the speedup floor, and writes nothing).
 """
 
 from __future__ import annotations
@@ -30,10 +30,13 @@ RESULT_FILE = RESULTS_DIR / "BENCH_skipping.json"
 def run(scale_factor: float, repeats: int) -> dict:
     from repro.bench.skipping import skipping_benchmark
 
-    results = skipping_benchmark(scale_factor=scale_factor, repeats=repeats)
+    return skipping_benchmark(scale_factor=scale_factor, repeats=repeats)
+
+
+def write(results: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     RESULT_FILE.write_text(json.dumps(results, indent=2, default=str) + "\n")
-    return results
+    print(f"  written to {RESULT_FILE}")
 
 
 def _summarize(results: dict) -> str:
@@ -54,7 +57,6 @@ def _summarize(results: dict) -> str:
             f"accessed equal: {entry['accessed_equal']}, "
             f"verdicts equal: {entry['offline_verdicts_equal']}"
         )
-    lines.append(f"  written to {RESULT_FILE}")
     return "\n".join(lines)
 
 
@@ -71,6 +73,7 @@ def test_report_skipping():
     results = run(DEFAULT_SCALE_FACTOR, DEFAULT_REPEATS)
     print()
     print(_summarize(results))
+    write(results)
     assert _differential_ok(results)
     for entry in results["selectivities"].values():
         # skipping never probes more than the full pass
@@ -102,6 +105,8 @@ def main(argv: list[str]) -> int:
         QUICK_REPEATS if quick else DEFAULT_REPEATS,
     )
     print(_summarize(results))
+    if not quick:
+        write(results)
     if not _differential_ok(results):
         print("FAIL: skipping on/off diverged (ACCESSED or verdicts)")
         return 1

@@ -1,71 +1,15 @@
-"""Cluster scatter-gather benchmark: shard-count sweep on TPC-H customer.
+"""The cluster_scan workload's schema and statements.
 
-Loads the SF ≥ 0.1 customer table into a :class:`ClusterDatabase` at
-each shard count, installs the §V audit expression (which repartitions
-customer on ``c_custkey``) plus a SELECT trigger, and measures aggregate
-qps over a scan-heavy **armed** workload — every query's ACCESSED set is
-non-empty, so each execution pays the full audit pipeline: per-shard
-probe, gathered ACCESSED union, trigger firing.
-
-Two invariants gate every timing:
-
-* **zero lost firings** — each configuration fires the trigger exactly
-  once per workload query, and every query's ACCESSED set equals the
-  1-shard baseline's;
-* **result parity** — each query's result multiset matches the baseline.
-
-A pure-Python 1-CPU harness cannot show real scan parallelism (the GIL
-serializes fragment compute), so the benchmark models per-shard storage
-latency with the coordinator's ``simulated_io_us_per_row`` knob: each
-fragment sleeps ``µs × (partitioned rows stored on its shard)`` before
-executing, releasing the GIL — N-way sharding divides the stall by ~N
-and overlaps the remainder, exactly the speedup a multi-node deployment
-gets from scanning partitions concurrently. The knob's value is recorded
-in the result JSON; compute-only times (knob = 0) are reported alongside.
-
-A final **slow-shard** section measures fault-tolerant tail latency: one
-shard's scatter site hangs for seconds per fragment while the
-coordinator runs with a sub-second ``shard_deadline`` and fail-open
-degraded reads. The recorded p99 must stay under deadline-plus-slack —
-queries pay the deadline, never the hang — and the breaker quarantines
-the hung shard so steady-state queries stop paying even that.
+``benchmarks/e2e/wl_cluster_scan.py`` loads TPC-H customer under
+:data:`CUSTOMER_DDL`, arms :data:`AUDIT_NAME` over the :data:`SEGMENT`
+market segment (which repartitions customer on ``c_custkey``), and runs
+:data:`WORKLOAD` on a sharded cluster and a single-node twin.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-from repro.cluster import ClusterDatabase
-from repro.tpch.datagen import TpchGenerator
-from repro.tpch.queries import audit_expression_sql
-
-DEFAULT_SCALE_FACTOR = max(
-    0.1, float(os.environ.get("REPRO_BENCH_SF", "0.1"))
-)
-QUICK_SCALE_FACTOR = 0.02
-
-DEFAULT_REPEATS = 5
-QUICK_REPEATS = 2
-
-SHARD_COUNTS = (1, 2, 4, 8)
-QUICK_SHARD_COUNTS = (1, 2)
-
 AUDIT_NAME = "audit_customer"
 SEGMENT = "BUILDING"
-
-#: simulated per-row storage latency (µs); ~300 ms of modeled scan I/O
-#: per fragment at SF 0.1 single-shard
-IO_US_PER_ROW = 20.0
-
-#: slow-shard section: one shard hangs for this long per fragment...
-SLOW_SHARD_HANG_S = 5.0
-#: ...and the coordinator's per-fragment deadline caps the damage here
-SLOW_SHARD_DEADLINE_S = 0.25
-#: p99 acceptance bound: deadline + scheduling/cancellation slack —
-#: far below the hang, which is what "bounded tail latency" means
-SLOW_SHARD_P99_BOUND_S = SLOW_SHARD_DEADLINE_S + 0.5
-SLOW_SHARD_COUNT = 4
 
 #: scan-heavy armed workload: every query reads the whole customer
 #: partition on every shard and touches BUILDING customers (the
@@ -104,188 +48,4 @@ CREATE TABLE customer (
 """
 
 
-def _build_cluster(
-    shards: int, scale_factor: float, **cluster_kwargs
-) -> ClusterDatabase:
-    cluster = ClusterDatabase(shards=shards, **cluster_kwargs)
-    cluster.execute(CUSTOMER_DDL)
-    generator = TpchGenerator(scale_factor, seed=42)
-    cluster.bulk_load("customer", generator.customer_rows())
-    cluster.execute("ANALYZE")
-    # repartitions customer on c_custkey across the shards
-    cluster.execute(audit_expression_sql(AUDIT_NAME, SEGMENT))
-    cluster.execute(
-        f"CREATE TRIGGER fired ON ACCESS TO {AUDIT_NAME} AS NOTIFY 'hit'"
-    )
-    return cluster
-
-
-def _run_workload(cluster: ClusterDatabase) -> list:
-    """One pass over the workload; returns per-query results."""
-    return [cluster.execute(sql) for _, sql in WORKLOAD]
-
-
-def cluster_benchmark(
-    scale_factor: float = DEFAULT_SCALE_FACTOR,
-    repeats: int = DEFAULT_REPEATS,
-    shard_counts: tuple[int, ...] = SHARD_COUNTS,
-) -> dict:
-    results: dict = {
-        "benchmark": "cluster",
-        "scale_factor": scale_factor,
-        "repeats": repeats,
-        "io_us_per_row": IO_US_PER_ROW,
-        "workload": {name: sql for name, sql in WORKLOAD},
-        "shards": {},
-    }
-    baseline_rows: list | None = None
-    baseline_accessed: list | None = None
-    baseline_qps: float | None = None
-    for shards in shard_counts:
-        cluster = _build_cluster(shards, scale_factor)
-        try:
-            customer_rows = sum(
-                len(shard.catalog.table("customer"))
-                for shard in cluster.shards
-            )
-            results["customer_rows"] = customer_rows
-            partition_sizes = [
-                len(shard.catalog.table("customer"))
-                for shard in cluster.shards
-            ]
-            # correctness pass (no stall): parity + firing accounting
-            fired_before = len(cluster.notifications)
-            outcomes = _run_workload(cluster)
-            fired = len(cluster.notifications) - fired_before
-            rows = [sorted(r.rows_list(), key=repr) for r in outcomes]
-            accessed = [r.accessed for r in outcomes]
-            if baseline_rows is None:
-                baseline_rows = rows
-                baseline_accessed = accessed
-            assert rows == baseline_rows, "result parity broken"
-            assert accessed == baseline_accessed, "ACCESSED parity broken"
-            assert fired == len(WORKLOAD), (
-                f"lost firings: {fired} != {len(WORKLOAD)}"
-            )
-            # compute-only timing (GIL-bound; expected flat across counts)
-            compute = _best_of(repeats, cluster)
-            # modeled-I/O timing: per-row stall, overlapping across shards
-            cluster.simulated_io_us_per_row = IO_US_PER_ROW
-            modeled = _best_of(repeats, cluster)
-            cluster.simulated_io_us_per_row = 0.0
-            qps = len(WORKLOAD) / modeled
-            if baseline_qps is None:
-                baseline_qps = qps
-            results["shards"][str(shards)] = {
-                "partition_rows": partition_sizes,
-                "compute_only_s": compute,
-                "modeled_io_s": modeled,
-                "qps": qps,
-                "speedup_vs_1shard": qps / baseline_qps,
-                "firings": fired,
-                "lost_firings": len(WORKLOAD) - fired,
-                "accessed_ids": sum(
-                    len(ids)
-                    for per_query in accessed
-                    for ids in per_query.values()
-                ),
-            }
-        finally:
-            cluster.close()
-    results["slow_shard"] = _slow_shard_section(scale_factor, repeats)
-    return results
-
-
-def _slow_shard_section(scale_factor: float, repeats: int) -> dict:
-    """Tail latency with one hung shard: deadline-capped, not hang-capped.
-
-    One shard's scatter site sleeps ``SLOW_SHARD_HANG_S`` per fragment;
-    the coordinator runs with ``shard_deadline`` and fail-open degraded
-    reads. The per-query p99 must stay under the deadline-plus-slack
-    bound — the whole point of the fault-tolerance layer — and after
-    ``quarantine_after`` misses the breaker opens and queries stop
-    paying even the deadline.
-    """
-    from repro.testing.faults import FaultInjector
-
-    victim = SLOW_SHARD_COUNT - 1
-    injector = FaultInjector()
-    cluster = _build_cluster(
-        SLOW_SHARD_COUNT,
-        scale_factor,
-        shard_fault_injectors={victim: injector},
-        shard_deadline=SLOW_SHARD_DEADLINE_S,
-        shard_retries=0,
-        audit_policy="fail_open",
-        degraded_reads=True,
-    )
-    try:
-        healthy = _per_query_latencies(repeats, cluster)
-        injector.arm_latency(
-            "shard-scatter", delay_s=SLOW_SHARD_HANG_S, repeat=True
-        )
-        degraded = _per_query_latencies(repeats, cluster)
-        health = cluster.cluster_health()
-        return {
-            "shards": SLOW_SHARD_COUNT,
-            "victim": victim,
-            "hang_s": SLOW_SHARD_HANG_S,
-            "deadline_s": SLOW_SHARD_DEADLINE_S,
-            "healthy_p50_ms": _quantile(healthy, 0.5) * 1e3,
-            "healthy_p99_ms": _quantile(healthy, 0.99) * 1e3,
-            "degraded_p50_ms": _quantile(degraded, 0.5) * 1e3,
-            "degraded_p99_ms": _quantile(degraded, 0.99) * 1e3,
-            "p99_bound_ms": SLOW_SHARD_P99_BOUND_S * 1e3,
-            "p99_bounded": _quantile(degraded, 0.99)
-            <= SLOW_SHARD_P99_BOUND_S,
-            "deadline_timeouts": health["deadline_timeouts"],
-            "degraded_reads": health["degraded_reads"],
-            "victim_state": health["shards"][victim]["state"],
-            "audit_gaps": len(cluster.cluster_gaps),
-        }
-    finally:
-        cluster.close()
-
-
-def _per_query_latencies(
-    repeats: int, cluster: ClusterDatabase
-) -> list[float]:
-    samples: list[float] = []
-    for _ in range(repeats):
-        for _, sql in WORKLOAD:
-            start = time.perf_counter()
-            cluster.execute(sql)
-            samples.append(time.perf_counter() - start)
-    return samples
-
-
-def _quantile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, int(round(q * len(ordered))) - 1))
-    return ordered[index]
-
-
-def _best_of(repeats: int, cluster: ClusterDatabase) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _run_workload(cluster)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-__all__ = [
-    "AUDIT_NAME",
-    "DEFAULT_REPEATS",
-    "DEFAULT_SCALE_FACTOR",
-    "IO_US_PER_ROW",
-    "QUICK_REPEATS",
-    "QUICK_SCALE_FACTOR",
-    "QUICK_SHARD_COUNTS",
-    "SHARD_COUNTS",
-    "SLOW_SHARD_DEADLINE_S",
-    "SLOW_SHARD_HANG_S",
-    "SLOW_SHARD_P99_BOUND_S",
-    "WORKLOAD",
-    "cluster_benchmark",
-]
+__all__ = ["AUDIT_NAME", "CUSTOMER_DDL", "SEGMENT", "WORKLOAD"]

@@ -574,48 +574,6 @@ def bloom_probe_ablation(fixture: BenchmarkFixture):
 
 
 # ---------------------------------------------------------------------------
-# Serving experiment: concurrent throughput, sync vs async triggers
-
-CONCURRENCY_HEADERS = (
-    "threads",
-    "unaudited_qps",
-    "sync_qps",
-    "async_qps",
-    "sync_p50_ms",
-    "async_p50_ms",
-)
-
-
-def concurrency_serving(total_requests: int = 48, rounds: int = 1):
-    """Multi-threaded serving throughput per trigger mode.
-
-    Unlike the figure drivers this one builds its own clinic-style
-    serving fixture (point queries over a small audited table) rather
-    than taking the TPC-H :class:`BenchmarkFixture` — the experiment
-    measures the engine's locking and trigger pipeline, not plan
-    execution. Full sweep + acceptance checks live in
-    ``benchmarks/bench_concurrency.py``.
-    """
-    from repro.bench.concurrency import concurrency_benchmark
-
-    results = concurrency_benchmark(
-        total_requests=total_requests, rounds=rounds
-    )
-    rows = []
-    for threads in results["thread_counts"]:
-        key = str(threads)
-        rows.append((
-            threads,
-            results["modes"]["unaudited"][key]["qps"],
-            results["modes"]["audited_sync"][key]["qps"],
-            results["modes"]["audited_async"][key]["qps"],
-            results["modes"]["audited_sync"][key]["p50_ms"],
-            results["modes"]["audited_async"][key]["p50_ms"],
-        ))
-    return CONCURRENCY_HEADERS, rows
-
-
-# ---------------------------------------------------------------------------
 # Ablation: offline auditor subplan caching
 
 OFFLINE_CACHE_HEADERS = ("query", "cached_ms", "uncached_ms", "speedup")

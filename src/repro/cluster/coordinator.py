@@ -371,19 +371,6 @@ class ClusterDatabase:
         #: version so attach/detach/reshard invalidates scatter plans
         self.plan_cache = PlanCache()
         self.skipping = True
-        #: per-fragment artificial stall (ms), slept on the worker thread
-        #: before the fragment runs — models per-shard I/O/compute time a
-        #: single-process harness cannot exhibit (GIL); recorded honestly
-        #: by the cluster benchmark
-        self.simulated_stall_ms = 0.0
-        #: simulated storage latency (µs) per partitioned-table row stored
-        #: on the fragment's shard. Models scan I/O proportional to the
-        #: partition size: N-way sharding divides each fragment's stall by
-        #: ~N and the sleeps overlap across worker threads (they release
-        #: the GIL), which is exactly the scatter-gather win a 1-CPU
-        #: Python harness cannot otherwise exhibit. Benchmarks that set
-        #: this record it in their JSON.
-        self.simulated_io_us_per_row = 0.0
         self._notifications: list[str] = []
         self._gather_key_lock = threading.Lock()
         self._gather_key = 0
@@ -1004,20 +991,6 @@ class ClusterDatabase:
         attempt_contexts: dict[int, list[ExecutionContext]] = {
             index: [] for index in live
         }
-        stall_s = self.simulated_stall_ms / 1000.0
-        io_us = self.simulated_io_us_per_row
-
-        def _fragment_stall(index: int) -> float:
-            total = stall_s
-            if io_us > 0:
-                catalog = shards[index].catalog
-                stored = sum(
-                    len(catalog.table(name))
-                    for name in self.topology.partitioned_tables()
-                    if catalog.has_table(name)
-                )
-                total += stored * io_us / 1e6
-            return total
 
         def run_fragment(
             index: int, token: CancellationToken | None = None
@@ -1039,10 +1012,6 @@ class ClusterDatabase:
                 attempt_contexts[index].append(context)
                 try:
                     shard.faults.fire("shard-scatter", cancel=token)
-                    fragment_stall = _fragment_stall(index)
-                    if fragment_stall > 0:
-                        # releases the GIL, like real I/O
-                        interruptible_sleep(fragment_stall, token)
                     with shard._engine_lock.read():
                         return collect_rows(
                             entry.fragment_physicals[index], context

@@ -75,9 +75,6 @@ class Topology:
     def partitioned(self, table: str) -> PartitionedTable | None:
         return self._partitioned.get(table.lower())
 
-    def partitioned_tables(self) -> dict[str, PartitionedTable]:
-        return dict(self._partitioned)
-
     def owner(self, table: str, value: object) -> int:
         """Owning shard for a row of ``table`` with partition key ``value``."""
         if not self.is_partitioned(table):

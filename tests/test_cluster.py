@@ -63,7 +63,8 @@ def _pair(shards: int = 3, rows: int = 24, **cluster_kwargs):
     return single, cluster
 
 
-def _assert_same(single, cluster, sql: str, ordered: bool = False) -> None:
+def _assert_same(single, cluster, sql: str, ordered: bool = False):
+    """Both engines agree on ``sql``; returns its ACCESSED sets."""
     lhs = single.execute(sql)
     rhs = cluster.execute(sql)
     if ordered:
@@ -74,6 +75,7 @@ def _assert_same(single, cluster, sql: str, ordered: bool = False) -> None:
         ), sql
     assert lhs.accessed == rhs.accessed, sql
     assert lhs.columns == rhs.columns, sql
+    return lhs.accessed
 
 
 QUERIES = [
@@ -115,11 +117,19 @@ def test_shard_count_invariance(shards: int) -> None:
     try:
         for db in (single, cluster):
             db.execute(LOG_TRIGGER)
+            db.execute("CREATE TRIGGER fired ON ACCESS TO sick AS "
+                       "NOTIFY 'hit'")
+        disclosing = 0
         for sql, ordered in QUERIES:
-            _assert_same(single, cluster, sql, ordered)
+            accessed = _assert_same(single, cluster, sql, ordered)
+            disclosing += any(accessed.values())
         # every disclosing query logged the same rows on both engines
         _assert_same(single, cluster, "SELECT uid, pid FROM audit_log")
         assert single.execute("SELECT COUNT(*) FROM audit_log").scalar() > 0
+        # zero lost firings: one NOTIFY per disclosing query, on both
+        assert disclosing > 0
+        assert len(cluster.notifications) == disclosing
+        assert len(single.notifications) == disclosing
     finally:
         single.close()
         cluster.close()

@@ -75,6 +75,16 @@ DISEASES = ("flu", "cold", "flu", "cough")
 
 ARMED = "SELECT pid, name FROM patients WHERE disease = 'flu' ORDER BY pid"
 
+#: armed workload: every query's ACCESSED set is non-empty, so every
+#: execution journals intents and fires the trigger
+WORKLOAD = (
+    ARMED,
+    "SELECT COUNT(*) FROM patients WHERE disease = 'flu'",
+    "SELECT disease, COUNT(*) FROM patients GROUP BY disease",
+    "SELECT pid FROM patients WHERE age > 21 AND disease = 'flu' "
+    "ORDER BY pid",
+)
+
 
 def _load(db, rows: int = 24) -> None:
     db.execute_script(SCHEMA)
@@ -311,21 +321,33 @@ def test_deterministic_errors_propagate_without_retry() -> None:
 
 
 def test_shard_deadline_bounds_a_hung_shard() -> None:
+    """A shard hanging 5 s per fragment costs a query the deadline,
+    never the hang: every query answers within deadline + 0.5 s, both
+    while the shard is suspect and after the breaker opens."""
+    bound = 0.2 + 0.5
     cluster, injector = _faulty_cluster(
         shard_deadline=0.2, shard_retries=0,
         audit_policy="fail_open", quarantine_after=3,
     )
+
+    def timed(sql: str):
+        started = time.monotonic()
+        result = cluster.execute(sql)
+        elapsed = time.monotonic() - started
+        assert elapsed <= bound, f"deadline did not bound the hang: {elapsed}"
+        return result
+
     try:
         injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
-        started = time.monotonic()
-        result = cluster.execute("SELECT COUNT(*) FROM patients")
-        elapsed = time.monotonic() - started
-        assert elapsed < 2.5, f"deadline did not bound the hang: {elapsed}"
+        result = timed("SELECT COUNT(*) FROM patients")
         assert result.rows_list()[0][0] < 24
         health = cluster.cluster_health()
         assert health["deadline_timeouts"] >= 1
         assert health["shards"][1]["state"] in (SUSPECT, QUARANTINED)
         assert "ShardTimeoutError" in str(health["shards"][1]["last_error"])
+        for _ in range(2):
+            for sql in WORKLOAD:
+                timed(sql)
     finally:
         cluster.close()
 
@@ -559,6 +581,116 @@ def test_rejoin_repairs_replicas_and_restores_parity(tmp_path) -> None:
     finally:
         cluster.close()
         single.close()
+
+
+def _sorted_rows(result) -> list:
+    return sorted(result.rows_list(), key=repr)
+
+
+def _log(db) -> list:
+    return sorted(db.execute("SELECT uid, pid FROM audit_log").rows_list())
+
+
+def _run_both(truth, cluster, user: str) -> list:
+    """One pass of :data:`WORKLOAD` on both engines under ``user``."""
+    outcomes = []
+    for sql in WORKLOAD:
+        truth.session.user_id = cluster.session.user_id = user
+        outcomes.append((truth.execute(sql), cluster.execute(sql)))
+    return outcomes
+
+
+def test_chaos_flaky_slow_dead_rejoin_differential(tmp_path) -> None:
+    """The armed workload through a fault-injected cluster and a single
+    node, phase by phase on shard 1: *flaky* — retries restore exact
+    parity and attribution; *slow* — a fail-closed twin never answers
+    partially, the fail-open cluster records one gap per degraded read;
+    *dead* — quarantine, owner DML refused, a gap per degraded query;
+    *rejoin* — replay invents no attribution, and full parity returns
+    with zero lost firings."""
+    truth = Database(clock=_CLOCK)
+    _load(truth)
+    truth.execute(TRIGGER)
+    injector = FaultInjector()
+    cluster = ClusterDatabase(
+        shards=3, clock=_CLOCK, shard_fault_injectors={1: injector},
+        shard_deadline=0.2, shard_retries=2, retry_backoff_base=0.005,
+        retry_backoff_cap=0.05, audit_policy="fail_open",
+        degraded_reads=True,
+    )
+    cluster.attach_journal(tmp_path)
+    _load(cluster)
+    cluster.execute(TRIGGER)
+    try:
+        # flaky: one transient failure per query
+        for sql in WORKLOAD:
+            injector.arm(
+                "shard-scatter", error=OSError("transient"),
+                at_hit=injector.hit_count("shard-scatter") + 1,
+            )
+            truth.session.user_id = cluster.session.user_id = "alice"
+            lhs, rhs = truth.execute(sql), cluster.execute(sql)
+            assert _sorted_rows(lhs) == _sorted_rows(rhs), sql
+            assert lhs.accessed == rhs.accessed, sql
+        health = cluster.cluster_health()
+        assert health["scatter_retries"] >= len(WORKLOAD)
+        assert health["quarantined"] == []
+        assert _log(truth) == _log(cluster)
+
+        # slow: the shard hangs far past the deadline
+        closed, closed_injector = _faulty_cluster(
+            shard_deadline=0.2, shard_retries=0, audit_policy="fail_closed",
+        )
+        closed.execute(TRIGGER)
+        closed_injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
+        try:
+            for sql in WORKLOAD:
+                with pytest.raises(ClusterDegradedError):
+                    closed.execute(sql)
+        finally:
+            closed.close()
+        injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
+        gaps = len(cluster.cluster_gaps)
+        degraded = sum(
+            _sorted_rows(lhs) != _sorted_rows(rhs)
+            for lhs, rhs in _run_both(truth, cluster, "bob")
+        )
+        assert len(cluster.cluster_gaps) - gaps == degraded
+        assert cluster.cluster_health()["deadline_timeouts"] >= 1
+
+        # dead
+        injector.disarm()
+        if not cluster.health.is_quarantined(1):
+            injector.arm("shard-scatter", error=CrashError("shard died"))
+            cluster.execute(WORKLOAD[0])
+        assert cluster.cluster_health()["quarantined"] == [1]
+        with pytest.raises(ClusterDegradedError):
+            cluster.execute(
+                f"INSERT INTO patients VALUES ({_key_owned_by(1)}, 'x', "
+                "'flu', 1, '11111')"
+            )
+        gaps = len(cluster.cluster_gaps)
+        for lhs, rhs in _run_both(truth, cluster, "carol"):
+            assert len(rhs.rows_list()) <= len(lhs.rows_list())
+        assert len(cluster.cluster_gaps) - gaps >= len(WORKLOAD)
+
+        # rejoin
+        recovery = cluster.rejoin_shard(1)
+        health = cluster.cluster_health()
+        assert health["quarantined"] == []
+        assert health["stale_replicas"] == []
+        assert recovery is not None and recovery.corrupt == 0
+        # replayed firings keep their original attribution
+        assert {row[0] for row in _log(cluster)} <= \
+            {row[0] for row in _log(truth)}
+        for lhs, rhs in _run_both(truth, cluster, "auditor"):
+            assert _sorted_rows(lhs) == _sorted_rows(rhs)
+            assert lhs.accessed == rhs.accessed
+        assert [row for row in _log(truth) if row[0] == "auditor"] == \
+            [row for row in _log(cluster) if row[0] == "auditor"]
+    finally:
+        cluster.close()
+        truth.close()
 
 
 def test_rejoin_replays_uncommitted_intent_with_original_user(

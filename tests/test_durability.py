@@ -3,8 +3,10 @@ semantics, and the fail_open / fail_closed degraded-mode policies."""
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import time
 import zlib
 
 import pytest
@@ -32,6 +34,8 @@ from repro.errors import (
     JournalCorruptionError,
 )
 from repro.testing import CrashError, FaultInjector
+
+from tests.test_concurrency import SERVE_QUERY, ServingFixture, request_mix
 
 
 # ---------------------------------------------------------------------------
@@ -796,3 +800,87 @@ class TestAuditLogIntegrity:
             warnings.simplefilter("error")  # any warning fails the test
             assert len(log.entries().rows) == 2
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# the journal on the serving path: its price per fsync policy, and one
+# crash -> recover cycle mid-workload
+
+
+class TestServingJournal:
+    @staticmethod
+    def _serve(fixture, requests: list[str]) -> float:
+        """Wall seconds to serve ``requests`` serially, GC off."""
+        db = fixture.database
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            for ward in requests:
+                db.execute(SERVE_QUERY, {"ward": ward})
+            return time.perf_counter() - started
+        finally:
+            gc.enable()
+
+    def test_two_appends_per_query_and_batch_within_2x(self, tmp_path):
+        """80 audited requests with no journal and under each fsync
+        policy, best of 3 interleaved rounds: every round logs every
+        disclosure, every journal holds exactly intent + commit per
+        query, and ``batch`` keeps at least half the no-journal
+        throughput."""
+        requests = request_mix(80)
+        rounds = 3
+        fixtures = {
+            policy: ServingFixture()
+            for policy in (None, "off", "batch", "always")
+        }
+        wall = dict.fromkeys(fixtures, float("inf"))
+        try:
+            for policy, fixture in fixtures.items():
+                if policy is not None:
+                    fixture.database.attach_journal(
+                        tmp_path / policy, fsync=policy
+                    )
+            for _ in range(rounds):
+                for policy, fixture in fixtures.items():
+                    fixture.audit_log.clear()
+                    wall[policy] = min(
+                        wall[policy], self._serve(fixture, requests)
+                    )
+                    assert fixture.log_rows() == \
+                        fixture.expected_rows(requests), policy
+            for policy, fixture in fixtures.items():
+                if policy is not None:
+                    assert fixture.database.journal.appended == \
+                        2 * rounds * len(requests), policy
+        finally:
+            for fixture in fixtures.values():
+                fixture.database.close()
+        assert wall["batch"] <= 2.0 * wall[None], wall
+
+    def test_crash_mid_workload_recovers_every_journaled_firing(
+        self, tmp_path
+    ):
+        """A crash at the 24th trigger action of 48 requests: the crashed
+        request's intent is journaled, its firing never completes, and a
+        fresh database's recovery lands exactly the expected rows."""
+        requests = request_mix(48)
+        fixture = ServingFixture()
+        db = fixture.database
+        db.faults = FaultInjector()
+        db.attach_journal(tmp_path, fsync="always")
+        db.faults.arm("trigger-action", at_hit=24, error=CrashError)
+        crashed = None
+        for index, ward in enumerate(requests):
+            try:
+                db.execute(SERVE_QUERY, {"ward": ward})
+            except CrashError:
+                crashed = index
+                break
+        assert crashed is not None
+        # abandoned: no drain, no close — only the journal survives
+        survivor = ServingFixture()
+        report = survivor.database.recover(tmp_path)
+        journaled = requests[:crashed + 1]
+        assert report.replayed == report.intents == len(journaled)
+        assert survivor.log_rows() == fixture.expected_rows(journaled)
+        survivor.database.close()

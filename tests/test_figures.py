@@ -88,10 +88,3 @@ class TestAblations:
         by_strategy = {row[0]: row for row in rows}
         assert by_strategy["trigger-filtered"][1] < \
             by_strategy["offline-everything"][1]
-
-    def test_concurrency_serving(self):
-        headers, rows = figures.concurrency_serving(total_requests=16)
-        assert headers == figures.CONCURRENCY_HEADERS
-        assert [row[0] for row in rows] == [1, 2, 4, 8]
-        for row in rows:
-            assert all(value > 0 for value in row[1:])

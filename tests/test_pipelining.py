@@ -13,9 +13,11 @@ neighbors.
 
 from __future__ import annotations
 
+import gc
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -183,6 +185,29 @@ class TestExecuteMany:
             assert [outcome.rows for outcome in outcomes] == [
                 [(f"v{k % 16}",)] for k in range(n)
             ]
+
+    def test_pipelined_batch_beats_one_at_a_time(self, server) -> None:
+        # 80 point SELECTs on one connection, one at a time and then as
+        # one pipelined batch (best of 5 rounds each): both serve every
+        # statement, and the asyncio front end, which runs consecutive
+        # pipelined statements in one worker-pool hop, takes at most
+        # half the time
+        batch = [f"SELECT v FROM items WHERE k = {k % 16}" for k in range(80)]
+        serial_s = batched_s = float("inf")
+        with Connection(server.host, server.port) as conn:
+            conn.execute("SELECT 1")  # warm both ends
+            for _ in range(5):
+                gc.collect()
+                started = time.perf_counter()
+                served = sum(len(conn.execute(sql).rows) for sql in batch)
+                serial_s = min(serial_s, time.perf_counter() - started)
+                started = time.perf_counter()
+                outcomes = conn.execute_many(batch)
+                batched_s = min(batched_s, time.perf_counter() - started)
+                assert served == len(batch)
+                assert sum(len(o.rows) for o in outcomes) == len(batch)
+        if isinstance(server, AsyncServer):
+            assert serial_s >= 2.0 * batched_s, (serial_s, batched_s)
 
 
 class TestExecuteManyWindow:

@@ -395,6 +395,19 @@ class TestFileReplica:
             assert lag["lag_records"] == 0
             assert not lag["stalled"]
             assert lag["records_applied"] > 0
+            # a burst of 120 writes: the replica falls behind, then
+            # catches up to lag zero without stalling
+            for k in range(120):
+                primary.execute(
+                    f"UPDATE patients SET age = {20 + k % 60} "
+                    f"WHERE pid = {k % 8 + 1}"
+                )
+            assert replica.wait_for(
+                primary.replication_token(), timeout=30.0
+            )
+            lag = replica.replication_lag()
+            assert lag["lag_records"] == 0
+            assert not lag["stalled"]
         finally:
             replica.close()
             primary.close()
@@ -458,6 +471,127 @@ class TestSocketReplica:
 
 
 # ----------------------------------------------------------------------
+# reads under a write stream: replicas keep serving
+
+
+READERS = 8
+SCALING_PATIENTS = 64
+
+
+def read_under_writes(
+    root, replica_count: int, pace_s: float,
+    reads: int | None = None, window_s: float | None = None,
+) -> tuple[int, bool]:
+    """On an unaudited journaling primary with 64 patients,
+    :data:`READERS` threads issue point SELECTs — ``reads`` in all, or
+    for ``window_s`` — round-robin over ``replica_count`` file-tailing
+    replicas (the primary itself when 0), while a writer streams range
+    UPDATEs into the primary every ``pace_s`` (0: back to back).
+    Returns the reads served and whether any replica stalled."""
+    primary = Database(user_id="admin", journal_path=root / "journal")
+    primary.replicate_statements = True
+    primary.execute("CREATE TABLE patients (pid INT PRIMARY KEY, "
+                    "name VARCHAR, age INT)")
+    primary.execute("INSERT INTO patients VALUES " + ", ".join(
+        f"({pid}, 'P{pid}', {20 + pid % 40})"
+        for pid in range(1, SCALING_PATIENTS + 1)
+    ))
+    replicas = [
+        ReplicaDatabase.from_journal(root / "journal")
+        for _ in range(replica_count)
+    ]
+
+    def primary_read(sql: str):
+        with primary.session.override(sql, "reader"):
+            return primary.execute(sql)
+
+    targets = [replica.execute for replica in replicas] or [primary_read]
+    stop = threading.Event()
+
+    def writer() -> None:
+        k = 0
+        while not stop.wait(pace_s):
+            low = k % SCALING_PATIENTS + 1
+            sql = (f"UPDATE patients SET name = 'W{k}' "
+                   f"WHERE pid >= {low} AND pid < {low + 16}")
+            with primary.session.override(sql, "writer"):
+                primary.execute(sql)
+            k += 1
+
+    served = [0] * READERS
+    errors: list[Exception] = []
+
+    def reader(index: int) -> None:
+        execute = targets[index % len(targets)]
+        n = index
+        try:
+            while (n < reads) if reads else \
+                    (time.perf_counter() < deadline):
+                execute(f"SELECT name FROM patients "
+                        f"WHERE pid = {n % SCALING_PATIENTS + 1}")
+                served[index] += 1
+                n += READERS
+        except Exception as error:  # noqa: BLE001 — re-raised below
+            errors.append(error)
+
+    threads = [threading.Thread(target=reader, args=(i,))
+               for i in range(READERS)]
+    writer_thread = threading.Thread(target=writer)
+    try:
+        token = primary.replication_token()
+        for replica in replicas:
+            assert replica.wait_for(token, timeout=30.0)
+        deadline = time.perf_counter() + (window_s or 0.0)
+        writer_thread.start()
+        for thread in threads:
+            thread.start()
+        if window_s:
+            # stop the writer at the deadline so readers blocked on the
+            # primary's lock can finish their statement and exit
+            time.sleep(max(0.0, deadline - time.perf_counter()))
+            stop.set()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "reader still running after 60 s"
+        stalled = any(replica.stalled for replica in replicas)
+    finally:
+        stop.set()
+        if writer_thread.is_alive():
+            writer_thread.join(timeout=60)
+        for replica in replicas:
+            replica.close()
+        primary.close()
+    if errors:
+        raise errors[0]
+    return sum(served), stalled
+
+
+class TestReadScaling:
+    @pytest.mark.parametrize("replica_count", [0, 1, 2, 4])
+    def test_paced_writes_drop_no_read(self, tmp_path, replica_count):
+        served, stalled = read_under_writes(
+            tmp_path, replica_count, pace_s=0.001, reads=800
+        )
+        assert served == 800
+        assert not stalled
+
+    def test_replicas_serve_2x_a_primary_starved_by_its_writer(
+        self, tmp_path
+    ):
+        """Under a back-to-back writer, the primary's writer-preferring
+        lock starves its own readers; two replicas keep serving, with at
+        least twice the reads in the same 0.6 s window."""
+        served = {}
+        for replica_count in (0, 2):
+            served[replica_count], stalled = read_under_writes(
+                tmp_path / str(replica_count), replica_count,
+                pace_s=0.0, window_s=0.6,
+            )
+            assert not stalled
+        assert served[2] >= 2 * served[0], served
+
+
+# ----------------------------------------------------------------------
 # the differential: replicas change nothing about the audit log
 
 
@@ -499,37 +633,44 @@ class TestAuditDifferential:
         expected = self.full_log(single)
         single.close()
 
-        # same stream, spread across the primary and two replicas
-        primary = make_primary(tmp_path)
-        replicas = [
-            ReplicaDatabase.from_journal(
-                tmp_path / "journal", primary=primary, name=f"replica{i}"
-            )
-            for i in range(2)
-        ]
-        try:
-            token = primary.replication_token()
-            for replica in replicas:
-                assert replica.wait_for(token, timeout=5.0)
-            for index, (user, sql) in enumerate(workload):
-                target = index % 3
-                if target == 0:
-                    with primary.session.override(sql, user):
-                        primary.execute(sql)
-                else:
-                    replicas[target - 1].execute(sql, user_id=user)
-            wait_until(lambda: self.full_log(primary) == expected)
-            # and each replica's own audit log converges to the same
-            token = primary.replication_token()
-            for replica in replicas:
-                assert replica.wait_for(token, timeout=5.0)
-                wait_until(lambda r=replica: sorted(r.database.execute(
-                    "SELECT uid, query, pid FROM log"
-                ).rows) == expected)
-        finally:
-            for replica in replicas:
-                replica.close()
-            primary.close()
+        # same stream, spread across the primary and two replicas, with
+        # the primary firing inline and then through its pipeline
+        for trigger_mode in ("sync", "async"):
+            root = tmp_path / trigger_mode
+            primary = make_primary(root)
+            primary.trigger_mode = trigger_mode
+            replicas = [
+                ReplicaDatabase.from_journal(
+                    root / "journal", primary=primary, name=f"replica{i}"
+                )
+                for i in range(2)
+            ]
+            try:
+                token = primary.replication_token()
+                for replica in replicas:
+                    assert replica.wait_for(token, timeout=5.0)
+                for index, (user, sql) in enumerate(workload):
+                    target = index % 3
+                    if target == 0:
+                        with primary.session.override(sql, user):
+                            primary.execute(sql)
+                    else:
+                        replicas[target - 1].execute(sql, user_id=user)
+                # forwarding is synchronous: once the primary drains,
+                # its log is complete
+                assert self.full_log(primary) == expected, trigger_mode
+                # and each replica's own audit log converges to the same
+                token = primary.replication_token()
+                for replica in replicas:
+                    assert replica.wait_for(token, timeout=5.0)
+                    wait_until(lambda r=replica: sorted(r.database.execute(
+                        "SELECT uid, query, pid FROM log"
+                    ).rows) == expected)
+                assert not any(replica.stalled for replica in replicas)
+            finally:
+                for replica in replicas:
+                    replica.close()
+                primary.close()
 
     def test_killing_a_replica_loses_zero_firings(self, tmp_path) -> None:
         primary = make_primary(tmp_path)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime
 import decimal
+import itertools
 import os
 import signal
 import socket
@@ -67,6 +68,39 @@ def make_db(**kwargs) -> Database:
 def log_rows(db: Database) -> list[tuple]:
     db.drain_triggers()
     return sorted(db.execute("SELECT uid, pid FROM log").rows)
+
+
+def point_queries(total: int) -> list[str]:
+    return [
+        f"SELECT name FROM patients WHERE pid = {index % N_PATIENTS + 1}"
+        for index in range(total)
+    ]
+
+
+def run_clients(workers) -> int:
+    """Run each ``(execute, statements)`` worker on its own thread;
+    returns how many statements came back with their one row, and
+    re-raises the first client error."""
+    answered: list[str] = []
+    errors: list[Exception] = []
+
+    def body(execute, statements) -> None:
+        try:
+            for sql in statements:
+                if len(execute(sql).rows) == 1:
+                    answered.append(sql)
+        except Exception as error:  # noqa: BLE001 — re-raised below
+            errors.append(error)
+
+    threads = [threading.Thread(target=body, args=work) for work in workers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "client still running after 60 s"
+    if errors:
+        raise errors[0]
+    return len(answered)
 
 
 FRONTENDS = {"threaded": Server, "async": AsyncServer}
@@ -370,12 +404,86 @@ class TestAttribution(FrontendSuite):
         )
         assert concurrent_rows == serial_rows
 
+    def test_client_counts_drop_no_request_and_no_firing(self):
+        """48 point queries dealt over 1, 4 and 16 clients, in process
+        and over this front end, with auditing on (async firing) and
+        off: every request is answered, and every disclosure — one per
+        query when on, none when off — reaches the log exactly once."""
+        statements = point_queries(48)
+        for armed in (False, True):
+            db = make_db()
+            db.audit_enabled = armed
+            db.trigger_mode = "async"
+
+            def in_process(user: str):
+                def execute(sql: str):
+                    with db.session.override(sql, user):
+                        return db.execute(sql)
+                return execute
+
+            with self.serve(
+                db, max_connections=20, close_database=False
+            ) as server:
+                for clients in (1, 4, 16):
+                    scripts = [statements[i::clients] for i in range(clients)]
+                    connections = [
+                        Connection(server.host, server.port, user_id=f"c{i}")
+                        for i in range(clients)
+                    ]
+                    try:
+                        for executes in (
+                            [in_process(f"c{i}") for i in range(clients)],
+                            [conn.execute for conn in connections],
+                        ):
+                            before = len(log_rows(db))
+                            answered = run_clients(zip(executes, scripts))
+                            assert answered == len(statements), (
+                                armed, clients
+                            )
+                            assert len(log_rows(db)) == before + (
+                                len(statements) if armed else 0
+                            ), (armed, clients)
+                    finally:
+                        for conn in connections:
+                            conn.close()
+            db.close()
+
 
 # ----------------------------------------------------------------------
 # admission control / backpressure
 
 
 class TestAdmission(FrontendSuite):
+    def test_64_open_connections_serve_every_request(self):
+        """64 connections open at once and 256 point queries spread over
+        them by 16 driver threads: nothing is shed, dropped or lost."""
+        db = make_db()
+        db.trigger_mode = "async"
+        with self.serve(
+            db, max_connections=80, admission_queue=80,
+            admission_timeout=60.0, close_database=False,
+        ) as server:
+            connections = [
+                Connection(server.host, server.port, user_id=f"c{i}")
+                for i in range(64)
+            ]
+            try:
+                statements = point_queries(256)
+                workers = []
+                for i in range(16):
+                    rotation = itertools.cycle(connections[i::16])
+                    workers.append((
+                        lambda sql, rotation=rotation:
+                            next(rotation).execute(sql),
+                        statements[i::16],
+                    ))
+                assert run_clients(workers) == len(statements)
+            finally:
+                for conn in connections:
+                    conn.close()
+        assert len(log_rows(db)) == len(statements)
+        db.close()
+
     def test_overloaded_connection_is_shed_with_typed_error(self):
         db = make_db()
         with self.serve(db, max_connections=1, admission_queue=0) as server:
