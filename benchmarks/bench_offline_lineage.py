@@ -1,4 +1,4 @@
-"""Offline-audit benchmark: lineage fast path vs (parallel) deletion runs.
+"""Offline-audit benchmark: lineage fast path vs deletion runs.
 
 Pytest usage (alongside the figure benchmarks)::
 
@@ -10,10 +10,9 @@ Standalone usage (CI smoke runs this)::
 
 The full run writes ``benchmarks/results/BENCH_offline.json`` — a
 machine-readable record of the TPC-H offline-audit timings under the
-three strategies (lineage / serial deletion / pooled deletion), the
-deletion runs each avoided or performed, the worker count, and proof
-that all three agree on the accessed-ID set (the lineage engine is
-exact, not approximate).
+two strategies (lineage / deletion), the deletion runs each avoided or
+performed, and proof that both agree on the accessed-ID set (the
+lineage engine is exact, not approximate).
 ``--quick`` checks the agreement only and writes nothing.
 """
 
@@ -29,15 +28,9 @@ RESULT_FILE = RESULTS_DIR / "BENCH_offline.json"
 
 def run(repeats: int) -> dict:
     from repro.bench import BenchmarkFixture
-    from repro.bench.offline import (
-        DEFAULT_WORKERS,
-        offline_lineage_benchmark,
-    )
+    from repro.bench.offline import offline_lineage_benchmark
 
-    fixture = BenchmarkFixture()
-    return offline_lineage_benchmark(
-        fixture, repeats=repeats, workers=DEFAULT_WORKERS
-    )
+    return offline_lineage_benchmark(BenchmarkFixture(), repeats=repeats)
 
 
 def write(results: dict) -> None:
@@ -49,15 +42,14 @@ def write(results: dict) -> None:
 def _summarize(results: dict) -> str:
     lines = [
         f"offline audit benchmark (SF {results['scale_factor']}, "
-        f"best of {results['repeats']}, {results['workers']} workers)"
+        f"best of {results['repeats']})"
     ]
     for name, entry in results["queries"].items():
         lines.append(
             f"  {name}: lineage {entry['lineage_s'] * 1e3:.2f} ms "
             f"({entry['speedup_lineage']:.1f}x), "
             f"deletion {entry['deletion_s'] * 1e3:.2f} ms "
-            f"({entry['deletion_runs']} runs), "
-            f"pooled {entry['deletion_parallel_s'] * 1e3:.2f} ms; "
+            f"({entry['deletion_runs']} runs); "
             f"runs avoided {entry['deletion_runs_avoided']}, "
             f"accessed sets equal: {entry['accessed_sets_equal']}"
         )
@@ -72,7 +64,7 @@ def test_report_offline_lineage():
     print(_summarize(results))
     write(results)
     for entry in results["queries"].values():
-        # the lineage strategy is exact: all three strategies agree
+        # the lineage strategy is exact: both strategies agree
         assert entry["accessed_sets_equal"]
         # the fast path really was one instrumented run, not N deletions
         assert entry["lineage_certified"]

@@ -45,11 +45,16 @@ python3 benchmarks/e2e/run.py --workload point_cold --seed 1 --seconds 5 --trace
 # recover(apply_statements=True): its gate checks the recovered patients
 # table against the model and the audit-log row count against prediction
 python3 benchmarks/e2e/run.py --workload wire_mixed --seed 1 --seconds 5 --trace 0
+# the one run of the cluster scatter path (split, per-shard fragments on
+# the caller's thread, gather, merge, coordinator-level firing): its gate
+# checks cluster rows and ACCESSED sets against a single-node twin
+python3 benchmarks/e2e/run.py --workload cluster_scan --seed 1 --seconds 5 --trace 0
 
 echo
 echo "== offline lineage-vs-deletion differential (--quick) =="
-# exits non-zero if the one-pass lineage auditor and the deletion-test
-# oracle disagree on any accessed-ID set (exactness regression)
+# times the auditor's two strategies, lineage and deletion, on the same
+# TPC-H audits; exits non-zero if they disagree on any accessed-ID set
+# (exactness regression)
 PYTHONPATH=src python benchmarks/bench_offline_lineage.py --quick
 
 echo

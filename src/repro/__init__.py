@@ -7,7 +7,7 @@ A pure-Python relational database engine with the paper's auditing stack:
 * placement heuristics (leaf-node / highest-node / highest-commutative-node);
 * SELECT triggers with the ACCESSED internal state and cascading actions;
 * an offline auditor (the ground truth) with a one-pass lineage fast
-  path, parallel deletion-test fallback, and an Oracle-FGA style
+  path, deletion-test fallback, and an Oracle-FGA style
   static-analysis baseline;
 * a concurrent serving layer — snapshot SELECTs under a read-write lock
   with an asynchronous audit-trigger pipeline (``trigger_mode='async'``);

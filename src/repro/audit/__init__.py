@@ -7,8 +7,7 @@
 * :mod:`repro.audit.manager` — ties expressions, views, placement, and
   SELECT triggers into the engine;
 * :mod:`repro.audit.offline` — deletion-based offline auditor
-  (Definition 2.3/2.5) with cross-run subplan caching and a parallel
-  fallback pool;
+  (Definition 2.3/2.5) with cross-run subplan caching;
 * :mod:`repro.audit.lineage` — one-pass lineage-based classification,
   the offline auditor's fast path;
 * :mod:`repro.audit.static_analysis` — Oracle-FGA-style baseline (§VI).

@@ -13,11 +13,11 @@ make it usable:
   lineage-capturing execution classifies every candidate at once
   (:mod:`repro.audit.lineage`), replacing N deletion re-runs with a
   single instrumented run. The ``offline_audit_mode`` knob on the
-  database ('auto' | 'lineage' | 'deletion') selects the strategy;
-* **parallel deletion fallback** — candidates the lineage engine leaves
-  undecided (or every candidate, for uncertifiable plans) still get the
-  literal deletion test, dispatched in per-ID batches across a
-  ``concurrent.futures`` thread pool when ``offline_audit_workers`` > 1;
+  database ('auto' | 'deletion') selects the strategy;
+* **deletion fallback** — candidates the lineage engine leaves undecided
+  (or every candidate, for uncertifiable plans) still get the literal
+  deletion test, one re-run per tuple, stopping at the first change per
+  ID (:func:`deletion_test`, shared with the cluster coordinator);
 * **sensitive-free subplan caching** — on the deletion path the same
   physical plan is executed once per candidate with a *tombstone* hiding
   that tuple; subtrees that never read the sensitive table produce
@@ -32,8 +32,7 @@ the verifier for queries the SELECT-trigger layer flags.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.audit.expression import AuditExpression
 from repro.audit.lineage import LineageAuditor
@@ -52,6 +51,42 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.database import Database
 
 
+def check_offline_audit_mode(mode: str) -> str:
+    """``mode`` if it is one of the strategies that
+    :attr:`repro.database.Database.offline_audit_mode` lists, else
+    ValueError."""
+    if mode not in ("auto", "deletion"):
+        raise ValueError(
+            f"offline_audit_mode must be 'auto' or 'deletion', got {mode!r}"
+        )
+    return mode
+
+
+def deletion_test(
+    run: Callable[[dict[str, set] | None], list[tuple]],
+    table_name: str,
+    tuples_by_id: dict[object, list[tuple]],
+) -> tuple[set, int]:
+    """Definition 2.3 literally: the IDs whose deletion changes the result.
+
+    ``run(tombstones)`` executes the query with the given primary keys
+    of ``table_name`` hidden (``None`` hides nothing). Each candidate
+    tuple is tombstoned alone and the result compared with the baseline
+    as a bag; an ID is accessed at its first tuple that changes it.
+    Returns the accessed IDs and the number of deletion runs made.
+    """
+    baseline = Counter(run(None))
+    accessed: set = set()
+    runs = 0
+    for id_value, pk_list in tuples_by_id.items():
+        for pk in pk_list:
+            runs += 1
+            if Counter(run({table_name: {pk}})) != baseline:
+                accessed.add(id_value)
+                break
+    return accessed, runs
+
+
 class OfflineAuditor:
     """Computes the exact set of accessed partition-by IDs for a query."""
 
@@ -61,17 +96,15 @@ class OfflineAuditor:
         use_cache: bool = True,
         restrict_candidates: bool = True,
         mode: str | None = None,
-        workers: int | None = None,
     ) -> None:
         self._database = database
         self._use_cache = use_cache
         #: False = the naive Definition-2.3 system: deletion-test every
         #: sensitive tuple for every query (the §V-D baseline)
         self._restrict_candidates = restrict_candidates
-        #: per-auditor overrides of the database knobs (None = inherit
-        #: ``offline_audit_mode`` / ``offline_audit_workers``)
-        self._mode = mode
-        self._workers = workers
+        #: per-auditor override of the database's ``offline_audit_mode``
+        #: (None = inherit)
+        self._mode = None if mode is None else check_offline_audit_mode(mode)
         self._lineage = LineageAuditor(database)
         #: deletion runs performed by the last audit() call (for benches)
         self.last_deletion_runs = 0
@@ -85,8 +118,6 @@ class OfflineAuditor:
         self.last_fallback_reason: str | None = None
         #: candidate tuples classified without a deletion re-run
         self.last_deletion_runs_avoided = 0
-        #: thread-pool width used by the last fallback (1 = serial)
-        self.last_workers = 1
         # Compiled-plan reuse across audit() calls: a full audit session
         # replays the same query once per tombstone, and a batch auditor
         # replays the same *workload* once per expression — re-parsing and
@@ -177,7 +208,6 @@ class OfflineAuditor:
         self.last_mode = "deletion"
         self.last_lineage_certified = False
         self.last_fallback_reason = None
-        self.last_workers = 1
         if not candidates:
             return set()
 
@@ -192,7 +222,7 @@ class OfflineAuditor:
 
         mode = self._mode or database.offline_audit_mode
         outcome = None
-        if mode in ("auto", "lineage"):
+        if mode == "auto":
             outcome = self._lineage.analyze(
                 plan, expression, parameters, tuples_by_id
             )
@@ -218,94 +248,20 @@ class OfflineAuditor:
                 physical = self._compile(
                     plan, expression.sensitive_table, store
                 )
-            baseline = Counter(
-                database.run_physical(physical, parameters).rows_list()
-            )
-            accessed |= self._deletion_test(
-                physical,
+            fallback_accessed, self.last_deletion_runs = deletion_test(
+                lambda tombstones: database.run_physical(
+                    physical, parameters, tombstones=tombstones
+                ).rows_list(),
                 expression.sensitive_table,
-                parameters,
-                baseline,
                 fallback,
             )
+            accessed |= fallback_accessed
         self.last_deletion_runs_avoided = (
             total_tuples - self.last_deletion_runs
         )
         if outcome is not None:
             self.last_mode = "lineage" if not fallback else "mixed"
         return accessed
-
-    # ------------------------------------------------------------------
-    # deletion testing (Definition 2.3 literally), serial or pooled
-
-    def _deletion_test(
-        self,
-        physical: PhysicalOperator,
-        table_name: str,
-        parameters: dict[str, object] | None,
-        baseline: Counter,
-        tuples_by_id: dict[object, list[tuple]],
-    ) -> set:
-        """Run ``Q(D − t)`` per candidate tuple; split across a thread
-        pool when the database's worker knob asks for one."""
-        items = list(tuples_by_id.items())
-        workers = self._workers or self._database.offline_audit_workers
-        workers = max(1, min(workers, len(items)))
-        self.last_workers = workers
-        if workers == 1:
-            accessed, runs = self._test_chunk(
-                physical, table_name, parameters, baseline, items
-            )
-            self.last_deletion_runs += runs
-            return accessed
-        # chunk at ID granularity (the per-ID early exit must stay inside
-        # one worker) with several chunks per worker for load balance;
-        # round-robin so clustered hot IDs spread across the pool
-        chunk_count = min(len(items), workers * 4)
-        chunks = [items[index::chunk_count] for index in range(chunk_count)]
-        accessed: set = set()
-        runs = 0
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    self._test_chunk,
-                    physical, table_name, parameters, baseline, chunk,
-                )
-                for chunk in chunks
-            ]
-            for future in futures:
-                chunk_accessed, chunk_runs = future.result()
-                accessed |= chunk_accessed
-                runs += chunk_runs
-        self.last_deletion_runs += runs
-        return accessed
-
-    def _test_chunk(
-        self,
-        physical: PhysicalOperator,
-        table_name: str,
-        parameters: dict[str, object] | None,
-        baseline: Counter,
-        items: list[tuple[object, list[tuple]]],
-    ) -> tuple[set, int]:
-        """One worker's batch: every execution gets a fresh context, so
-        chunks share only the immutable plan and the pre-populated
-        sensitive-free row cache."""
-        database = self._database
-        accessed: set = set()
-        runs = 0
-        for id_value, pk_list in items:
-            for pk in pk_list:
-                runs += 1
-                result = database.run_physical(
-                    physical,
-                    parameters,
-                    tombstones={table_name: {pk}},
-                )
-                if Counter(result.rows_list()) != baseline:
-                    accessed.add(id_value)
-                    break
-        return accessed, runs
 
     # ------------------------------------------------------------------
     # candidate restriction (Claim 3.5)

@@ -1,21 +1,19 @@
 """Offline-auditing benchmark: lineage fast path vs deletion testing.
 
-Times the same TPC-H offline-audit workload through the three strategies
+Times the same TPC-H offline-audit workload through the two strategies
 the offline auditor offers:
 
-* ``lineage``           — one lineage-capturing execution classifies every
-  candidate (``offline_audit_mode='lineage'``);
-* ``deletion``          — the literal Definition-2.3 re-runs, one
-  ``Q(D − t)`` per candidate tuple, serial;
-* ``deletion_parallel`` — the same re-runs dispatched in per-ID
-  batches across a thread pool (``offline_audit_workers`` > 1).
+* ``lineage``  — one lineage-capturing execution classifies every
+  candidate (``offline_audit_mode='auto'`` on a certifiable plan);
+* ``deletion`` — the literal Definition-2.3 re-runs, one ``Q(D − t)``
+  per candidate tuple.
 
-All strategies must return the identical accessed-ID set — the lineage
+Both strategies must return the identical accessed-ID set — the lineage
 engine is exact, not approximate — which this benchmark asserts before
 reporting timings (it doubles as the CI differential check). The output is
 a machine-readable dict that ``benchmarks/bench_offline_lineage.py``
 serializes to ``benchmarks/results/BENCH_offline.json``: wall-clock per
-mode, deletion runs performed and avoided, and the worker count.
+strategy and the deletion runs performed and avoided.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ MICRO_SELECTIVITY = 0.4
 
 DEFAULT_REPEATS = 3
 QUICK_REPEATS = 1
-DEFAULT_WORKERS = 4
 
 
 def _workloads(fixture: "BenchmarkFixture") -> dict[str, tuple[str, dict]]:
@@ -76,7 +73,6 @@ def _time_audit(auditor, sql, parameters, repeats: int) -> tuple[float, set]:
 def offline_lineage_benchmark(
     fixture: "BenchmarkFixture",
     repeats: int = DEFAULT_REPEATS,
-    workers: int = DEFAULT_WORKERS,
 ) -> dict:
     """Run the strategy comparison; returns a JSON-ready dict."""
     database = fixture.database
@@ -84,14 +80,12 @@ def offline_lineage_benchmark(
         "benchmark": "offline_lineage",
         "scale_factor": fixture.scale_factor,
         "repeats": repeats,
-        "workers": workers,
         "audit_expression": AUDIT_NAME,
         "queries": {},
     }
     for name, (sql, parameters) in _workloads(fixture).items():
-        lineage = OfflineAuditor(database, mode="lineage")
+        lineage = OfflineAuditor(database, mode="auto")
         deletion = OfflineAuditor(database, mode="deletion")
-        pooled = OfflineAuditor(database, mode="deletion", workers=workers)
 
         lineage_s, lineage_ids = _time_audit(
             lineage, sql, parameters, repeats
@@ -99,14 +93,11 @@ def offline_lineage_benchmark(
         deletion_s, deletion_ids = _time_audit(
             deletion, sql, parameters, repeats
         )
-        pooled_s, pooled_ids = _time_audit(pooled, sql, parameters, repeats)
 
         entry = {
             "lineage_s": lineage_s,
             "deletion_s": deletion_s,
-            "deletion_parallel_s": pooled_s,
             "speedup_lineage": _ratio(deletion_s, lineage_s),
-            "speedup_parallel": _ratio(deletion_s, pooled_s),
             "accessed_ids": len(deletion_ids),
             "candidates": deletion.last_candidate_count,
             "lineage_mode": lineage.last_mode,
@@ -114,8 +105,7 @@ def offline_lineage_benchmark(
             "lineage_deletion_runs": lineage.last_deletion_runs,
             "deletion_runs": deletion.last_deletion_runs,
             "deletion_runs_avoided": lineage.last_deletion_runs_avoided,
-            "parallel_workers": pooled.last_workers,
-            "accessed_sets_equal": lineage_ids == deletion_ids == pooled_ids,
+            "accessed_sets_equal": lineage_ids == deletion_ids,
         }
         results["queries"][name] = entry
     return results
@@ -131,6 +121,5 @@ __all__ = [
     "offline_lineage_benchmark",
     "DEFAULT_REPEATS",
     "QUICK_REPEATS",
-    "DEFAULT_WORKERS",
     "MICRO_SELECTIVITY",
 ]

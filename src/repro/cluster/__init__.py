@@ -5,12 +5,12 @@ partition-by column across N embedded :class:`~repro.database.Database`
 shards and exposes the single-node facade (``execute`` /
 ``offline_audit`` / ``attach_journal`` / ``recover`` / ``serve``). The
 coordinator parses and optimizes once, splits the instrumented plan into
-per-shard fragments plus a merge stage, executes the fragments in
-parallel, and unions per-shard ACCESSED sets at the gather so trigger
+per-shard fragments plus a merge stage, executes the fragments one
+after another on the caller's thread, and unions per-shard ACCESSED sets at the gather so trigger
 firings and audit attribution match a single-node run exactly.
 
-The layer is fault-tolerant (DESIGN.md §12): fragments run under
-per-shard deadlines with cooperative cancellation, transient failures
+The layer is fault-tolerant (DESIGN.md §12): each fragment runs
+under its own deadline, checked at cooperative checkpoints, transient failures
 retry with jittered backoff, a per-shard circuit breaker
 (:class:`~repro.cluster.health.HealthTracker`) quarantines failing
 shards, reads degrade or refuse by audit policy, and

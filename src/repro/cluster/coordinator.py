@@ -14,9 +14,9 @@ Execution model (DESIGN.md §11):
   since DDL broadcasts), then split by :func:`repro.cluster.fragments.
   split_plan` into a shard fragment plus a coordinator merge stage;
 * **scatter** — the fragment is compiled per shard against that shard's
-  tables and ID views and executed in parallel on a thread pool (inline
-  on the caller's thread during trigger firing, where the coordinator
-  holds every shard's write lock);
+  tables and ID views and executed shard after shard on the caller's
+  thread (pure-Python fragments would not overlap under the GIL, and
+  during trigger firing the caller holds every shard's write lock);
 * **gather** — per-shard rows are unioned (or k-way merged on the
   fragment's ORDER BY run), per-shard ACCESSED sets are unioned, and the
   merge stage runs over a ``Gather`` leaf at the coordinator;
@@ -34,8 +34,8 @@ shard 0 (reads of replicated data). Statements the coordinator cannot
 route soundly raise :class:`~repro.errors.ClusterRoutingError` rather
 than silently diverging from single-node semantics.
 
-Fault tolerance (DESIGN.md §12): every scatter fragment runs under an
-optional per-shard deadline with cooperative cancellation; transient
+Fault tolerance (DESIGN.md §12): every scatter fragment runs under its
+own optional deadline, checked at cooperative checkpoints; transient
 (non-deterministic) fragment failures retry with jittered exponential
 backoff; a per-shard circuit breaker (:class:`~repro.cluster.health.
 HealthTracker`) quarantines shards that keep failing or die outright.
@@ -49,25 +49,22 @@ shard online, replaying its journal through the PR-4 recovery path.
 
 from __future__ import annotations
 
-import concurrent.futures
 import heapq
 import json
 import pathlib
 import random
 import threading
 import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 
+from repro.audit.offline import deletion_test
 from repro.audit.placement import HEURISTIC_HCN
 from repro.cluster.fragments import check_routable, split_plan
 from repro.cluster.health import HealthTracker, backoff_delay
 from repro.cluster.topology import Topology, shard_of
 from repro.concurrency import (
     EMPTY_STATS,
-    CancellationToken,
     DeadlineToken,
     interruptible_sleep,
 )
@@ -98,11 +95,6 @@ from repro.sql import ast
 from repro.sql.parser import parse_statement, parse_statements
 from repro.testing.faults import NO_FAULTS, CrashError, FaultInjector
 from repro.triggers.manager import MAX_TRIGGER_DEPTH, SelectFiring
-
-#: how long the coordinator waits for a cancelled fragment to reach its
-#: next cooperative checkpoint before abandoning its context (latency
-#: faults check their token every 10 ms; ``collect_rows`` every batch)
-CANCEL_GRACE_S = 1.0
 
 #: DDL statement classes replayed when a cluster is reshard()-ed
 _LOGGED_DDL = (
@@ -319,11 +311,10 @@ class ClusterDatabase:
         self.topology = Topology(shards)
         self.session = Session(user_id=user_id, clock=clock)
         self.faults = fault_injector or NO_FAULTS
-        #: per-fragment deadline (seconds). On the parallel scatter path
-        #: the gather loop enforces it via future timeouts; on the
-        #: inline path (trigger firing, single-shard) each fragment runs
-        #: under a self-cancelling DeadlineToken, so a slow shard inside
-        #: a trigger body is bounded too. None disables deadlines (a
+        #: per-fragment deadline (seconds): each fragment runs under its
+        #: own DeadlineToken, so a statement over N shards answers
+        #: within N deadlines, and a refusal comes at the first lost
+        #: shard, within one. None disables deadlines (a
         #: fragment may run arbitrarily long)
         self.shard_deadline = shard_deadline
         #: transient-failure retry budget per fragment (reads only — DML
@@ -383,8 +374,6 @@ class ClusterDatabase:
             lambda statement: self._execute_routed(statement, None),
             self._enter_trigger, self._leave_trigger,
         )
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         #: broadcast DDL replayed by reshard()
         self._ddl_log: list[ast.Statement] = []
         self._journal_root: pathlib.Path | None = None
@@ -507,10 +496,6 @@ class ClusterDatabase:
     # lifecycle
 
     def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
         for shard in self._shards:
             shard.close()
 
@@ -520,19 +505,6 @@ class ClusterDatabase:
         from repro.server import Server
 
         return Server(self, host=host, port=port, **kwargs)
-
-    def _pool_get(self) -> ThreadPoolExecutor:
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=len(self._shards),
-                        thread_name_prefix="repro-shard",
-                    )
-                    self._pool = pool
-        return pool
 
     @contextmanager
     def _all_write_locks(self):
@@ -986,30 +958,28 @@ class ClusterDatabase:
             index for index in range(len(shards))
             if index not in quarantined
         ]
-        #: every context a fragment attempt ran under, per shard —
-        #: partial ACCESSED of failed/retried attempts still merges
-        attempt_contexts: dict[int, list[ExecutionContext]] = {
-            index: [] for index in live
-        }
+        #: every context a fragment attempt ran under — partial ACCESSED
+        #: of failed, retried and timed-out attempts still merges
+        contexts: list[ExecutionContext] = []
 
         def run_fragment(
-            index: int, token: CancellationToken | None = None
+            index: int, token: DeadlineToken | None
         ) -> list[tuple]:
             """One shard's fragment, with bounded transient retries.
 
             Deterministic engine errors (``ReproError``, including the
-            canceller-induced ``OperationCancelledError``) and simulated
-            shard death (``CrashError``) propagate immediately; anything
-            else is infrastructure trouble a re-run of an idempotent
-            read may survive, so it retries up to ``shard_retries``
-            times with jittered exponential backoff.
+            deadline's ``OperationCancelledError``) and simulated shard
+            death (``CrashError``) propagate immediately; anything else
+            is infrastructure trouble a re-run of an idempotent read may
+            survive, so it retries up to ``shard_retries`` times with
+            jittered exponential backoff.
             """
             shard = shards[index]
             attempt = 0
             while True:
                 context = self._shard_context(shard, parameters, tombstones)
                 context.cancel_token = token
-                attempt_contexts[index].append(context)
+                contexts.append(context)
                 try:
                     shard.faults.fire("shard-scatter", cancel=token)
                     with shard._engine_lock.read():
@@ -1018,7 +988,7 @@ class ClusterDatabase:
                         )
                 except ReproError:
                     raise
-                except Exception as exc:
+                except Exception:
                     if attempt >= self.shard_retries or (
                         token is not None and token.cancelled
                     ):
@@ -1034,43 +1004,29 @@ class ClusterDatabase:
                         )
                     interruptible_sleep(delay, token)
 
-        # fragments run inline (caller's thread) during trigger firing:
-        # the coordinator holds every shard's write lock there, and only
-        # the owning thread may re-enter it
-        inline = (
-            len(shards) == 1
-            or self._trigger_depth > 0
-            or getattr(self._trigger_local, "firing", 0) > 0
-        )
+        # fragments run one after another on the caller's thread: in
+        # CPython pure-Python shard work does not overlap, and during
+        # trigger firing the caller holds every shard's write lock, which
+        # only the owning thread may re-enter
         per_shard: list[list[tuple]] = [[] for _ in shards]
-        #: deterministic query error to propagate (single-node parity)
-        abort: BaseException | None = None
-        if inline:
+        try:
             for index in live:
-                if abort is not None:
-                    break
-                # no gather thread to cancel an overrunning fragment
-                # here, so the deadline rides on the token itself: every
+                # each fragment gets its own budget, checked at every
                 # cooperative checkpoint (collect_rows batches, fault
-                # latency slices, backoff sleeps) compares the clock
+                # latency, backoff sleeps): a degraded read over N shards
+                # waits at most N deadlines
                 token = (
                     None if self.shard_deadline is None
-                    else DeadlineToken(
-                        time.monotonic() + self.shard_deadline
-                    )
+                    else DeadlineToken(time.monotonic() + self.shard_deadline)
                 )
                 try:
                     per_shard[index] = run_fragment(index, token)
-                    self.health.record_success(index)
                 except CrashError as exc:
                     self.health.record_failure(index, exc, fatal=True)
                     failures.append((index, exc))
-                except OperationCancelledError as exc:
+                except OperationCancelledError:
                     if token is None:
-                        abort = exc
-                        continue
-                    # the fragment tripped its own DeadlineToken — the
-                    # inline analogue of a future.result timeout
+                        raise
                     with self._stats_lock:
                         self._deadline_timeout_count += 1
                     miss = ShardTimeoutError(
@@ -1079,91 +1035,25 @@ class ClusterDatabase:
                     )
                     self.health.record_failure(index, miss)
                     failures.append((index, miss))
-                except ReproError as exc:
-                    abort = exc
+                except ReproError:
+                    # deterministic error: single-node parity demands it
+                    # propagate unchanged, skipping the remaining shards
+                    raise
                 except Exception as exc:
                     self.health.record_failure(index, exc)
                     failures.append((index, exc))
-            for index in live:
-                for context in attempt_contexts[index]:
-                    _merge_accessed(accessed_out, context.accessed)
-        else:
-            tokens = {index: CancellationToken() for index in live}
-            futures = {
-                index: self._pool_get().submit(
-                    run_fragment, index, tokens[index]
-                )
-                for index in live
-            }
-            deadline = (
-                None if self.shard_deadline is None
-                else time.monotonic() + self.shard_deadline
-            )
-
-            def cancel_outstanding() -> None:
-                for other, future in futures.items():
-                    if not future.done():
-                        tokens[other].cancel()
-
-            for index, future in futures.items():
-                if abort is not None:
-                    # the query is aborting: outstanding fragments were
-                    # cancelled; give them one grace period to unwind
-                    timeout: float | None = CANCEL_GRACE_S
-                elif deadline is None:
-                    timeout = None
                 else:
-                    timeout = max(deadline - time.monotonic(), 0.0)
-                try:
-                    rows = future.result(timeout=timeout)
-                except concurrent.futures.TimeoutError:
-                    tokens[index].cancel()
-                    if abort is None:
-                        with self._stats_lock:
-                            self._deadline_timeout_count += 1
-                        miss = ShardTimeoutError(
-                            f"shard {index} missed the "
-                            f"{self.shard_deadline}s fragment deadline"
-                        )
-                        self.health.record_failure(index, miss)
-                        failures.append((index, miss))
+                    self.health.record_success(index)
                     continue
-                except OperationCancelledError:
-                    # the fragment honoured a cancellation we issued
-                    continue
-                except CrashError as exc:
-                    self.health.record_failure(index, exc, fatal=True)
-                    failures.append((index, exc))
-                    continue
-                except ReproError as exc:
-                    # deterministic error — single-node parity demands
-                    # it propagate unchanged; stop wasting shard time
-                    if abort is None:
-                        abort = exc
-                        cancel_outstanding()
-                    continue
-                except Exception as exc:
-                    self.health.record_failure(index, exc)
-                    failures.append((index, exc))
-                    continue
-                per_shard[index] = rows
-                self.health.record_success(index)
-            # wait briefly for cancelled stragglers to hit a checkpoint
-            # and release their shard read locks
-            pending = [f for f in futures.values() if not f.done()]
-            if pending:
-                concurrent.futures.wait(pending, timeout=CANCEL_GRACE_S)
-            # union ACCESSED before any abort propagates: partially-
-            # executed fragments already touched sensitive rows. A
-            # fragment still wedged past the grace period is skipped —
-            # its context is live on another thread, and its shard's
-            # loss is already recorded as a failure.
-            for index in live:
-                if futures[index].done():
-                    for context in attempt_contexts[index]:
-                        _merge_accessed(accessed_out, context.accessed)
-        if abort is not None:
-            raise abort
+                if not self._degraded_reads_allowed():
+                    # the read refuses at its first lost shard: running
+                    # the rest would only add their deadlines to the wait
+                    break
+        finally:
+            # union ACCESSED even when the statement aborts: partially-
+            # executed fragments already touched sensitive rows
+            for context in contexts:
+                _merge_accessed(accessed_out, context.accessed)
         self._absorb_degraded_read(failures)
         merged = self._gather(per_shard, entry, parameters)
         if entry.upper_physical is None:
@@ -1334,24 +1224,16 @@ class ClusterDatabase:
         if not manager.has_select_triggers(timing):
             return
         self.faults.fire("trigger-action")
-        self._trigger_local.firing = (
-            getattr(self._trigger_local, "firing", 0) + 1
-        )
-        try:
-            with self._all_write_locks():
-                # §II-C: actions are a system transaction on every shard
-                previous = [shard._active_undo for shard in self._shards]
-                for shard in self._shards:
-                    shard._active_undo = None
-                try:
-                    manager.fire_select_triggers(
-                        accessed, timing, self._firing
-                    )
-                finally:
-                    for shard, undo in zip(self._shards, previous):
-                        shard._active_undo = undo
-        finally:
-            self._trigger_local.firing -= 1
+        with self._all_write_locks():
+            # §II-C: actions are a system transaction on every shard
+            previous = [shard._active_undo for shard in self._shards]
+            for shard in self._shards:
+                shard._active_undo = None
+            try:
+                manager.fire_select_triggers(accessed, timing, self._firing)
+            finally:
+                for shard, undo in zip(self._shards, previous):
+                    shard._active_undo = undo
 
     # ------------------------------------------------------------------
     # DML routing
@@ -2000,8 +1882,9 @@ class ClusterDatabase:
 
         Candidates are the union of per-shard ID views; each candidate's
         sensitive tuples are tombstoned in *every* fragment's context and
-        the query re-run — ``Q(D) ≠ Q(D − t)`` compares gathered
-        multisets, since shard interleave is not part of bag semantics.
+        the query re-run by :func:`repro.audit.offline.deletion_test` —
+        ``Q(D) ≠ Q(D − t)`` compares gathered multisets, since shard
+        interleave is not part of bag semantics.
         """
         shard0 = self._shards[0]
         expression = shard0.audit_manager.expression(audit_expression)
@@ -2010,10 +1893,6 @@ class ClusterDatabase:
         if not isinstance(statement, ast.SelectStatement):
             raise UnsupportedSqlError("offline_audit supports only SELECT")
         compiled = self._compile_select(statement, instrument=False)
-        scratch: dict[str, set] = {}
-        baseline = Counter(
-            self._collect_result_rows(compiled, parameters, scratch)
-        )
         candidates: set = set()
         for shard in self._shards:
             candidates |= shard.audit_manager.view(audit_expression).ids()
@@ -2028,18 +1907,13 @@ class ClusterDatabase:
                     tuples_by_id.setdefault(id_value, []).append(
                         tuple(row[position] for position in pk_positions)
                     )
-        accessed: set = set()
-        for id_value, pk_list in tuples_by_id.items():
-            for pk in pk_list:
-                rows = self._collect_result_rows(
-                    compiled,
-                    parameters,
-                    {},
-                    tombstones={table_name: {pk}},
-                )
-                if Counter(rows) != baseline:
-                    accessed.add(id_value)
-                    break
+        accessed, _ = deletion_test(
+            lambda tombstones: self._collect_result_rows(
+                compiled, parameters, {}, tombstones
+            ),
+            table_name,
+            tuples_by_id,
+        )
         return accessed
 
     # ------------------------------------------------------------------
@@ -2129,10 +2003,6 @@ class ClusterDatabase:
         for shard in new_shards:
             for expression in shard.audit_manager.expressions():
                 shard.audit_manager.view(expression.name).refresh()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
         self._shards = new_shards
         self.health.reset(shard_count)
         self._stale_replicas.clear()
@@ -2147,7 +2017,6 @@ def connect_cluster(**kwargs) -> ClusterDatabase:
 
 
 __all__ = [
-    "CANCEL_GRACE_S",
     "ClusterDatabase",
     "ClusterRecoveryReport",
     "connect_cluster",

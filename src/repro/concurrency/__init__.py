@@ -19,20 +19,14 @@ The engine's concurrency model (DESIGN.md §7) is two-layered:
 * :class:`SequenceBarrier` — a monotonic high-watermark with blocking
   waits: the replication applier advances it per applied journal record,
   and read-your-writes tokens block on it (DESIGN.md §13).
-* :class:`CancellationToken` — cooperative cancellation for long-running
-  executions: the cluster coordinator cancels scatter fragments whose
-  deadline expired, and ``collect_rows`` checkpoints unwind them at the
-  next batch boundary (DESIGN.md §12). :class:`DeadlineToken` is the
-  self-cancelling variant for inline (same-thread) execution, where no
-  second thread exists to flip the token.
+* :class:`DeadlineToken` — a cooperative deadline for long-running
+  executions: the cluster coordinator gives each scatter fragment one,
+  and ``collect_rows`` checkpoints unwind a fragment whose deadline
+  passed at the next batch boundary (DESIGN.md §12).
 """
 
 from repro.concurrency.barrier import SequenceBarrier
-from repro.concurrency.cancel import (
-    CancellationToken,
-    DeadlineToken,
-    interruptible_sleep,
-)
+from repro.concurrency.cancel import DeadlineToken, interruptible_sleep
 from repro.concurrency.gate import DrainGate, GateClosedError
 from repro.concurrency.locks import ReadWriteLock
 from repro.concurrency.pipeline import (
@@ -44,7 +38,6 @@ from repro.concurrency.pipeline import (
 )
 
 __all__ = [
-    "CancellationToken",
     "DeadlineToken",
     "DrainGate",
     "GateClosedError",

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.audit.manager import AuditManager
+from repro.audit.offline import check_offline_audit_mode
 from repro.concurrency import (
     DEFAULT_QUEUE_CAPACITY,
     DEFAULT_RETRY_LIMIT,
@@ -137,14 +138,7 @@ class Database:
         #: scans and audit probes; skips are conservative, so results,
         #: ACCESSED sets, and audit verdicts are knob-independent
         self.skipping = True
-        #: offline-auditor strategy: 'auto' (one lineage-capturing run
-        #: when the plan shape is certifiable, deletion tests otherwise),
-        #: 'lineage' (same, kept as an explicit request), or 'deletion'
-        #: (always the literal Definition-2.3 re-runs)
-        self.offline_audit_mode = "auto"
-        #: thread-pool width for deletion-test fallback batches (1 =
-        #: serial; the pool shares one compiled plan across workers)
-        self.offline_audit_workers = 1
+        self._offline_audit_mode = "auto"
         self._offline_auditor = None
         #: compiled-plan cache keyed on SQL text + engine version tags
         self.plan_cache = PlanCache()
@@ -358,6 +352,18 @@ class Database:
 
     # ------------------------------------------------------------------
     # durability: the audit journal, policies, and recovery
+
+    @property
+    def offline_audit_mode(self) -> str:
+        """Offline-auditor strategy: ``'auto'`` (one lineage-capturing
+        run when the plan shape is certifiable, deletion tests for what
+        it leaves undecided) or ``'deletion'`` (always the literal
+        Definition-2.3 re-runs)."""
+        return self._offline_audit_mode
+
+    @offline_audit_mode.setter
+    def offline_audit_mode(self, mode: str) -> None:
+        self._offline_audit_mode = check_offline_audit_mode(mode)
 
     @property
     def audit_policy(self) -> str:
@@ -802,9 +808,8 @@ class Database:
         """Exact accessed-ID set of ``audit_expression`` for one query.
 
         Runs the offline auditor (Definition 2.3 ground truth) under the
-        ``offline_audit_mode`` / ``offline_audit_workers`` knobs, reusing
-        one auditor instance so compiled audit plans persist across
-        calls. The instance is exposed as :attr:`offline_auditor` for
+        ``offline_audit_mode`` knob, reusing one auditor instance so
+        compiled audit plans persist across calls. The instance is exposed as :attr:`offline_auditor` for
         telemetry (``last_mode``, ``last_deletion_runs``, ...).
         """
         return self.offline_auditor.audit(sql, audit_expression, parameters)

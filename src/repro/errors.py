@@ -47,11 +47,11 @@ class ExecutionError(ReproError):
 
 
 class OperationCancelledError(ExecutionError):
-    """A cooperative cancellation checkpoint observed a cancelled token.
+    """A cooperative checkpoint found its deadline passed.
 
-    Raised from inside plan execution when the statement's
-    :class:`~repro.concurrency.CancellationToken` has been cancelled —
-    e.g. a cluster scatter fragment whose deadline expired. The partial
+    Raised from inside plan execution when the execution's
+    :class:`~repro.concurrency.DeadlineToken` has expired — e.g. a
+    cluster scatter fragment that overran ``shard_deadline``. The partial
     work's ACCESSED state is still merged by the caller (§II: rows a
     cancelled fragment already touched were disclosed)."""
 

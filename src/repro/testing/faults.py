@@ -19,16 +19,15 @@ Two kinds of injected failure are distinguished by exception type:
 
 A third failure mode is *latency*: :meth:`FaultInjector.arm_latency`
 makes a site sleep before returning (or before raising, when combined
-with an error), modelling a slow or hung component. The sleep is sliced
-and checks the optional cancellation token the caller passes to
-:meth:`FaultInjector.fire`, so a "hung" shard parks its worker thread
-only until the coordinator's deadline cancels it.
+with an error), modelling a slow or hung component. The sleep ends at
+the deadline of the optional token the caller passes to
+:meth:`FaultInjector.fire`, so a "hung" shard holds the statement's
+thread only until its fragment deadline.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 
@@ -113,10 +112,9 @@ class FaultInjector:
         """Sleep ``delay_s`` seconds at ``site`` instead of raising.
 
         Models a slow (``delay_s`` below a deadline) or hung (above it)
-        component. The sleep is sliced: a cancellation token passed to
-        :meth:`fire` aborts it early with
-        :class:`~repro.errors.OperationCancelledError`, so a cancelled
-        "hang" releases its thread promptly.
+        component. A deadline token passed to :meth:`fire` cuts the
+        sleep short with :class:`~repro.errors.OperationCancelledError`,
+        so a "hang" releases its thread at the deadline.
         """
         if site not in FAULT_SITES:
             raise ValueError(
@@ -145,10 +143,9 @@ class FaultInjector:
     def fire(self, site: str, cancel=None) -> None:
         """Record a hit on ``site``; sleep and/or raise if a plan says so.
 
-        ``cancel`` is an optional cancellation token (any object with a
-        ``cancelled`` attribute): a latency plan's sleep checks it every
-        10 ms and aborts with
-        :class:`~repro.errors.OperationCancelledError` once cancelled.
+        ``cancel`` is an optional :class:`~repro.concurrency.
+        DeadlineToken`: a latency plan's sleep ends at its deadline with
+        :class:`~repro.errors.OperationCancelledError`.
         """
         with self._lock:
             count = self.hits.get(site, 0) + 1
@@ -161,28 +158,15 @@ class FaultInjector:
             if count > plan.at_hit and not plan.repeat:
                 return
         if plan.delay_s > 0:
-            self._sleep(plan.delay_s, cancel, site)
+            from repro.concurrency.cancel import interruptible_sleep
+
+            interruptible_sleep(plan.delay_s, cancel)
         error = plan.error
         if error is None:
             return
         if isinstance(error, type):
             raise error(f"injected fault at {site!r} (hit {count})")
         raise error
-
-    @staticmethod
-    def _sleep(delay_s: float, cancel, site: str) -> None:
-        deadline = time.monotonic() + delay_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            if cancel is not None and getattr(cancel, "cancelled", False):
-                from repro.errors import OperationCancelledError
-
-                raise OperationCancelledError(
-                    f"injected latency at {site!r} cancelled"
-                )
-            time.sleep(min(0.01, remaining))
 
 
 class _NullInjector(FaultInjector):

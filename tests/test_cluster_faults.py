@@ -320,12 +320,19 @@ def test_deterministic_errors_propagate_without_retry() -> None:
 # deadlines: bounded latency + breaker escalation
 
 
-def test_shard_deadline_bounds_a_hung_shard() -> None:
+@pytest.mark.parametrize("shards", [1, 2])
+def test_shard_deadline_bounds_a_hung_shard(shards: int) -> None:
     """A shard hanging 5 s per fragment costs a query the deadline,
     never the hang: every query answers within deadline + 0.5 s, both
-    while the shard is suspect and after the breaker opens."""
+    while the shard is suspect and after the breaker opens. The
+    fragment's own DeadlineToken does the bounding: no other thread
+    exists to stop it, with one shard or several. The hung shard runs
+    first, so with several shards a healthy fragment runs after the
+    timed-out one on a fresh budget and still returns its rows."""
     bound = 0.2 + 0.5
+    victim = 0
     cluster, injector = _faulty_cluster(
+        shards=shards, victim=victim,
         shard_deadline=0.2, shard_retries=0,
         audit_policy="fail_open", quarantine_after=3,
     )
@@ -340,16 +347,67 @@ def test_shard_deadline_bounds_a_hung_shard() -> None:
     try:
         injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
         result = timed("SELECT COUNT(*) FROM patients")
-        assert result.rows_list()[0][0] < 24
+        # the hung shard's rows are missing; with one shard every row is,
+        # and the merged COUNT reads NULL
+        count = result.rows_list()[0][0]
+        if shards == 1:
+            assert count is None
+        else:
+            assert 0 < count < 24
         health = cluster.cluster_health()
         assert health["deadline_timeouts"] >= 1
-        assert health["shards"][1]["state"] in (SUSPECT, QUARANTINED)
-        assert "ShardTimeoutError" in str(health["shards"][1]["last_error"])
+        assert health["shards"][victim]["state"] in (SUSPECT, QUARANTINED)
+        assert "ShardTimeoutError" in str(
+            health["shards"][victim]["last_error"]
+        )
         for _ in range(2):
             for sql in WORKLOAD:
                 timed(sql)
     finally:
         cluster.close()
+
+
+def test_every_shard_hung_costs_one_deadline_per_shard() -> None:
+    """Fragments run one after another, each under its own deadline, so
+    with every shard hung a fail_open statement answers (empty, with a
+    gap per shard) within shards × deadline + 0.5 s — the per-fragment
+    budget's worst case. A fail_closed statement refuses at the first
+    lost shard, so it waits one deadline, not one per shard."""
+    shards, deadline = 3, 0.1
+    for policy in ("fail_open", "fail_closed"):
+        bound = (shards if policy == "fail_open" else 1) * deadline + 0.5
+        injector = FaultInjector()
+        cluster = ClusterDatabase(
+            shards=shards, clock=_CLOCK,
+            shard_fault_injectors={
+                index: injector for index in range(shards)
+            },
+            shard_deadline=deadline, shard_retries=0,
+            audit_policy=policy, quarantine_after=10,
+        )
+        _load(cluster)
+        try:
+            injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
+            for sql in WORKLOAD:
+                started = time.monotonic()
+                if policy == "fail_open":
+                    cluster.execute(sql)
+                else:
+                    with pytest.raises(ClusterDegradedError):
+                        cluster.execute(sql)
+                elapsed = time.monotonic() - started
+                assert elapsed <= bound, (
+                    f"{policy} {sql!r}: {elapsed:.2f}s > {bound:.2f}s"
+                )
+            # fail_closed stops at the first shard's timeout
+            per_statement = shards if policy == "fail_open" else 1
+            health = cluster.cluster_health()
+            assert health["deadline_timeouts"] == \
+                per_statement * len(WORKLOAD)
+            assert injector.hit_count("shard-scatter") == \
+                per_statement * len(WORKLOAD)
+        finally:
+            cluster.close()
 
 
 def test_repeated_deadline_misses_quarantine_then_skip() -> None:
@@ -805,29 +863,6 @@ def test_replicated_dml_with_no_live_replica_refuses_unmarked() -> None:
         health = cluster.cluster_health()
         assert health["stale_replicas"] == []
         assert health["stale_replicas_by_shard"] == {}
-    finally:
-        cluster.close()
-
-
-def test_inline_scatter_honours_deadline() -> None:
-    """The inline path (single shard / trigger firing) has no gather
-    thread to time out a future, so the fragment's own DeadlineToken
-    must bound an armed latency fault instead of hanging unboundedly."""
-    injector = FaultInjector()
-    cluster = ClusterDatabase(
-        shards=1, clock=_CLOCK, shard_fault_injectors={0: injector},
-        shard_deadline=0.2, shard_retries=0, audit_policy="fail_open",
-    )
-    _load(cluster)
-    try:
-        injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
-        started = time.monotonic()
-        cluster.execute("SELECT COUNT(*) FROM patients")
-        elapsed = time.monotonic() - started
-        assert elapsed < 2.5, f"inline deadline did not bound: {elapsed}"
-        health = cluster.cluster_health()
-        assert health["deadline_timeouts"] >= 1
-        assert "ShardTimeoutError" in str(health["shards"][0]["last_error"])
     finally:
         cluster.close()
 

@@ -1,5 +1,7 @@
 """Unit tests for the execution context: outer rows, memoization, state."""
 
+import time
+
 import pytest
 
 from repro import Database
@@ -111,7 +113,7 @@ class TestSubqueryCancellation:
         own loop reaches its first checkpoint; the subquery's loop has to
         look at the token itself instead of scanning all of ``b`` for
         each of those outer rows."""
-        from repro.concurrency.cancel import CancellationToken
+        from repro.concurrency.cancel import DeadlineToken
         from repro.errors import OperationCancelledError
         from repro.exec.operators.base import collect_rows
         from repro.sql.parser import parse_statement
@@ -130,8 +132,7 @@ class TestSubqueryCancellation:
             )
         ))
         context = db.make_context()
-        context.cancel_token = CancellationToken()
-        context.cancel_token.cancel()
+        context.cancel_token = DeadlineToken(time.monotonic())
         with pytest.raises(OperationCancelledError):
             collect_rows(db._optimizer.compile(logical), context)
         # one block of a, then one block of b — not 4 blocks of b per row
@@ -143,7 +144,7 @@ class TestIndexNestedLoopJoinCancellation:
         """No outer row finds a partner, so the join never hands the
         statement's own loop a batch to checkpoint on; the join has to
         look at the token once per outer batch itself."""
-        from repro.concurrency.cancel import CancellationToken
+        from repro.concurrency.cancel import DeadlineToken
         from repro.errors import OperationCancelledError
         from repro.exec.operators import IndexNestedLoopJoin
         from repro.exec.operators.base import collect_rows
@@ -165,8 +166,7 @@ class TestIndexNestedLoopJoinCancellation:
         ))
         assert isinstance(physical.children()[0], IndexNestedLoopJoin)
         context = db.make_context()
-        context.cancel_token = CancellationToken()
-        context.cancel_token.cancel()
+        context.cancel_token = DeadlineToken(time.monotonic())
         with pytest.raises(OperationCancelledError):
             collect_rows(physical, context)
         assert context.blocks_scanned == 1  # of the 16 blocks of a

@@ -13,7 +13,7 @@ tests pin:
   sets;
 * plan certification (which shapes fall back, and why);
 * the per-aggregate sensitivity rules in isolation;
-* the parallel deletion fallback and the auditor's LRU plan cache.
+* strategy dispatch (the mode knob) and the auditor's LRU plan cache.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def make_db(rows):
 
 def both_auditors(db, query):
     """(lineage answer, deletion answer) with lineage-use asserted."""
-    lineage = OfflineAuditor(db, mode="lineage")
+    lineage = OfflineAuditor(db, mode="auto")
     deletion = OfflineAuditor(db, mode="deletion")
     fast = lineage.audit(query, "audit_all")
     truth = deletion.audit(query, "audit_all")
@@ -238,7 +238,7 @@ class TestLineageDeletionDifferential:
             "CREATE AUDIT EXPRESSION audit_all AS SELECT * FROM patients "
             "FOR SENSITIVE TABLE patients, PARTITION BY patientid"
         )
-        lineage = OfflineAuditor(db, mode="lineage")
+        lineage = OfflineAuditor(db, mode="auto")
         deletion = OfflineAuditor(db, mode="deletion")
         assert lineage.audit(query, "audit_all") == \
             deletion.audit(query, "audit_all")
@@ -348,42 +348,6 @@ class TestSensitivityRules:
         ) is None
 
 
-class TestParallelFallback:
-    def test_worker_pool_matches_serial(self):
-        rows = [
-            (name, age, zip_code)
-            for index, (name, age, zip_code) in enumerate(
-                [("Alice", 30, "11111"), ("Bob", 45, "22222"),
-                 ("Carol", 20, "11111"), ("Dave", 60, "33333"),
-                 ("Eve", 50, "22222"), ("Frank", 35, "11111")]
-            )
-        ]
-        db = make_db(rows)
-        # sensitive subquery: uncertifiable, every candidate gets the
-        # deletion test — exactly the path the pool parallelizes
-        query = (
-            "SELECT name FROM patients WHERE age > "
-            "(SELECT AVG(age) FROM patients)"
-        )
-        serial = OfflineAuditor(db, mode="deletion", workers=1)
-        pooled = OfflineAuditor(db, mode="deletion", workers=4)
-        assert serial.audit(query, "audit_all") == \
-            pooled.audit(query, "audit_all")
-        assert serial.last_deletion_runs == pooled.last_deletion_runs
-        assert pooled.last_workers == 4
-        assert serial.last_workers == 1
-
-    def test_database_knob_reaches_the_pool(self):
-        db = make_db([
-            ("Alice", 30, "11111"), ("Bob", 45, "22222"),
-            ("Carol", 20, "33333"),
-        ])
-        db.offline_audit_workers = 2
-        auditor = OfflineAuditor(db, mode="deletion")
-        auditor.audit("SELECT name FROM patients", "audit_all")
-        assert auditor.last_workers == 2
-
-
 class TestModeDispatch:
     def test_auto_prefers_lineage(self):
         db = make_db([("Alice", 30, "11111"), ("Bob", 45, "22222")])
@@ -407,6 +371,17 @@ class TestModeDispatch:
         auditor = OfflineAuditor(db)
         auditor.audit("SELECT name FROM patients", "audit_all")
         assert auditor.last_mode == "deletion"
+
+    def test_unknown_auditor_mode_raises(self):
+        db = make_db([("Alice", 30, "11111")])
+        with pytest.raises(ValueError, match="'auto' or 'deletion'"):
+            OfflineAuditor(db, mode="lineage")
+
+    def test_unknown_database_mode_raises(self):
+        db = make_db([("Alice", 30, "11111")])
+        with pytest.raises(ValueError, match="'auto' or 'deletion'"):
+            db.offline_audit_mode = "Deletion"
+        assert db.offline_audit_mode == "auto"
 
     def test_database_offline_audit_api(self):
         db = make_db([("Alice", 30, "11111"), ("Bob", 45, "22222")])
