@@ -31,6 +31,17 @@ PYTHONPATH=src python -m pytest -q tests/test_statement_template.py \
     --hypothesis-profile=ci
 
 echo
+echo "== insert_many differential (hypothesis 'ci' profile) =="
+# Table.insert_many batches validation, locking and converter lookup for
+# bulk_load, INSERT ... SELECT, multi-row VALUES and trigger log appends;
+# it must raise the per-row error at the first bad row, leave the same
+# table after undo and show row triggers the same RowChange sequence as a
+# loop of Table.insert, which this differential checks on generated
+# batches
+PYTHONPATH=src python -m pytest -q tests/test_insert_many.py \
+    --hypothesis-profile=ci
+
+echo
 echo "== e2e benchmark: its own tests, then one traced workload =="
 # the run's gate checks armed == unarmed rows and micro-join ACCESSED ==
 # offline_audit; the traced pass goes through the staged driver, the one

@@ -44,13 +44,19 @@ class Catalog:
         #: indexes, triggers); plan caches key their entries on it so any
         #: change that could alter a compiled plan invalidates
         self.version = 0
-        #: statistics epoch, bumped alongside :attr:`version` whenever any
-        #: table's row count crosses a power-of-two bucket since the last
-        #: check — DML that materially changes cardinalities invalidates
-        #: cached plans costed against the old statistics, while steady
-        #: small churn does not thrash the plan cache
+        #: statistics epoch, advanced whenever some table's row count
+        #: sits in another power-of-two bucket than at the last check —
+        #: DML that materially changes cardinalities invalidates cached
+        #: plans costed against the old statistics, while steady small
+        #: churn does not thrash the plan cache
         self.stats_version = 0
+        #: bucket (``len(table).bit_length()``) of each non-transient
+        #: table at the last check
         self._stats_buckets: dict[str, int] = {}
+        #: tables that reported a bucket crossing since the last check;
+        #: a table reports under its own lock, so this is filled without
+        #: the catalog lock (``set.add`` is atomic)
+        self._crossed: set["Table"] = set()
         #: registered ``transient=True`` tables, left out of the buckets
         self._transient: set[str] = set()
         # Serializes registry mutation, version bumps, and the lazy
@@ -78,14 +84,18 @@ class Catalog:
                 self._transient.add(name)
             else:
                 self.version += 1
+                self._stats_buckets[name] = len(table).bit_length()
+                table.on_bucket_change = self._crossed.add
 
     def drop_table(self, name: str, transient: bool = False) -> None:
         with self._lock:
             key = name.lower()
             if key not in self._tables:
                 raise CatalogError(f"table {name!r} does not exist")
-            del self._tables[key]
+            table = self._tables.pop(key)
             self._transient.discard(key)
+            if self._stats_buckets.pop(key, None) is not None:
+                table.on_bucket_change = None
             self._statistics.pop(key, None)
             self._indexes = {
                 index_name: definition
@@ -153,18 +163,26 @@ class Catalog:
         DML does not bump the DDL :attr:`version` (that would defeat plan
         caching), but a plan costed when a table was empty should not
         survive a bulk load. Row counts are bucketed by power of two: the
-        epoch advances exactly when some table's count crosses a bucket
-        boundary, i.e. when cached cost estimates are off by more than
-        2x. Cheap enough (one ``len`` per table) to run per statement.
+        epoch advances exactly when some table's count sits in another
+        bucket than at the last check, i.e. when cached cost estimates
+        are off by more than 2x. Tables report their own crossings, so a
+        check with none reported is one set test — cheap enough to run
+        per statement and per firing.
         """
+        if not self._crossed:
+            return self.stats_version
         with self._lock:
-            buckets = {
-                name: len(table).bit_length()
-                for name, table in self._tables.items()
-                if name not in self._transient
-            }
-            if buckets != self._stats_buckets:
-                self._stats_buckets = buckets
+            moved = False
+            while self._crossed:
+                table = self._crossed.pop()
+                name = table.schema.name.lower()
+                if self._tables.get(name) is not table:
+                    continue  # dropped since it reported
+                bucket = len(table).bit_length()
+                if self._stats_buckets.get(name) != bucket:
+                    self._stats_buckets[name] = bucket
+                    moved = True
+            if moved:
                 self.stats_version += 1
             return self.stats_version
 

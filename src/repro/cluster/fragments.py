@@ -21,7 +21,9 @@ highest *shard-safe* node:
   the boundary:
 
   - ``Aggregate`` with only COUNT / SUM / MIN / MAX splits into per-shard
-    partials plus a final merge aggregate (COUNT merges by SUM); AVG and
+    partials plus a final merge aggregate (COUNT partials are summed by
+    ``count_merge``, which reads 0, not NULL, when a degraded read
+    skipped every shard); AVG and
     DISTINCT aggregates fall back to gathering the aggregate's *input*
     rows and running the original operator at the coordinator;
   - ``Sort`` pushes into the shards (each fragment emits its run in
@@ -45,7 +47,9 @@ from repro.plan.builder import OneRow
 _SHARD_SAFE = (L.Scan, L.Filter, L.Project, L.Join, L.Audit, OneRow)
 
 #: aggregate -> merge aggregate for the partial/final split
-_MERGE_AGGREGATE = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+_MERGE_AGGREGATE = {
+    "count": "count_merge", "sum": "sum", "min": "min", "max": "max",
+}
 
 
 @dataclass
@@ -153,7 +157,8 @@ def _final_aggregate(
     Partial output is ``group columns ++ aggregate columns``; the final
     groups re-key on the group slots and each aggregate merges its
     partial slot (COUNT partials are summed — each shard already
-    counted; SUM / MIN / MAX merge with themselves).
+    counted — and give 0 when none arrives; SUM / MIN / MAX merge with
+    themselves and stay NULL over no partials).
     """
     group_count = len(aggregate.group_expressions)
     final_groups = tuple(

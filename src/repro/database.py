@@ -72,6 +72,7 @@ from repro.sql import ast
 from repro.sql.parser import parse_statement, parse_statements_with_text
 from repro.storage.blocks import DEFAULT_BLOCK_CAPACITY
 from repro.storage.table import Table
+from repro.storage.undo import UndoLog
 from repro.triggers.definitions import DmlTrigger, SelectTrigger
 from repro.triggers.manager import TriggerManager
 
@@ -860,6 +861,52 @@ class Database:
         finally:
             self._trigger_local.depth = self._trigger_depth - 1
 
+    def execute_trigger_body(self, statement: ast.Statement) -> None:
+        """Run one SELECT-trigger body statement; the caller (the
+        firing) holds the engine's write lock.
+
+        An ``INSERT … SELECT`` or a bare SELECT runs as the body's cached
+        plan under one context, with no second lock, no result object and
+        no nested trigger dispatch: IDs the body itself discloses to an
+        armed trigger are refused (DESIGN §5) before any row lands, and
+        the rows go to the log with one ``insert_many``. Any other body
+        statement takes :meth:`execute_trigger_statement`.
+        """
+        if isinstance(statement, ast.SelectStatement):
+            select, table = statement, None
+        elif isinstance(statement, ast.InsertStatement) \
+                and statement.select is not None:
+            select = statement.select
+            table = self.catalog.table(statement.table)
+        else:
+            self.execute_trigger_statement(statement)
+            return
+        entry = self.trigger_manager.firing.plan(
+            select, lambda: self._compile_select(select, None)
+        )
+        context = self.make_context()
+        depth = self._trigger_depth
+        self._trigger_local.depth = depth + 1
+        try:
+            # what a nested dispatch of this context would raise: a
+            # failing SELECT dispatches its AFTER triggers only
+            try:
+                rows = collect_rows(entry.physical, context)
+            except BaseException:
+                if context.accessed:
+                    self.trigger_manager.refuse_nested_firing(
+                        context.accessed, ("after",)
+                    )
+                raise
+            if context.accessed:
+                self.trigger_manager.refuse_nested_firing(context.accessed)
+            if table is not None:
+                self._atomic_dml(
+                    lambda: self._insert_rows(table, statement.columns, rows)
+                )
+        finally:
+            self._trigger_local.depth = depth
+
     # ------------------------------------------------------------------
     # statement dispatch
 
@@ -1016,7 +1063,7 @@ class Database:
             self.audit_manager.config_version,
             self.audit_enabled,
             self.audit_manager.heuristic,
-            self.join_strategy,
+            self._optimizer.join_strategy,
             self._optimizer.join_reorder,
         )
 
@@ -1088,12 +1135,14 @@ class Database:
         # BEFORE actions run synchronously in every trigger mode. During
         # journal replay the depth-0 gate is skipped: the primary already
         # adjudicated this statement, and a replayed DENY would wedge the
-        # replica's apply loop.
-        try:
-            if not (self.replaying and self._trigger_depth == 0):
-                self._fire_accessed(context.accessed, timing="before")
-        finally:
-            self._dispatch_after_triggers(context)
+        # replica's apply loop. A statement that disclosed nothing fires
+        # nothing.
+        if context.accessed:
+            try:
+                if not (self.replaying and self._trigger_depth == 0):
+                    self._fire_accessed(context.accessed, timing="before")
+            finally:
+                self._dispatch_after_triggers(context)
         return QueryResult(
             columns=column_names,
             rows=rows,
@@ -1237,8 +1286,6 @@ class Database:
         savepoint on failure (the transaction stays open); in autocommit a
         fresh per-statement undo scope is created and dropped.
         """
-        from repro.storage.undo import UndoLog
-
         created_scope = self._active_undo is None
         if created_scope:
             self._active_undo = UndoLog(self.catalog)
@@ -1256,7 +1303,6 @@ class Database:
         self, statement: ast.TransactionStatement
     ) -> QueryResult:
         from repro.errors import TransactionError
-        from repro.storage.undo import UndoLog
 
         if statement.action == "begin":
             if self._in_explicit_transaction:
@@ -1313,7 +1359,6 @@ class Database:
         pseudo_row: tuple | None = None,
     ) -> QueryResult:
         table = self.catalog.table(statement.table)
-        schema = table.schema
         if statement.select is not None:
             source = self._execute_select(
                 statement.select, parameters, scope_columns, pseudo_row
@@ -1335,13 +1380,28 @@ class Database:
                 )
                 for row in statement.rows
             ]
-        count = 0
-        for values in value_rows:
-            full_row = self._arrange_insert_row(schema, statement.columns, values)
-            self._check_foreign_keys(schema, full_row)
-            table.insert(full_row)
-            count += 1
-        return QueryResult(rowcount=count)
+        return QueryResult(
+            rowcount=self._insert_rows(table, statement.columns, value_rows)
+        )
+
+    def _insert_rows(
+        self, table: Table, columns: tuple[str, ...],
+        value_rows: Iterable[tuple],
+    ) -> int:
+        """Arrange, foreign-key check and insert ``value_rows`` one by
+        one, in order (each row is checked after the rows before it, and
+        their row triggers, have landed); returns the count."""
+        schema = table.schema
+        checked = bool(schema.foreign_keys)
+
+        def arranged():
+            for values in value_rows:
+                row = self._arrange_insert_row(schema, columns, values)
+                if checked:
+                    self._check_foreign_keys(schema, row)
+                yield row
+
+        return table.insert_many(arranged())
 
     def _arrange_insert_row(
         self,

@@ -22,6 +22,7 @@ from repro.datatypes.values import (
     sql_not,
     sql_like,
     coerce_value,
+    value_converter,
     value_sort_key,
 )
 from repro.datatypes.intervals import Interval, add_interval
@@ -46,6 +47,7 @@ __all__ = [
     "sql_not",
     "sql_like",
     "coerce_value",
+    "value_converter",
     "value_sort_key",
     "Interval",
     "add_interval",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import re
 from functools import lru_cache
+from typing import Callable
 
 from repro.datatypes.types import (
     DataType,
@@ -131,34 +132,72 @@ def coerce_value(value: object, target: DataType) -> object:
     DESIGN.md). Strings are kept verbatim; dates must already be
     :class:`datetime.date` or an ISO string.
     """
+    return value_converter(target)(value)
+
+
+def value_converter(target: DataType) -> Callable[[object], object]:
+    """``coerce_value(·, target)`` with the type dispatch done once: a
+    table looks up one converter per column, not one per stored value."""
+    return _CONVERTERS.get(target.name, _unchanged)
+
+
+def _to_integer(value: object) -> object:
     if value is None:
         return None
-    if target is INTEGER:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ExecutionError(f"cannot store {value!r} in INTEGER column")
+    return int(value)
+
+
+def _float_converter(target: DataType) -> Callable[[object], object]:
+    def to_float(value: object) -> object:
+        if value is None:
+            return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ExecutionError(f"cannot store {value!r} in INTEGER column")
-        return int(value)
-    if target in (FLOAT, DECIMAL):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ExecutionError(f"cannot store {value!r} in {target} column")
+            raise ExecutionError(
+                f"cannot store {value!r} in {target} column"
+            )
         return float(value)
-    if target is VARCHAR:
-        if not isinstance(value, str):
-            raise ExecutionError(f"cannot store {value!r} in VARCHAR column")
+
+    return to_float
+
+
+def _to_varchar(value: object) -> object:
+    if value is None or isinstance(value, str):
         return value
-    if target is DATE:
-        if isinstance(value, datetime.date):
-            return value
-        if isinstance(value, str):
-            try:
-                return datetime.date.fromisoformat(value)
-            except ValueError as exc:
-                raise ExecutionError(f"invalid DATE literal: {value!r}") from exc
-        raise ExecutionError(f"cannot store {value!r} in DATE column")
-    if target is BOOLEAN:
-        if not isinstance(value, bool):
-            raise ExecutionError(f"cannot store {value!r} in BOOLEAN column")
+    raise ExecutionError(f"cannot store {value!r} in VARCHAR column")
+
+
+def _to_date(value: object) -> object:
+    if value is None or isinstance(value, datetime.date):
         return value
+    if isinstance(value, str):
+        try:
+            return datetime.date.fromisoformat(value)
+        except ValueError as exc:
+            raise ExecutionError(f"invalid DATE literal: {value!r}") from exc
+    raise ExecutionError(f"cannot store {value!r} in DATE column")
+
+
+def _to_boolean(value: object) -> object:
+    if value is None or isinstance(value, bool):
+        return value
+    raise ExecutionError(f"cannot store {value!r} in BOOLEAN column")
+
+
+def _unchanged(value: object) -> object:
     return value
+
+
+#: type name -> converter; any other type stores values unchanged
+_CONVERTERS = {
+    INTEGER.name: _to_integer,
+    FLOAT.name: _float_converter(FLOAT),
+    DECIMAL.name: _float_converter(DECIMAL),
+    VARCHAR.name: _to_varchar,
+    DATE.name: _to_date,
+    BOOLEAN.name: _to_boolean,
+}
 
 
 #: sort rank that places NULLs first, mirroring "NULLS FIRST" ascending order

@@ -58,6 +58,23 @@ class CountAccumulator(Accumulator):
         return self._count
 
 
+class CountMergeAccumulator(Accumulator):
+    """``count_merge``: the sum of partial ``COUNT`` results, which is 0
+    when no partial arrives (a SUM over no rows is NULL; a COUNT never
+    is). The cluster coordinator merges per-shard COUNTs with it; SQL
+    text cannot name it."""
+
+    def __init__(self) -> None:
+        self._count = 0
+
+    def add(self, value: object) -> None:
+        if value is not None:
+            self._count += value
+
+    def result(self) -> int:
+        return self._count
+
+
 class CountDistinctAccumulator(Accumulator):
     """``COUNT(DISTINCT expr)``."""
 
@@ -158,6 +175,7 @@ class MaxAccumulator(Accumulator):
 _FACTORIES = {
     ("count", False): CountAccumulator,
     ("count", True): CountDistinctAccumulator,
+    ("count_merge", False): CountMergeAccumulator,
     ("sum", False): SumAccumulator,
     ("avg", False): AvgAccumulator,
     ("min", False): MinAccumulator,

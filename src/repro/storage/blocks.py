@@ -223,10 +223,6 @@ class Block:
         self.rows: dict[int, tuple] = {}
         self.summary = BlockSummary(column_count, capacity, sketch_positions)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.rows) >= self.capacity
-
     def rows_snapshot(self) -> list[tuple]:
         return list(self.rows.values())
 

@@ -14,10 +14,19 @@ index (key -> rid) and enforces uniqueness and NOT NULL on the key columns
 of an audit expression usually coincides with the clustered index, so
 reading IDs costs no extra I/O (§IV-A.1).
 
-Observers receive a :class:`RowChange` for every mutation. Two subsystems
+Observers receive a :class:`RowChange` for every mutation. Three subsystems
 subscribe: the audit ID-view maintenance (materialized views of sensitive
-IDs, §IV-A.1) and the classical trigger manager (AFTER INSERT/UPDATE/DELETE
-row triggers).
+IDs, §IV-A.1), the classical trigger manager (AFTER INSERT/UPDATE/DELETE
+row triggers) and the engine's undo log.
+
+:meth:`Table.insert_many` is the one row loop behind ``bulk_load``,
+``INSERT … SELECT`` and multi-row ``VALUES``: converters looked up once
+per column, its input consumed lazily, and each row's change notified
+right after that row is placed, before the next row is validated — the
+order a loop of :meth:`Table.insert` calls gives, which row triggers and
+undo rely on. A non-transient table registered in a catalog reports each
+power-of-two crossing of its row count to that catalog's statistics
+epoch.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.catalog.schema import TableSchema
-from repro.datatypes import coerce_value
+from repro.catalog.schema import Column, TableSchema
+from repro.datatypes import value_converter
 from repro.errors import ConstraintError, StorageError
 from repro.storage.blocks import DEFAULT_BLOCK_CAPACITY, Block, BlockSummary
 from repro.storage.index import HashIndex, OrderedIndex
@@ -82,6 +91,15 @@ class Table:
         #: modification counter; bumped on every mutation (drives lazy stats)
         self.version = 0
         self._pk_positions = schema.primary_key_positions()
+        #: per column, ``coerce_value`` for its type plus its NOT NULL check
+        self._converters = tuple(
+            _column_converter(schema.name, column)
+            for column in schema.columns
+        )
+        #: called with this table when its row count crosses a power of
+        #: two (the catalog that registers it keeps its statistics epoch
+        #: from these reports); never under the catalog lock
+        self.on_bucket_change: Callable[["Table"], None] | None = None
         self._pk_index: dict[tuple, int] = {}
         self._secondary: dict[str, HashIndex | OrderedIndex] = {}
         self._unique_indexes: set[str] = set()
@@ -155,7 +173,7 @@ class Table:
     def _place_row(self, rid: int, row: tuple) -> None:
         """Append the row to the tail block, opening a new one when full."""
         block = self._tail
-        if block is None or block.is_full:
+        if block is None or len(block.rows) >= block.capacity:
             block = Block(
                 len(self._blocks),
                 self.block_capacity,
@@ -166,7 +184,9 @@ class Table:
             self._tail = block
         block.insert(rid, row)
         self._rid_block[rid] = block
-        self._row_count += 1
+        count = self._row_count = self._row_count + 1
+        if not count & (count - 1) and self.on_bucket_change is not None:
+            self.on_bucket_change(self)
 
     # ------------------------------------------------------------------
     # secondary indexes
@@ -267,21 +287,15 @@ class Table:
     # validation
 
     def _coerce_row(self, values: tuple) -> tuple:
-        if len(values) != len(self.schema.columns):
+        if len(values) != len(self._converters):
             raise StorageError(
                 f"table {self.schema.name!r} expects "
-                f"{len(self.schema.columns)} values, got {len(values)}"
+                f"{len(self._converters)} values, got {len(values)}"
             )
-        coerced = []
-        for value, column in zip(values, self.schema.columns):
-            stored = coerce_value(value, column.data_type)
-            if stored is None and not column.nullable:
-                raise ConstraintError(
-                    f"column {column.name!r} of table "
-                    f"{self.schema.name!r} is NOT NULL"
-                )
-            coerced.append(stored)
-        return tuple(coerced)
+        return tuple([
+            convert(value)
+            for convert, value in zip(self._converters, values)
+        ])
 
     def _pk_key(self, row: tuple) -> tuple | None:
         if not self._pk_positions:
@@ -311,27 +325,7 @@ class Table:
         explicit map, not an address computation).
         """
         with self._lock:
-            row = self._coerce_row(values)
-            key = self._pk_key(row)
-            if key is not None and key in self._pk_index:
-                raise ConstraintError(
-                    f"duplicate primary key {key!r} in table "
-                    f"{self.schema.name!r}"
-                )
-            self._check_unique_indexes(row)
-            if rid is None:
-                rid = self._next_rid
-                self._next_rid += 1
-            elif rid in self._rid_block:
-                raise StorageError(f"rid {rid} already occupied")
-            else:
-                self._next_rid = max(self._next_rid, rid + 1)
-            self._place_row(rid, row)
-            if key is not None:
-                self._pk_index[key] = rid
-            for index in self._secondary.values():
-                index.insert(rid, row)
-            self.version += 1
+            rid, row = self._add_row(values, rid)
         if notify:
             self._notify(
                 RowChange(
@@ -341,6 +335,58 @@ class Table:
             )
         return rid
 
+    def insert_many(self, rows, notify: bool = True) -> int:
+        """Insert ``rows`` in input order; returns how many landed.
+
+        The one row loop behind :meth:`bulk_load`, ``INSERT … SELECT``
+        and multi-row ``VALUES`` (:meth:`insert` shares its validation
+        and placement). ``rows`` is consumed lazily, so a generator
+        streams. Each row is validated and placed under the table lock,
+        and with ``notify`` its :class:`RowChange` reaches the observers
+        right after that row is placed, with the lock released, before
+        the next row is read or validated, so DML row triggers (which may
+        read or write this table) and the undo log see what a loop of
+        :meth:`insert` calls shows them. The first failing row raises;
+        the rows before it stay (a statement's undo log removes them).
+        """
+        name = self.schema.name
+        count = 0
+        for values in rows:
+            with self._lock:
+                rid, row = self._add_row(values)
+            if notify:
+                self._notify(RowChange(name, CHANGE_INSERT, None, row, rid=rid))
+            count += 1
+        return count
+
+    def _add_row(self, values: tuple, rid: int | None = None
+                 ) -> tuple[int, tuple]:
+        """Validate and place one row (caller holds the lock); returns
+        its rid and stored image."""
+        row = self._coerce_row(values)
+        key = self._pk_key(row) if self._pk_positions else None
+        if key is not None and key in self._pk_index:
+            raise ConstraintError(
+                f"duplicate primary key {key!r} in table "
+                f"{self.schema.name!r}"
+            )
+        if self._unique_indexes:
+            self._check_unique_indexes(row)
+        if rid is None:
+            rid = self._next_rid
+            self._next_rid += 1
+        elif rid in self._rid_block:
+            raise StorageError(f"rid {rid} already occupied")
+        else:
+            self._next_rid = max(self._next_rid, rid + 1)
+        self._place_row(rid, row)
+        if key is not None:
+            self._pk_index[key] = rid
+        for index in self._secondary.values():
+            index.insert(rid, row)
+        self.version += 1
+        return rid, row
+
     def delete_rid(
         self, rid: int, notify: bool = True, compensating: bool = False
     ) -> tuple:
@@ -349,7 +395,9 @@ class Table:
             row = self.row_by_rid(rid)
             block = self._rid_block.pop(rid)
             block.remove(rid)
-            self._row_count -= 1
+            count = self._row_count = self._row_count - 1
+            if not count & (count + 1) and self.on_bucket_change is not None:
+                self.on_bucket_change(self)
             key = self._pk_key(row)
             if key is not None:
                 del self._pk_index[key]
@@ -413,6 +461,7 @@ class Table:
     def truncate(self) -> None:
         """Remove all rows without firing observers (bulk-load helper)."""
         with self._lock:
+            emptied = self._row_count > 0
             self._blocks.clear()
             self._rid_block.clear()
             self._tail = None
@@ -426,11 +475,28 @@ class Table:
                     fresh = HashIndex(index.name, index.positions)
                 self._secondary[name] = fresh
             self.version += 1
+        if emptied and self.on_bucket_change is not None:
+            self.on_bucket_change(self)
 
     def bulk_load(self, rows) -> int:
         """Insert many rows without observer notifications; returns count."""
-        count = 0
-        for values in rows:
-            self.insert(values, notify=False)
-            count += 1
-        return count
+        return self.insert_many(rows, notify=False)
+
+
+def _column_converter(table: str, column: Column
+                      ) -> Callable[[object], object]:
+    """``coerce_value`` for ``column``'s type, refusing NULL when the
+    column is NOT NULL."""
+    convert = value_converter(column.data_type)
+    if column.nullable:
+        return convert
+
+    def convert_not_null(value: object) -> object:
+        stored = convert(value)
+        if stored is None:
+            raise ConstraintError(
+                f"column {column.name!r} of table {table!r} is NOT NULL"
+            )
+        return stored
+
+    return convert_not_null

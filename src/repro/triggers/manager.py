@@ -9,6 +9,18 @@ expression's partition-by key. DML triggers fire per modified row with the
 Cascades are bounded by :data:`MAX_TRIGGER_DEPTH` (32, as in SQL Server):
 a SELECT trigger's INSERT can fire an AFTER INSERT trigger whose body runs
 a SELECT that fires further SELECT triggers, and so on.
+
+A firing should cost an append, not a statement. SELECT triggers are
+indexed by timing and audit expression when created or dropped, so
+finding what a statement arms is a dictionary lookup. :class:`SelectFiring`
+keeps one ``accessed`` table per audit expression, refilled with one
+``bulk_load`` per firing, and compiles each body SELECT once; on a single
+node an ``INSERT … SELECT`` or bare SELECT body then runs as that plan
+(``Database.execute_trigger_body``) and appends its rows with one
+``Table.insert_many``. A body that discloses IDs to an armed trigger is
+refused there (:meth:`TriggerManager.refuse_nested_firing`; a failing
+body is checked against AFTER triggers only, as a failing statement
+dispatches only those), since a nested firing is not supported.
 """
 
 from __future__ import annotations
@@ -27,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 
 MAX_TRIGGER_DEPTH = 32
 
+ACCESSED_TAKEN = (
+    "a relation named 'accessed' already exists; it is reserved for "
+    "SELECT trigger actions"
+)
+
 
 class TriggerManager:
     """Owns trigger definitions and drives their execution."""
@@ -34,6 +51,9 @@ class TriggerManager:
     def __init__(self, database: "Database") -> None:
         self._database = database
         self._select_triggers: dict[str, SelectTrigger] = {}
+        #: timing -> audit expression -> its SELECT triggers of that
+        #: timing, in creation order (rebuilt on CREATE/DROP TRIGGER)
+        self._armed_index: dict[str, dict[str, list[SelectTrigger]]] = {}
         self._dml_triggers: dict[str, DmlTrigger] = {}
         self._observed_tables: set[str] = set()
         # cascade depth is per-thread: the async pipeline worker fires
@@ -41,7 +61,7 @@ class TriggerManager:
         self._local = threading.local()
         self.firing = SelectFiring(
             database, lambda: (database.catalog,),
-            database.execute_trigger_statement, self._enter, self._leave,
+            database.execute_trigger_body, self._enter, self._leave,
         )
 
     # ------------------------------------------------------------------
@@ -51,6 +71,7 @@ class TriggerManager:
         self._database.audit_manager.expression(trigger.audit_expression)
         self._database.catalog.add_trigger(trigger.name, trigger)
         self._select_triggers[trigger.name.lower()] = trigger
+        self._index_select_triggers()
 
     def add_dml_trigger(self, trigger: DmlTrigger) -> None:
         table = self._database.catalog.table(trigger.table)  # validates
@@ -65,6 +86,7 @@ class TriggerManager:
         key = name.lower()
         if key in self._select_triggers:
             del self._select_triggers[key]
+            self._index_select_triggers()
         elif key in self._dml_triggers:
             del self._dml_triggers[key]
         else:
@@ -72,21 +94,18 @@ class TriggerManager:
         self._database.catalog.drop_trigger(name)
         self.firing.forget(name)
 
-    def select_triggers_for(self, audit_expression: str
-                            ) -> list[SelectTrigger]:
-        return [
-            trigger
-            for trigger in self._select_triggers.values()
-            if trigger.audit_expression == audit_expression.lower()
-        ]
+    def _index_select_triggers(self) -> None:
+        index: dict[str, dict[str, list[SelectTrigger]]] = {}
+        for trigger in self._select_triggers.values():
+            index.setdefault(trigger.timing, {}).setdefault(
+                trigger.audit_expression, []
+            ).append(trigger)
+        self._armed_index = index
 
     def has_select_triggers(self, timing: str | None = None) -> bool:
         if timing is None:
             return bool(self._select_triggers)
-        return any(
-            trigger.timing == timing
-            for trigger in self._select_triggers.values()
-        )
+        return timing in self._armed_index
 
     # ------------------------------------------------------------------
     # SELECT trigger firing (§II: after the query, own transaction)
@@ -113,12 +132,27 @@ class TriggerManager:
 
     def _armed(self, accessed: dict[str, set], timing: str):
         """(trigger, audit name, IDs) of each action firing would run."""
+        by_expression = self._armed_index.get(timing)
+        if by_expression is None:
+            return
         for audit_name, ids in accessed.items():
             if not ids:
                 continue
-            for trigger in self.select_triggers_for(audit_name):
-                if trigger.timing == timing:
-                    yield trigger, audit_name, ids
+            for trigger in by_expression.get(audit_name.lower(), ()):
+                yield trigger, audit_name, ids
+
+    def refuse_nested_firing(
+        self, accessed: dict[str, set],
+        timings: tuple[str, ...] = ("before", "after"),
+    ) -> None:
+        """Raise if a trigger body disclosed IDs that would fire a
+        trigger of one of ``timings`` inside the firing running now: the
+        action would need its own ``accessed`` relation while the outer
+        one is registered, so it is refused, with the error that
+        registration raises."""
+        for timing in timings:
+            for _ in self._armed(accessed, timing):
+                raise TriggerError(ACCESSED_TAKEN)
 
     # ------------------------------------------------------------------
     # DML trigger firing (row-level AFTER)
@@ -178,7 +212,9 @@ class SelectFiring:
         self._execute = execute
         self._enter = enter
         self._leave = leave
-        self._accessed: dict[str, list[Table]] = {}
+        #: audit name -> ((catalog version, audit config version, catalog
+        #: count) they were built at, one ``accessed`` table per catalog)
+        self._accessed: dict[str, tuple] = {}
         #: (trigger name, statement index, size bucket) -> (trigger, plan)
         self._plans: dict[tuple, tuple] = {}
         #: (select, trigger, plan key) of the body statement running now
@@ -186,11 +222,9 @@ class SelectFiring:
 
     def run(self, trigger: SelectTrigger, audit_name: str, ids) -> None:
         catalogs = self._catalogs()
-        if any(catalog.has_table("accessed") for catalog in catalogs):
-            raise TriggerError(
-                "a relation named 'accessed' already exists; it is "
-                "reserved for SELECT trigger actions"
-            )
+        for catalog in catalogs:
+            if catalog.has_table("accessed"):
+                raise TriggerError(ACCESSED_TAKEN)
         rows = [(value,) for value in sorted(ids, key=repr)]
         tables = self._tables(audit_name, len(catalogs))
         registered = []
@@ -240,16 +274,24 @@ class SelectFiring:
             .schema.column(expression.partition_by)
 
     def _tables(self, audit_name: str, count: int) -> list[Table]:
-        column = self._id_column(audit_name)
-        schema = TableSchema(
-            "accessed", (Column(column.name, column.data_type),)
+        """The ``accessed`` relations of ``audit_name``, one per catalog,
+        built again only after DDL or an audit configuration change
+        (which also recompiles every body plan that scans them)."""
+        engine = self._engine
+        stamp = (
+            engine.catalog.version, engine.audit_manager.config_version,
+            count,
         )
-        tables = self._accessed.get(audit_name, [])
-        if len(tables) != count or tables[0].schema != schema:
-            tables = self._accessed[audit_name] = [
-                Table(schema) for _ in range(count)
-            ]
-        return tables
+        cached = self._accessed.get(audit_name)
+        if cached is None or cached[0] != stamp:
+            column = self._id_column(audit_name)
+            schema = TableSchema(
+                "accessed", (Column(column.name, column.data_type),)
+            )
+            cached = self._accessed[audit_name] = (
+                stamp, [Table(schema) for _ in range(count)]
+            )
+        return cached[1]
 
     def plan(self, select, compile):
         """``compile()``'s entry for ``select``, kept across firings when

@@ -37,6 +37,39 @@ class TestStatisticsEpoch:
         assert catalog.refresh_stats_version() == epoch + 1
 
 
+    def test_every_kind_of_crossing_moves_the_epoch_once(self):
+        """Inserts, deletes and truncate each report the bucket crossings
+        they make; a crossing undone before the next check (4 -> 3 -> 4)
+        leaves the epoch where it was, as a full re-bucketing would."""
+        catalog = Catalog()
+        table = make_table()
+        catalog.add_table(table)
+        table.bulk_load([(key, "v") for key in range(4)])
+        epoch = catalog.refresh_stats_version()
+        rid = next(iter(table._rid_block))
+        row = table.delete_rid(rid)  # 4 -> 3: bucket 3 -> 2
+        rid = table.insert(row)  # and back
+        assert catalog.refresh_stats_version() == epoch
+        table.delete_rid(rid)
+        assert catalog.refresh_stats_version() == epoch + 1
+        table.insert((9, "v"))  # 3 -> 4
+        assert catalog.refresh_stats_version() == epoch + 2
+        table.truncate()
+        assert catalog.refresh_stats_version() == epoch + 3
+        table.truncate()  # already empty: no crossing
+        assert catalog.refresh_stats_version() == epoch + 3
+
+    def test_a_dropped_table_stops_reporting(self):
+        catalog = Catalog()
+        table = make_table()
+        catalog.add_table(table)
+        epoch = catalog.refresh_stats_version()
+        catalog.drop_table("t")
+        table.bulk_load([(1, "a"), (2, "b")])
+        assert catalog.refresh_stats_version() == epoch
+        assert table.on_bucket_change is None
+
+
 class TestCatalogRegistry:
     def test_add_and_lookup_case_insensitive(self):
         catalog = Catalog()

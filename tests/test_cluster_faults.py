@@ -348,10 +348,10 @@ def test_shard_deadline_bounds_a_hung_shard(shards: int) -> None:
         injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
         result = timed("SELECT COUNT(*) FROM patients")
         # the hung shard's rows are missing; with one shard every row is,
-        # and the merged COUNT reads NULL
+        # and the merged COUNT reads 0, as a COUNT over no rows does
         count = result.rows_list()[0][0]
         if shards == 1:
-            assert count is None
+            assert count == 0
         else:
             assert 0 < count < 24
         health = cluster.cluster_health()
@@ -408,6 +408,39 @@ def test_every_shard_hung_costs_one_deadline_per_shard() -> None:
                 per_statement * len(WORKLOAD)
         finally:
             cluster.close()
+
+
+def test_every_shard_hung_count_reads_zero() -> None:
+    """A fail_open read that loses every shard merges no partial rows: its
+    COUNT reads 0, as a COUNT over no rows does on a single node, while
+    SUM, MIN and MAX over no partials stay NULL."""
+    shards = 2
+    injector = FaultInjector()
+    cluster = ClusterDatabase(
+        shards=shards, clock=_CLOCK,
+        shard_fault_injectors={index: injector for index in range(shards)},
+        shard_deadline=0.1, shard_retries=0,
+        audit_policy="fail_open", quarantine_after=10,
+    )
+    _load(cluster)
+    sql = "SELECT COUNT(*), SUM(age), MIN(age), MAX(age) FROM patients"
+    try:
+        injector.arm_latency("shard-scatter", delay_s=5.0, repeat=True)
+        assert cluster.execute(sql).rows_list() == [(0, None, None, None)]
+        assert cluster.cluster_health()["deadline_timeouts"] == shards
+        injector.disarm("shard-scatter")
+        single = Database(clock=_CLOCK)
+        _load(single)
+        try:
+            assert cluster.execute(sql).rows_list() == \
+                single.execute(sql).rows_list()
+            assert single.execute(
+                sql + " WHERE age < 0"
+            ).rows_list() == [(0, None, None, None)]
+        finally:
+            single.close()
+    finally:
+        cluster.close()
 
 
 def test_repeated_deadline_misses_quarantine_then_skip() -> None:

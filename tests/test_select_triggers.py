@@ -1,5 +1,6 @@
 """Tests for SELECT triggers: ACCESSED state, actions, cascading (§II-C)."""
 
+import collections
 import datetime
 import itertools
 
@@ -7,11 +8,13 @@ import pytest
 
 from repro import Database
 from repro.audit.placement import HEURISTIC_LEAF
+from repro.catalog.schema import TableSchema
 from repro.errors import AccessDeniedError, ExecutionError, TriggerError
 from repro.exec.operators.base import format_physical
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.builder import PlanBuilder
 from repro.plan.logical import format_plan
+from repro.storage.table import Table
 from repro.testing import CrashError, FaultInjector
 
 from tests.test_durability import _audited_db
@@ -241,8 +244,35 @@ class TestNestedFiring:
         assert logged_db.execute("SELECT * FROM log").rows == []
         assert not logged_db.catalog.has_table("accessed")
 
+    @pytest.mark.parametrize("divisor, error, message", [
+        (1, TriggerError, "already exists"),
+        (0, ExecutionError, "division by zero"),
+    ])
+    def test_failing_body_checks_after_triggers_only(
+        self, logged_db, divisor, error, message
+    ):
+        """A body that discloses IDs watched by a BEFORE trigger only is
+        refused when it completes, as a completed statement fires both
+        timings; when it fails, its own error stands, as a failing
+        statement dispatches its AFTER triggers only."""
+        logged_db.execute_script(
+            "DROP TRIGGER log_alice;"
+            "CREATE AUDIT EXPRESSION audit_bob AS SELECT * FROM patients "
+            "WHERE name = 'Bob' FOR SENSITIVE TABLE patients, "
+            "PARTITION BY patientid;"
+            "CREATE TRIGGER gate_bob ON ACCESS TO audit_bob BEFORE AS "
+            "NOTIFY 'bob';"
+            "CREATE TRIGGER log_bob ON ACCESS TO audit_alice AS "
+            "INSERT INTO log SELECT 'x', user_id(), name, "
+            f"patientid / {divisor} FROM patients WHERE name = 'Bob'"
+        )
+        with pytest.raises(error, match=message):
+            logged_db.execute(ALICE)
+        assert logged_db.execute("SELECT * FROM log").rows == []
+        assert not logged_db.catalog.has_table("accessed")
 
-ALICE = "SELECT * FROM patients WHERE name = 'Alice'"
+
+ALICE ="SELECT * FROM patients WHERE name = 'Alice'"
 
 
 def _ticking_clock():
@@ -282,6 +312,52 @@ def built(monkeypatch):
 def _body_builds(db, built, trigger="log_alice", index=0) -> int:
     select = db.catalog.trigger(trigger).body[index].select
     return sum(statement is select for statement in built)
+
+
+class TestFiringWork:
+    """A firing of a cached ``INSERT … SELECT`` body costs its plan and an
+    append: no statement path, no per-row insert, no fresh schema."""
+
+    def test_forty_firings_run_the_plan_and_append_once(
+        self, logged_db, monkeypatch
+    ):
+        _age_log(logged_db)
+
+        def fire():
+            logged_db.apply_forwarded_intent(
+                {"audit_alice": frozenset({1})}, ALICE, "admin"
+            )
+
+        fire()  # compiles the body and builds the accessed relation
+        calls: collections.Counter = collections.Counter()
+
+        def count(owner, name, key=None):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[key(*args) if key else name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for name in ("_execute_statement", "_run_select", "make_context"):
+            count(Database, name)
+        count(Table, "insert")
+        count(Table, "insert_many",
+              lambda table, *args: ("insert_many", table.schema.name))
+        count(TableSchema, "__post_init__", lambda *args: "TableSchema")
+        for _ in range(40):
+            fire()
+        # one context for the body's plan; one call refills ``accessed``
+        # and one appends the log rows
+        assert calls == {
+            "make_context": 40,
+            ("insert_many", "accessed"): 40,
+            ("insert_many", "log"): 40,
+        }
+        assert logged_db.execute(
+            "SELECT COUNT(*) FROM log WHERE ts <> 'old'"
+        ).scalar() == 41
 
 
 class TestCompiledBodies:
