@@ -42,6 +42,16 @@ PYTHONPATH=src python -m pytest -q tests/test_insert_many.py \
     --hypothesis-profile=ci
 
 echo
+echo "== offline lineage differential (hypothesis 'ci' profile) =="
+# the lineage auditor runs a rewritten plan whose rows carry their
+# sensitive primary keys as extra columns; it must name exactly the IDs
+# the per-tuple deletion test names, which this differential checks on
+# generated tables over joins, DISTINCT, aggregates and top-k, also with
+# index nested-loop joins forced
+PYTHONPATH=src python -m pytest -q tests/test_offline_lineage.py \
+    --hypothesis-profile=ci
+
+echo
 echo "== e2e benchmark: its own tests, then one traced workload =="
 # the run's gate checks armed == unarmed rows and micro-join ACCESSED ==
 # offline_audit; the traced pass goes through the staged driver, the one

@@ -1,28 +1,35 @@
-"""Lineage-based offline auditing: one instrumented run instead of N.
+"""Lineage-based offline auditing: one rewritten run instead of N.
 
 The deletion-test auditor implements Definition 2.3 literally — one full
 re-execution of ``Q(D − t)`` per candidate sensitive tuple — which the
 paper itself calls orders of magnitude too slow. This module replaces
-those N runs with **one** lineage-capturing execution plus cheap per-tuple
-classification, in the spirit of provenance-optimized query processing
-(Niu & Glavic):
+those N runs with **one** execution of a rewritten plan plus cheap
+per-tuple classification, in the spirit of provenance computed by query
+rewriting (Niu & Glavic):
 
-* every intermediate row carries the set of sensitive-table primary keys
-  it was derived from (``rows_lineage`` on the physical operators), with
-  the invariant *row survives deletion of tuple t iff t ∉ lineage*;
-* for bag-semantics SPJ (select/project/join, plus order-irrelevant sort
-  and intersection-lineage distinct) plans, deletion provenance equals
-  lineage: tuple t is accessed iff t appears in some output row's
-  lineage — one run decides every candidate;
+* :func:`carry_lineage` rewrites the certified *core* so every row
+  carries, as ordinary trailing columns, the primary key of each
+  sensitive tuple it derives from; the ordinary planner compiles the
+  rewritten core and ``collect_rows`` runs it. A row's *lineage* is the
+  set of those keys, with the invariant *the row survives deletion of
+  tuple t iff t ∉ lineage*;
+* for bag-semantics SPJ (select/project/join, plus order-irrelevant sort)
+  plans, deletion provenance equals lineage: tuple t is accessed iff t
+  appears in some output row's lineage — one run decides every
+  candidate;
+* a sensitive DISTINCT is a core boundary: its rows are collapsed to one
+  pair per distinct row whose lineage is the *intersection* of its
+  duplicates' lineages (the value vanishes only if every derivation used
+  t — the paper's §II-B duplicate masking, exactly);
 * for plans whose *spine* ends in aggregation / HAVING / top-k, the
-  certifier splits the plan into a lineage-certifiable **core** and a
-  cheap **tail**. The core runs once; per candidate, only the affected
-  aggregate groups are re-derived (per-function sensitivity rules with an
-  exact recompute fallback) and the tail — operating on group rows, not
-  base data — is replayed and compared;
-* plan shapes with no exact lineage semantics (top-k directly over
-  sensitive rows, subqueries that read the sensitive table, outer/anti
-  joins with the sensitive table on the inner side) are refused at
+  certifier splits the plan into the core and a cheap **tail**. The core
+  runs once; per candidate, only the affected aggregate groups are
+  re-derived (per-function sensitivity rules with an exact recompute
+  fallback) and the tail — operating on group rows, not base data — is
+  replayed and compared;
+* plan shapes with no exact lineage semantics (top-k or DISTINCT below
+  a join, subqueries that read the sensitive table, outer/anti joins
+  with the sensitive table on the inner side) are refused at
   certification time and fall back to deletion testing in
   :class:`~repro.audit.offline.OfflineAuditor`.
 
@@ -48,24 +55,26 @@ asserts identical accessed-ID sets over random SPJA workloads.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.datatypes import value_sort_key
+from repro.exec.operators.base import collect_rows
 from repro.expr.aggregates import make_accumulator
 from repro.expr.compiler import (
     compile_expression,
     compile_predicate,
     compile_projector,
 )
+from repro.expr.nodes import ColumnRef
 from repro.plan import logical as L
-from repro.plan.logical import AggregateSpec, LogicalPlan
+from repro.plan.logical import AggregateSpec, LogicalPlan, PlanColumn
+from repro.plan.rebase import remap_slots
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.audit.expression import AuditExpression
     from repro.database import Database
     from repro.exec.context import ExecutionContext
-    from repro.exec.operators.base import PhysicalOperator
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +104,6 @@ def certify_plan(
     Returns a :class:`Certification` on success and a human-readable
     refusal reason (the fallback telemetry) otherwise.
     """
-    from repro.audit.offline import plan_reads_table
-
     tail: list[LogicalPlan] = []
     node = plan
     while True:
@@ -115,20 +122,25 @@ def certify_plan(
             continue
         return failure
     tail.reverse()
-    if any(isinstance(stage, L.Limit) for stage in tail):
-        # a sensitive DISTINCT below a LIMIT leaves tie order at the cut
-        # boundary underdetermined between the lineage replay and a real
-        # deletion re-run — refuse rather than risk an inexact answer
-        for inner in core.walk():
-            if isinstance(inner, L.Distinct) and plan_reads_table(
-                inner, sensitive_table
-            ):
-                return "DISTINCT over sensitive rows beneath a LIMIT"
+    if (
+        tail
+        and isinstance(tail[0], L.Distinct)
+        and any(isinstance(stage, L.Limit) for stage in tail)
+    ):
+        # a deletion can move a distinct row's first occurrence, which
+        # leaves tie order at the cut boundary underdetermined between
+        # the lineage replay and a real deletion re-run — refuse rather
+        # than risk an inexact answer
+        return "DISTINCT over sensitive rows beneath a LIMIT"
     return Certification(core=core, tail=tuple(tail))
 
 
 def _core_failure(node: LogicalPlan, sensitive_table: str) -> str | None:
-    """Why ``node``'s subtree cannot run lineage-tagged (None = it can)."""
+    """Why ``node``'s subtree cannot be a lineage core (None = it can).
+
+    The reason is what :func:`certify_plan` reports when ``node`` cannot
+    move to the tail either — which, for a LIMIT, aggregate or DISTINCT,
+    means it sits below a join."""
     from repro.audit.offline import plan_reads_table
 
     if not plan_reads_table(node, sensitive_table):
@@ -137,6 +149,8 @@ def _core_failure(node: LogicalPlan, sensitive_table: str) -> str | None:
         return "LIMIT/top-k boundary over sensitive rows"
     if isinstance(node, L.Aggregate):
         return "aggregation over sensitive rows"
+    if isinstance(node, L.Distinct):
+        return "DISTINCT over sensitive rows below a join"
     if _own_subqueries_read(node, sensitive_table):
         return "a subquery inside the plan reads the sensitive table"
     if (
@@ -167,6 +181,135 @@ def _own_subqueries_read(node: LogicalPlan, sensitive_table: str) -> bool:
             if plan_reads_table(subplan, sensitive_table):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the rewrite: core rows carry their sensitive primary keys as columns
+
+#: output column of the key values a rewritten node appends
+_LINEAGE_COLUMN = PlanColumn("__lineage")
+
+
+def carry_lineage(
+    plan: LogicalPlan, sensitive_table: str
+) -> tuple[LogicalPlan, tuple[int, ...]]:
+    """Rewrite a certified core so each row carries its lineage.
+
+    Returns the rewritten plan and its *lineage slots*: one run of
+    primary-key-width slots per sensitive scan the row derives from,
+    holding that tuple's key. Original columns keep their slots and any
+    added ones follow them, so every expression above a rewritten node
+    stays bound as it was. Subtrees that do not read the sensitive table
+    are returned unchanged.
+    """
+    from repro.audit.offline import plan_reads_table
+
+    if not plan_reads_table(plan, sensitive_table):
+        return plan, ()
+    if isinstance(plan, L.Scan):
+        return plan, plan.schema.primary_key_positions()
+    if isinstance(plan, (L.Filter, L.Sort, L.Audit)):
+        child, slots = carry_lineage(plan.child, sensitive_table)
+        return plan.replace_children((child,)), slots
+    if isinstance(plan, L.Project):
+        child, slots = carry_lineage(plan.child, sensitive_table)
+        return _append_lineage(
+            plan.expressions, plan.columns, child, slots
+        )
+    if isinstance(plan, L.Join):
+        return _carry_join(plan, sensitive_table)
+    raise AssertionError(
+        f"uncertified core operator {type(plan).__name__}"
+    )  # pragma: no cover - certify_plan admits no other sensitive node
+
+
+def _append_lineage(
+    expressions: tuple,
+    columns: tuple[PlanColumn, ...],
+    child: LogicalPlan,
+    slots: tuple[int, ...],
+) -> tuple[LogicalPlan, tuple[int, ...]]:
+    """A projection of ``expressions`` over ``child`` followed by one
+    column per lineage slot of the child."""
+    arity = len(expressions)
+    project = L.Project(
+        child,
+        expressions + tuple(
+            ColumnRef("__lineage", index=slot) for slot in slots
+        ),
+        columns + (_LINEAGE_COLUMN,) * len(slots),
+    )
+    return project, tuple(range(arity, arity + len(slots)))
+
+
+def _carry_join(
+    plan: L.Join, sensitive_table: str
+) -> tuple[LogicalPlan, tuple[int, ...]]:
+    """Left lineage columns shift the right side and the condition's
+    references to it; a projection on top puts them back in place."""
+    left, left_slots = carry_lineage(plan.left, sensitive_table)
+    left_arity = plan.left.arity
+    grown = left.arity - left_arity
+    condition = plan.condition
+    if grown and condition is not None:
+        condition = remap_slots(
+            condition,
+            lambda slot: slot + grown if slot >= left_arity else slot,
+        )
+    if plan.kind in (L.JOIN_SEMI, L.JOIN_ANTI):
+        # the output is the left row (certify_plan requires a
+        # sensitive-free right side for every non-inner join)
+        return replace(plan, left=left, condition=condition), left_slots
+    right, right_slots = plan.right, ()
+    if plan.kind == L.JOIN_INNER:
+        right, right_slots = carry_lineage(plan.right, sensitive_table)
+    joined = replace(plan, left=left, right=right, condition=condition)
+    slots = left_slots + tuple(left.arity + slot for slot in right_slots)
+    if not grown:
+        return joined, slots
+    original = tuple(range(left_arity)) + tuple(
+        range(left.arity, left.arity + plan.right.arity)
+    )
+    return _append_lineage(
+        tuple(ColumnRef(column.name, index=slot)
+              for column, slot in zip(plan.columns, original)),
+        plan.columns,
+        joined,
+        slots,
+    )
+
+
+def lineage_pairs(
+    rows: list[tuple], arity: int, slots: tuple[int, ...], width: int
+) -> list[tuple[tuple, frozenset]]:
+    """``(row, lineage)`` per row of a :func:`carry_lineage` run: the
+    original ``arity`` columns and the set of key tuples in ``slots``
+    (``width`` slots per key)."""
+    keys = tuple(
+        slots[start:start + width] for start in range(0, len(slots), width)
+    )
+    return [
+        (
+            row[:arity],
+            frozenset(tuple(row[slot] for slot in key) for key in keys),
+        )
+        for row in rows
+    ]
+
+
+def collapse_distinct(pairs: list) -> list[tuple[tuple, frozenset]]:
+    """DISTINCT over ``(row, lineage)`` pairs, in first-occurrence order.
+
+    A distinct row's lineage is the *intersection* of its duplicates'
+    lineages: the value disappears under deletion of t only when every
+    derivation used t, so duplicate elimination hides the other accesses
+    (§II-B) exactly instead of reporting them as false positives.
+    """
+    lineages: dict[tuple, frozenset] = {}
+    for row, lineage in pairs:
+        current = lineages.get(row)
+        lineages[row] = lineage if current is None else current & lineage
+    return list(lineages.items())
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +488,7 @@ class _Group:
 
 
 class _AggregateAnalysis:
-    """Groups the core's lineage-tagged rows once; answers per-candidate
+    """Groups the core's ``(row, lineage)`` pairs once; answers per-candidate
     "does deleting t change / vanish any of its groups" incrementally."""
 
     def __init__(self, node: L.Aggregate) -> None:
@@ -480,7 +623,7 @@ class LineageOutcome:
     accessed: set = field(default_factory=set)
     #: id -> primary keys the analysis could not decide (deletion fallback)
     undecided: dict = field(default_factory=dict)
-    #: rows produced (and tagged) by the single core execution
+    #: rows the single run of the rewritten core produced
     tagged_rows: int = 0
     #: candidate tuples classified without any deletion run
     decided_tuples: int = 0
@@ -518,21 +661,16 @@ class LineageAuditor:
             return None
         self.last_refusal = None
 
-        physical = self._compile_core(certification.core, table_name)
-        context = self._database.make_context(parameters)
-        context.lineage_table = table_name
-        # Classification only ever looks up candidate primary keys, so
-        # scans may consult block sketches and tag rows of blocks that
-        # provably hold no candidate ID with empty lineage — skipping the
-        # per-row pk-set construction without changing any verdict.
-        context.lineage_candidates = set(tuples_by_id)
-        try:
-            context.lineage_id_position = self._database.catalog.table(
-                table_name
-            ).schema.position_of(expression.partition_by)
-        except Exception:
-            context.lineage_id_position = None
-        pairs = list(physical.rows_lineage(context))
+        database = self._database
+        core, slots = carry_lineage(certification.core, table_name)
+        context = database.make_context(parameters)
+        rows = collect_rows(database._optimizer.compile(core), context)
+        pk_width = len(
+            database.catalog.table(table_name).schema.primary_key
+        )
+        pairs = lineage_pairs(
+            rows, certification.core.arity, slots, pk_width
+        )
 
         pk_to_id: dict[tuple, object] = {}
         for id_value, pk_list in tuples_by_id.items():
@@ -540,17 +678,20 @@ class LineageAuditor:
                 pk_to_id[pk] = id_value
 
         outcome = LineageOutcome(tagged_rows=len(pairs))
-        if not certification.tail:
+        tail = certification.tail
+        if tail and isinstance(tail[0], L.Distinct):
+            pairs = collapse_distinct(pairs)
+            tail = tail[1:]
+        if all(isinstance(stage, (L.Sort, L.Audit)) for stage in tail):
+            # order and the no-op viewer leave the output bag alone
             self._classify_spj(pairs, pk_to_id, tuples_by_id, outcome)
-        elif isinstance(certification.tail[0], L.Aggregate):
+        elif isinstance(tail[0], L.Aggregate):
             self._classify_aggregate(
-                certification.tail, pairs, context, pk_to_id,
-                tuples_by_id, outcome,
+                tail, pairs, context, pk_to_id, tuples_by_id, outcome,
             )
         else:
             self._classify_replay(
-                certification.tail, pairs, context, pk_to_id,
-                tuples_by_id, outcome,
+                tail, pairs, context, pk_to_id, tuples_by_id, outcome,
             )
         total = sum(len(pks) for pks in tuples_by_id.values())
         outcome.decided_tuples = total - sum(
@@ -673,31 +814,3 @@ class LineageAuditor:
                     continue
                 if changed:
                     accessed.add(id_value)
-
-    # ------------------------------------------------------------------
-
-    def _compile_core(
-        self, core: LogicalPlan, table_name: str
-    ) -> "PhysicalOperator":
-        """Compile the core, wrapping topmost sensitive-free subtrees so
-        arbitrary operators below them run in plain batch mode."""
-        from repro.audit.offline import _collect_topmost_insensitive
-        from repro.exec.operators import LineageFreeOperator
-        from repro.optimizer.physical import PhysicalPlanner
-
-        database = self._database
-        free: set[int] = set()
-        _collect_topmost_insensitive(core, table_name, free)
-
-        def wrapper(node: LogicalPlan, operator):
-            if id(node) in free:
-                return LineageFreeOperator(operator)
-            return operator
-
-        planner = PhysicalPlanner(
-            database.catalog,
-            database.audit_manager.resolve_view,
-            node_wrapper=wrapper,
-        )
-        planner.join_strategy = database.join_strategy
-        return planner.compile(core)

@@ -9,10 +9,10 @@ make it usable:
   leaf-level scan of the sensitive table, so only sensitive tuples that
   satisfy the pushed-down scan predicates (in the main query or any
   subquery) need the deletion test;
-* **lineage fast path** — for certifiable plan shapes, one
-  lineage-capturing execution classifies every candidate at once
-  (:mod:`repro.audit.lineage`), replacing N deletion re-runs with a
-  single instrumented run. The ``offline_audit_mode`` knob on the
+* **lineage fast path** — for certifiable plan shapes, one run of the
+  query rewritten to carry each row's sensitive primary keys as columns
+  classifies every candidate at once (:mod:`repro.audit.lineage`),
+  replacing N deletion re-runs. The ``offline_audit_mode`` knob on the
   database ('auto' | 'deletion') selects the strategy;
 * **deletion fallback** — candidates the lineage engine leaves undecided
   (or every candidate, for uncertifiable plans) still get the literal

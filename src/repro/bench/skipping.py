@@ -12,9 +12,9 @@ at each target sensitive selectivity, and measures — with the
   sensitive rows;
 * *end-to-end* — the full ``SELECT * FROM customer`` through
   ``collect_rows``, where result materialization dominates and the win is proportionally smaller;
-* *offline* — one :class:`OfflineAuditor` audit of the same query, whose
-  lineage run skips per-row lineage tagging for candidate-disjoint
-  blocks.
+* *offline* — one :class:`OfflineAuditor` audit of the same query (its
+  lineage run is an ordinary plan, so only zone maps could skip there,
+  and this predicate-free query gives them nothing to skip).
 
 Before reporting any timing the benchmark asserts the conservative-skip
 invariant observationally: query results, ACCESSED sets, and
@@ -136,7 +136,7 @@ def _measure_point(
         entry["accessed_equal"] = accessed_on == accessed_off
         entry["accessed_ids"] = len(accessed_on.get(AUDIT_NAME, ()))
 
-        # offline mode: lineage run with candidate-disjoint block skip
+        # offline mode: verdicts must not depend on the knob
         def offline(skipping: bool):
             database.skipping = skipping
             return OfflineAuditor(database).audit(QUERY, AUDIT_NAME)

@@ -35,6 +35,9 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, "Table"] = {}
         self._indexes: dict[str, IndexDefinition] = {}
+        #: table name -> names of its indexes, so dropping a table
+        #: touches only its own definitions
+        self._table_indexes: dict[str, list[str]] = {}
         self._statistics: dict[str, TableStatistics] = {}
         # Trigger and audit-expression objects are registered by their
         # subsystems; the catalog only provides named storage + lookup.
@@ -97,11 +100,8 @@ class Catalog:
             if self._stats_buckets.pop(key, None) is not None:
                 table.on_bucket_change = None
             self._statistics.pop(key, None)
-            self._indexes = {
-                index_name: definition
-                for index_name, definition in self._indexes.items()
-                if definition.table != key
-            }
+            for index_name in self._table_indexes.pop(key, ()):
+                del self._indexes[index_name]
             if not transient:
                 self.version += 1
 
@@ -133,11 +133,16 @@ class Catalog:
                     f"{definition.table!r}"
                 )
             self._indexes[key] = definition
+            self._table_indexes.setdefault(
+                definition.table.lower(), []
+            ).append(key)
             self.version += 1
 
     def indexes_on(self, table: str) -> list[IndexDefinition]:
-        key = table.lower()
-        return [d for d in self._indexes.values() if d.table == key]
+        return [
+            self._indexes[name]
+            for name in self._table_indexes.get(table.lower(), ())
+        ]
 
     # ------------------------------------------------------------------
     # statistics

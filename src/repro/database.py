@@ -356,10 +356,10 @@ class Database:
 
     @property
     def offline_audit_mode(self) -> str:
-        """Offline-auditor strategy: ``'auto'`` (one lineage-capturing
-        run when the plan shape is certifiable, deletion tests for what
-        it leaves undecided) or ``'deletion'`` (always the literal
-        Definition-2.3 re-runs)."""
+        """Offline-auditor strategy: ``'auto'`` (one run of the plan
+        rewritten to carry lineage when the plan shape is certifiable,
+        deletion tests for what it leaves undecided) or ``'deletion'``
+        (always the literal Definition-2.3 re-runs)."""
         return self._offline_audit_mode
 
     @offline_audit_mode.setter

@@ -89,15 +89,6 @@ class AuditError(ReproError):
     """Audit expression definition, compilation, or placement failed."""
 
 
-class LineageError(AuditError):
-    """A plan shape the lineage-capturing executor cannot certify.
-
-    Raised by ``rows_lineage`` on operators without an exact lineage
-    implementation; the offline auditor treats it as "fall back to
-    deletion testing", never as a user-visible failure.
-    """
-
-
 class DurabilityError(ReproError):
     """A failure in the durable audit journal subsystem."""
 

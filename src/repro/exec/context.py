@@ -12,10 +12,7 @@ An :class:`ExecutionContext` is created per statement execution. It carries:
   (Definition 2.3: run ``Q(D − t)``) hides the sensitive tuple via a
   tombstone instead of physically deleting it;
 * the ACCESSED internal state (§II): partition-by IDs recorded by audit
-  operators during this execution, grouped by audit-expression name;
-* the *lineage table* — when set, ``rows_lineage`` executions tag every
-  row with the set of this table's primary keys it was derived from (the
-  lineage-based offline auditor's single instrumented run).
+  operators during this execution, grouped by audit-expression name.
 """
 
 from __future__ import annotations
@@ -119,14 +116,11 @@ class ExecutionContext:
         "audit_probe_count",
         "audit_probe_counts",
         "batch_size",
-        "lineage_table",
         "data_skipping",
         "blocks_scanned",
         "blocks_zone_skipped",
         "audit_blocks_skipped",
         "audit_probes_skipped",
-        "lineage_candidates",
-        "lineage_id_position",
         "gather_rows",
         "cancel_token",
     )
@@ -158,9 +152,6 @@ class ExecutionContext:
         #: output chunk size of materializing operators; results, ACCESSED
         #: and probe counts do not depend on it
         self.batch_size = DEFAULT_BATCH_SIZE
-        #: sensitive table whose primary keys ``rows_lineage`` tags rows
-        #: with (None = lineage-capturing execution disabled)
-        self.lineage_table: str | None = None
         #: consult per-block zone maps / sensitive-ID sketches to skip
         #: blocks (the engine's ``skipping`` knob; skips are conservative,
         #: so results, ACCESSED, and verdicts are knob-independent)
@@ -173,12 +164,6 @@ class ExecutionContext:
         self.audit_blocks_skipped = 0
         #: per-row audit probes avoided by sketch-skipped blocks
         self.audit_probes_skipped = 0
-        #: candidate partition-by IDs of the offline lineage run: blocks
-        #: of ``lineage_table`` provably disjoint from these IDs tag rows
-        #: with empty lineage instead of their primary key
-        self.lineage_candidates: set | None = None
-        #: position of the partition-by column in ``lineage_table``
-        self.lineage_id_position: int | None = None
         #: gather key -> merged per-shard rows, installed by the cluster
         #: coordinator before running a plan containing ``Gather`` leaves
         self.gather_rows: dict[int, list[tuple]] | None = None

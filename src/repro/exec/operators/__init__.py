@@ -1,12 +1,6 @@
-"""Physical operators (pull-based iterators of column batches, plus the
-lineage-tagged path of the offline auditor)."""
+"""Physical operators (pull-based iterators of column batches)."""
 
-from repro.exec.operators.base import (
-    EMPTY_LINEAGE,
-    PhysicalOperator,
-    collect_rows,
-)
-from repro.exec.operators.lineage import LineageFreeOperator
+from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.exec.operators.scan import TableScan, IndexSeek, IndexRange, OneRowSource
 from repro.exec.operators.filter import FilterOperator
 from repro.exec.operators.project import ProjectOperator
@@ -20,9 +14,7 @@ from repro.exec.operators.audit import AuditOperator
 from repro.exec.operators.exchange import GatherSource, RowSource
 
 __all__ = [
-    "EMPTY_LINEAGE",
     "PhysicalOperator",
-    "LineageFreeOperator",
     "collect_rows",
     "TableScan",
     "IndexSeek",

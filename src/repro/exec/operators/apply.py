@@ -22,7 +22,6 @@ from repro.expr.compiler import compile_predicate
 from repro.expr.nodes import Expression
 from repro.exec.operators.audit import AuditOperator
 from repro.exec.operators.base import PhysicalOperator
-from repro.exec.operators.join import combine_lineage
 from repro.exec.operators.scan import IndexSeek
 from repro.plan.logical import JOIN_INNER, JOIN_LEFT
 
@@ -117,30 +116,6 @@ class IndexNestedLoopJoin(PhysicalOperator):
                 out = []
         if out:
             yield ColumnBatch.from_rows(out)
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: the inner runs lineage-tagged once per outer
-        row, its seek key read off the outer-row stack, so pushed-down
-        index seeks keep their speedup."""
-        residual = self._compiled_residual
-        pad = self._kind == JOIN_LEFT
-        null_extension = (None,) * self._inner_arity
-        for left_row, left_lineage in self._left.rows_lineage(context):
-            context.push_outer_row(left_row)
-            try:
-                matches = list(self._inner.rows_lineage(context))
-            finally:
-                context.pop_outer_row()
-            matched = False
-            for right_row, right_lineage in matches:
-                combined = left_row + right_row
-                if residual is not None:
-                    if residual(combined, context) is not True:
-                        continue
-                matched = True
-                yield combined, combine_lineage(left_lineage, right_lineage)
-            if pad and not matched:
-                yield left_row + null_extension, left_lineage
 
     def describe(self) -> str:
         return (

@@ -25,10 +25,15 @@ from typing import TYPE_CHECKING, Container
 
 from repro.exec.batch import ColumnBatch
 from repro.exec.operators.base import PhysicalOperator
-from repro.exec.operators.scan import MAX_CONSULT_IDS, TableScan
+from repro.exec.operators.scan import TableScan
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
+
+#: skip the sketch consult when the sensitive-ID set is larger than this
+#: (the consult is O(|ids|) per block; past this point probing the rows
+#: directly is no slower and always exact)
+MAX_CONSULT_IDS = 2048
 
 
 class AuditOperator(PhysicalOperator):
@@ -142,27 +147,6 @@ class AuditOperator(PhysicalOperator):
                 context.audit_blocks_skipped += 1
                 context.audit_probes_skipped += batch.row_count
             yield batch
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: probe and record per row; lineage passes through
-        untouched (the operator is a no-op data viewer)."""
-        slot = self._id_slot
-        sensitive = self._probe_set
-        record = None
-        probes = 0
-        try:
-            for pair in self._child.rows_lineage(context):
-                probes += 1
-                value = pair[0][slot]
-                if value is not None and value in sensitive:
-                    if record is None:
-                        record = context.accessed.setdefault(
-                            self._audit_name, set()
-                        ).add
-                    record(value)
-                yield pair
-        finally:
-            context.add_probes(self._audit_name, probes)
 
     def describe(self) -> str:
         return f"AuditOperator({self._audit_name}, slot={self._id_slot})"

@@ -6,29 +6,18 @@ re-executable, which the offline auditor exploits — it runs the same
 physical plan many times with different tombstone sets (one per
 candidate sensitive tuple).
 
-Online execution has one data path:
-
-* **columnar** (``rows_columnar``) — yields
-  :class:`~repro.exec.batch.ColumnBatch` objects (per-column vectors plus
-  a selection vector). Filters narrow the selection without touching
-  data; the audit operator probes the partition-by column in one bulk
-  pass. Operators that need whole tuples (join outputs, sort buffers,
-  the DISTINCT seen-set) pivot with ``to_rows`` at their boundary and
-  emit dense batches of about ``context.batch_size`` rows. Row order,
-  ACCESSED contents, and probe counts do not depend on where the batch
-  boundaries fall.
-
-A second path supports the lineage-based offline auditor:
-
-* **lineage-tagged** (``rows_lineage``) — yields ``(row, lineage)`` pairs
-  where ``lineage`` is a frozenset of primary keys of the context's
-  ``lineage_table`` that the row was derived from. One such run answers
-  every single-tuple deletion question ``Q(D − t) ≟ Q(D)`` for monotone
-  (SPJ) plans at once, replacing N re-executions. Operators without an
-  exact lineage semantics (bounded top-k, aggregation) do not override
-  the default, which raises :class:`~repro.errors.LineageError`; the
-  auditor certifies plan shapes up front so the error only signals a
-  certification bug, not a user-visible failure.
+Execution has one data path, ``rows_columnar``, which yields
+:class:`~repro.exec.batch.ColumnBatch` objects (per-column vectors plus a
+selection vector). Filters narrow the selection without touching data;
+the audit operator probes the partition-by column in one bulk pass.
+Operators that need whole tuples (join outputs, sort buffers, the
+DISTINCT seen-set) pivot with ``to_rows`` at their boundary and emit
+dense batches of about ``context.batch_size`` rows. Row order, ACCESSED
+contents, and probe counts do not depend on where the batch boundaries
+fall. The offline auditor's lineage run takes the same path: it runs a
+plan that ``repro.audit.lineage`` rewrote so each row carries its
+sensitive primary keys as ordinary columns, so no operator knows about
+lineage.
 
 Operators expose ``children()`` and ``describe()`` for plan inspection
 (EXPLAIN output and tests).
@@ -38,14 +27,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import LineageError
 from repro.exec.batch import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
-
-#: shared empty lineage — the common case; avoids a frozenset per row
-EMPTY_LINEAGE: frozenset = frozenset()
 
 
 class PhysicalOperator:
@@ -60,22 +45,6 @@ class PhysicalOperator:
         with an empty selection.
         """
         raise NotImplementedError
-
-    def rows_lineage(
-        self, context: "ExecutionContext"
-    ) -> Iterator[tuple[tuple, frozenset]]:
-        """Start a fresh execution yielding ``(row, lineage)`` pairs.
-
-        ``lineage`` is the set of ``context.lineage_table`` primary keys
-        the row derives from; the invariant every override must keep is
-        *the row survives deletion of sensitive tuple t iff t is not in
-        its lineage*. Operators without an exact implementation inherit
-        this default and are rejected at plan-certification time.
-        """
-        raise LineageError(
-            f"{type(self).__name__} does not support lineage-tagged "
-            "execution"
-        )
 
     def children(self) -> tuple["PhysicalOperator", ...]:
         return ()

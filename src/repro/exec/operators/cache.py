@@ -14,11 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.batch import row_batches
-from repro.exec.operators.base import (
-    EMPTY_LINEAGE,
-    PhysicalOperator,
-    collect_rows,
-)
+from repro.exec.operators.base import PhysicalOperator, collect_rows
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
@@ -52,12 +48,6 @@ class CacheOperator(PhysicalOperator):
         yield from row_batches(
             self._materialized(context), context.batch_size
         )
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: the operator only ever wraps subtrees that never
-        read the sensitive table, so every cached row has empty lineage."""
-        for row in self._materialized(context):
-            yield row, EMPTY_LINEAGE
 
     def describe(self) -> str:
         return "Cache"

@@ -35,24 +35,5 @@ class DistinctOperator(PhysicalOperator):
             if fresh:
                 yield ColumnBatch.from_rows(fresh)
 
-    def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: a distinct row's lineage is the *intersection* of
-        its duplicates' lineages — the output value disappears under
-        deletion of t only when every derivation used t. This is what
-        makes the paper's §II-B observation ("duplicate elimination can
-        hide accesses") fall out exactly instead of as a false positive.
-        """
-        critical: dict[tuple, frozenset] = {}
-        order: list[tuple] = []
-        for row, lineage in self._child.rows_lineage(context):
-            current = critical.get(row)
-            if current is None and row not in critical:
-                critical[row] = lineage
-                order.append(row)
-            elif current:  # empty intersections can never shrink further
-                critical[row] = current & lineage
-        for row in order:
-            yield row, critical[row]
-
     def describe(self) -> str:
         return "Distinct"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
-from repro.expr.compiler import compile_column_predicate, compile_predicate
+from repro.expr.compiler import compile_column_predicate
 from repro.expr.nodes import Expression
 from repro.exec.operators.base import PhysicalOperator
 
@@ -18,7 +18,6 @@ class FilterOperator(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         self._child = child
-        self._compiled = compile_predicate(predicate)
         self._column_sweep = compile_column_predicate(predicate)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -35,12 +34,6 @@ class FilterOperator(PhysicalOperator):
                     batch.length,
                     None if len(kept) == batch.length else kept,
                 )
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        predicate = self._compiled
-        for pair in self._child.rows_lineage(context):
-            if predicate(pair[0], context) is True:
-                yield pair
 
     def describe(self) -> str:
         return "Filter"

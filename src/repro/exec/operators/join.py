@@ -16,14 +16,6 @@ from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.plan.logical import JOIN_ANTI, JOIN_INNER, JOIN_LEFT, JOIN_SEMI
 
 
-def combine_lineage(left: frozenset, right: frozenset) -> frozenset:
-    """Union two lineage sets without allocating for the common empties."""
-    if not right:
-        return left
-    if not left:
-        return right
-    return left | right
-
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
 
@@ -92,32 +84,6 @@ class NestedLoopJoin(PhysicalOperator):
                     out = []
         if out:
             yield ColumnBatch.from_rows(out)
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode. The plan certifier only admits non-inner kinds
-        when the right input is lineage-free (fixed under deletion), so
-        semi/anti/padded outputs carry the left row's lineage alone."""
-        right_pairs = list(self._right.rows_lineage(context))
-        condition = self._compiled_condition
-        kind = self._kind
-        null_extension = (None,) * self._right_arity
-        for left_row, left_lineage in self._left.rows_lineage(context):
-            matched = False
-            for right_row, right_lineage in right_pairs:
-                combined = left_row + right_row
-                if condition is not None:
-                    if condition(combined, context) is not True:
-                        continue
-                matched = True
-                if kind == JOIN_SEMI or kind == JOIN_ANTI:
-                    break
-                yield combined, combine_lineage(left_lineage, right_lineage)
-            if kind == JOIN_SEMI and matched:
-                yield left_row, left_lineage
-            elif kind == JOIN_ANTI and not matched:
-                yield left_row, left_lineage
-            elif kind == JOIN_LEFT and not matched:
-                yield left_row + null_extension, left_lineage
 
     def describe(self) -> str:
         return f"NestedLoopJoin({self._kind})"
@@ -245,69 +211,6 @@ class HashJoin(PhysicalOperator):
                 out = []
         if out:
             yield ColumnBatch.from_rows(out)
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        if self._build_left:
-            yield from self._lineage_build_left(context)
-        else:
-            yield from self._lineage_build_right(context)
-
-    def _lineage_build_right(self, context: "ExecutionContext"):
-        table: dict[tuple, list[tuple]] = {}
-        setdefault = table.setdefault
-        for right_row, right_lineage in self._right.rows_lineage(context):
-            key = tuple(right_row[slot] for slot in self._right_keys)
-            if any(part is None for part in key):
-                continue
-            setdefault(key, []).append((right_row, right_lineage))
-        residual = self._compiled_residual
-        kind = self._kind
-        left_keys = self._left_keys
-        null_extension = (None,) * self._right_arity
-        empty: tuple = ()
-        get = table.get
-        for left_row, left_lineage in self._left.rows_lineage(context):
-            key = tuple(left_row[slot] for slot in left_keys)
-            matches = get(key, empty) if None not in key else empty
-            matched = False
-            for right_row, right_lineage in matches:
-                combined = left_row + right_row
-                if residual is not None:
-                    if residual(combined, context) is not True:
-                        continue
-                matched = True
-                if kind == JOIN_SEMI or kind == JOIN_ANTI:
-                    break
-                yield combined, combine_lineage(left_lineage, right_lineage)
-            if kind == JOIN_SEMI and matched:
-                yield left_row, left_lineage
-            elif kind == JOIN_ANTI and not matched:
-                yield left_row, left_lineage
-            elif kind == JOIN_LEFT and not matched:
-                yield left_row + null_extension, left_lineage
-
-    def _lineage_build_left(self, context: "ExecutionContext"):
-        table: dict[tuple, list[tuple]] = {}
-        setdefault = table.setdefault
-        for left_row, left_lineage in self._left.rows_lineage(context):
-            key = tuple(left_row[slot] for slot in self._left_keys)
-            if any(part is None for part in key):
-                continue
-            setdefault(key, []).append((left_row, left_lineage))
-        residual = self._compiled_residual
-        right_keys = self._right_keys
-        empty: tuple = ()
-        get = table.get
-        for right_row, right_lineage in self._right.rows_lineage(context):
-            key = tuple(right_row[slot] for slot in right_keys)
-            if None in key:
-                continue
-            for left_row, left_lineage in get(key, empty):
-                combined = left_row + right_row
-                if residual is not None:
-                    if residual(combined, context) is not True:
-                        continue
-                yield combined, combine_lineage(left_lineage, right_lineage)
 
     def describe(self) -> str:
         side = "build=left" if self._build_left else "build=right"

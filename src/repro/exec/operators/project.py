@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
-from repro.expr.compiler import compile_expression, compile_projector
+from repro.expr.compiler import compile_expression
 from repro.expr.nodes import ColumnRef, Expression
 from repro.exec.operators.base import PhysicalOperator
 
@@ -36,7 +36,6 @@ class ProjectOperator(PhysicalOperator):
                 expression.index  # type: ignore[union-attr]
                 for expression in expressions
             )
-        self._projector = compile_projector(expressions)
         self._compiled_each = tuple(
             compile_expression(expression) for expression in expressions
         )
@@ -82,16 +81,6 @@ class ProjectOperator(PhysicalOperator):
                         [closure(row, context) for row in rows]
                     )
             yield ColumnBatch(tuple(columns), len(rows))
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        slots = self._simple_slots
-        if slots is not None:
-            for row, lineage in self._child.rows_lineage(context):
-                yield tuple(row[slot] for slot in slots), lineage
-            return
-        projector = self._projector
-        for row, lineage in self._child.rows_lineage(context):
-            yield projector(row, context), lineage
 
     def describe(self) -> str:
         return f"Project({len(self._expressions)} cols)"

@@ -36,17 +36,12 @@ from repro.expr.nodes import (
     contains_subquery,
     referenced_slots,
 )
-from repro.exec.operators.base import EMPTY_LINEAGE, PhysicalOperator
+from repro.exec.operators.base import PhysicalOperator
 from repro.storage.index import OrderedIndex
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
     from repro.storage.table import Table
-
-#: skip the sketch consult when the candidate-ID set is larger than this
-#: (the consult is O(|ids|) per block; past this point probing the rows
-#: directly is no slower and always exact)
-MAX_CONSULT_IDS = 2048
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
@@ -150,9 +145,9 @@ class TableScan(_AccessPath):
         """Yield ``(block, summary)`` per block the zone maps keep.
 
         ``summary`` is the block's fresh :class:`BlockSummary` when the
-        zone-map consult fetched one, else ``None`` — downstream consults
-        (the audit sketch, the lineage-candidate sketch) reuse it instead
-        of re-fetching, so each block is summarized at most once per scan.
+        zone-map consult fetched one, else ``None`` — the audit operator's
+        sketch consult reuses it instead of re-fetching, so each block is
+        summarized at most once per scan.
         """
         table = self._table
         skipping = context.data_skipping
@@ -189,27 +184,9 @@ class TableScan(_AccessPath):
             if rows:
                 yield block, rows, summary
 
-    def scan_blocks(self, context: "ExecutionContext"):
-        """Yield ``(block, surviving_rows, summary)`` per non-skipped block.
-
-        Zone maps are consulted only when the context has data skipping
-        enabled; tombstone and predicate filtering always run, so this
-        stream is exactly the scan's output partitioned by block (the
-        lineage run consults ``summary`` — possibly ``None`` — against
-        its candidate IDs).
-        """
-        predicate = self._residual
-        for block, rows, summary in self._live_blocks(context):
-            if predicate is not None:
-                rows = [
-                    row for row in rows if predicate(row, context) is True
-                ]
-            if rows:
-                yield block, rows, summary
-
     def scan_column_blocks(self, context: "ExecutionContext"):
-        """Columnar twin of :meth:`scan_blocks`; the audit operator fuses
-        on it for sketch-level probe skipping, reusing ``summary``.
+        """The scan's output block by block; the audit operator fuses on
+        it for sketch-level probe skipping, reusing ``summary``.
 
         Yields ``(block, batch, summary)``: each surviving block's rows
         wrapped in a :class:`ColumnBatch` over :class:`LazyColumns` —
@@ -240,54 +217,6 @@ class TableScan(_AccessPath):
         for block, __ in self._kept_blocks(context):
             with self._table._lock:
                 yield from list(block.rows)
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: tag each row of the sensitive table with its own
-        primary key (the base case of deletion provenance).
-
-        When the offline auditor published its candidate-ID set and this
-        table sketches the partition-by column, blocks provably disjoint
-        from every candidate tag their rows with empty lineage instead:
-        those rows cannot derive from any candidate tuple, so every
-        classification the auditor performs is unchanged, and the
-        per-row key-tuple construction is skipped.
-        """
-        table = self._table
-        pk_positions = self._pk_positions
-        tagged = (
-            table.schema.name == context.lineage_table
-            and bool(pk_positions)
-        )
-        consult = None
-        if (
-            tagged
-            and context.data_skipping
-            and context.lineage_candidates is not None
-            and context.lineage_id_position in table.sketch_positions
-            and len(context.lineage_candidates) <= MAX_CONSULT_IDS
-        ):
-            candidates = context.lineage_candidates
-            try:
-                lo, hi = min(candidates), max(candidates)
-            except (ValueError, TypeError):
-                lo = hi = None
-            position = context.lineage_id_position
-            consult = (position, candidates, lo, hi)
-        for block, rows, summary in self.scan_blocks(context):
-            block_tagged = tagged
-            if consult is not None:
-                if summary is None:
-                    summary = table.fresh_summary(block)
-                if not summary.may_contain_any(*consult):
-                    context.audit_blocks_skipped += 1
-                    block_tagged = False
-            if block_tagged:
-                for row in rows:
-                    pk = tuple(row[position] for position in pk_positions)
-                    yield row, frozenset((pk,))
-            else:
-                for row in rows:
-                    yield row, EMPTY_LINEAGE
 
     def describe(self) -> str:
         suffix = " [filtered]" if self._predicate is not None else ""
@@ -345,31 +274,13 @@ def _bound_values(
     return values
 
 
-def _tag_own_keys(
-    rows: list[tuple],
-    table: "Table",
-    pk_positions: tuple[int, ...],
-    context: "ExecutionContext",
-):
-    """Lineage base case for index access paths: a row of the lineage
-    table derives from its own primary key, any other row from nothing."""
-    tagged = (
-        table.schema.name == context.lineage_table and bool(pk_positions)
-    )
-    for row in rows:
-        if tagged:
-            pk = tuple(row[position] for position in pk_positions)
-            yield row, frozenset((pk,))
-        else:
-            yield row, EMPTY_LINEAGE
-
-
 class IndexSeek(_AccessPath):
     """Equality seek on a secondary index.
 
     ``key_expressions`` must be evaluable without an input row (literals,
-    parameters, or expressions over them). The optional residual predicate
-    is applied to fetched rows.
+    parameters, or expressions over them); the inner seek of an index
+    nested-loop join has none, its keys come to :meth:`seek_many`. The
+    optional residual predicate is applied to fetched rows.
     """
 
     def __init__(
@@ -414,11 +325,6 @@ class IndexSeek(_AccessPath):
 
     def rows_columnar(self, context: "ExecutionContext"):
         yield from row_batches(self._fetch(context), context.batch_size)
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        yield from _tag_own_keys(
-            self._fetch(context), self._table, self._pk_positions, context
-        )
 
     @property
     def index_label(self) -> str:
@@ -478,11 +384,6 @@ class IndexRange(_AccessPath):
     def rows_columnar(self, context: "ExecutionContext"):
         yield from row_batches(self._fetch(context), context.batch_size)
 
-    def rows_lineage(self, context: "ExecutionContext"):
-        yield from _tag_own_keys(
-            self._fetch(context), self._table, self._pk_positions, context
-        )
-
     def describe(self) -> str:
         return (
             f"IndexRange({self._table.schema.name}.{self._index_name})"
@@ -494,9 +395,6 @@ class OneRowSource(PhysicalOperator):
 
     def rows_columnar(self, context: "ExecutionContext"):
         yield ColumnBatch((), 1)
-
-    def rows_lineage(self, context: "ExecutionContext"):
-        yield (), EMPTY_LINEAGE
 
     def describe(self) -> str:
         return "OneRow"

@@ -46,21 +46,6 @@ class SortOperator(PhysicalOperator):
             )
         yield from row_batches(buffered, context.batch_size)
 
-    def rows_lineage(self, context: "ExecutionContext"):
-        """Lineage mode: sort the (row, lineage) pairs by row rank. The
-        same stable multi-pass as ``rows_columnar`` keeps tie order
-        identical, so deleting tuples leaves survivors in the engine's
-        order."""
-        buffered = list(self._child.rows_lineage(context))
-        for key, compiled in zip(
-            reversed(self._keys), reversed(self._compiled_keys)
-        ):
-            buffered.sort(
-                key=lambda pair: value_sort_key(compiled(pair[0], context)),
-                reverse=not key.ascending,
-            )
-        yield from buffered
-
     def describe(self) -> str:
         return f"Sort({len(self._keys)} keys)"
 

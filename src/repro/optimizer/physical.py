@@ -326,13 +326,9 @@ class PhysicalPlanner:
             if plan.kind != L.JOIN_INNER:
                 return None  # conservative in auto mode
 
-        # the key expression serves the lineage run, which still seeks
-        # per outer row; the online join seeks the outer key column
+        # no key expressions: the join seeks the outer key column itself
         inner: PhysicalOperator = IndexSeek(
-            table,
-            index_name,
-            (ColumnRef("__outer", index=left_slot, outer_level=1),),
-            inner_plan.predicate,
+            table, index_name, (), inner_plan.predicate
         )
         for audit in reversed(audits):
             inner = self._audit_operator(audit, inner)

@@ -8,10 +8,9 @@ at most ``capacity`` rows. Each block carries a :class:`BlockSummary`:
   a sargable predicate conjunct;
 * per-column *sensitive-ID sketches* — counting Bloom filters over the
   block's values of registered columns (the audit expressions'
-  partition-by columns) — consulted by the audit operator and the offline
-  lineage auditor to skip the set-membership pass for blocks provably
-  free of sensitive rows (in the spirit of provenance-based data
-  skipping).
+  partition-by columns) — consulted by the audit operator to skip the
+  set-membership pass for blocks provably free of sensitive rows (in the
+  spirit of provenance-based data skipping).
 
 The maintenance protocol keeps every consult **conservative** at all
 times (false positives scan; false negatives are forbidden):

@@ -86,11 +86,14 @@ class TestCatalogRegistry:
     def test_drop_table_removes_indexes_and_stats(self):
         catalog = Catalog()
         catalog.add_table(make_table())
+        catalog.add_table(make_table("u"))
         catalog.add_index(IndexDefinition("i", "t", ("v",)))
+        catalog.add_index(IndexDefinition("j", "u", ("v",)))
         catalog.statistics("t")
         catalog.drop_table("t")
         assert not catalog.has_table("t")
         assert catalog.indexes_on("t") == []
+        assert [d.name for d in catalog.indexes_on("u")] == ["j"]
 
     def test_drop_missing_table(self):
         with pytest.raises(CatalogError):
@@ -137,6 +140,39 @@ class TestCatalogRegistry:
         assert catalog.statistics("t") is first  # cached
         table.insert((1, "x"))
         assert catalog.statistics("t") is not first
+
+
+class TestTransientIndexes:
+    def test_index_on_accessed_pruned_with_it(self, patients_db):
+        """A SELECT-trigger body may index its transient ``accessed``
+        table; dropping ``accessed`` after the firing prunes that index
+        and only that one."""
+        db = patients_db
+        db.execute(
+            "CREATE AUDIT EXPRESSION aud AS SELECT * FROM patients "
+            "FOR SENSITIVE TABLE patients, PARTITION BY patientid"
+        )
+        db.execute(
+            "CREATE TRIGGER idx ON ACCESS TO aud AS "
+            "CREATE INDEX acc_pid ON accessed (patientid)"
+        )
+        catalog = db.catalog
+        dropped_with: list[list[str]] = []
+        drop_table = catalog.drop_table
+
+        def spy(name, transient=False):
+            dropped_with.append([d.name for d in catalog.indexes_on(name)])
+            drop_table(name, transient)
+
+        catalog.drop_table = spy
+        for __ in range(2):  # the name is free again for the next firing
+            db.execute("SELECT name FROM patients WHERE patientid = 1")
+        assert db.trigger_errors == []
+        assert dropped_with == [["acc_pid"], ["acc_pid"]]
+        assert catalog.indexes_on("accessed") == []
+        assert [d.name for d in catalog.indexes_on("patients")] == [
+            "patients_pk"
+        ]
 
 
 class TestUniqueIndexes:

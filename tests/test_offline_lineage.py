@@ -10,7 +10,7 @@ tests pin:
   by deletion), asserted against both auditors;
 * a hypothesis differential: random SPJA workloads through the lineage
   auditor and the deletion-test auditor produce identical accessed-ID
-  sets;
+  sets, with hash or forced index nested-loop joins;
 * plan certification (which shapes fall back, and why);
 * the per-aggregate sensitivity rules in isolation;
 * strategy dispatch (the mode knob) and the auditor's LRU plan cache.
@@ -28,13 +28,6 @@ from repro.audit.lineage import (
     certify_plan,
 )
 from repro.plan.logical import AggregateSpec
-
-_SETTINGS = settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
 
 def make_db(rows):
     """patients(patientid, name, age, zip) with audit_all on patientid."""
@@ -185,14 +178,34 @@ disease_rows = st.lists(
     max_size=15,
 )
 
-spja_queries = st.sampled_from([
+#: patients on the inner side of the join
+PATIENTS_INNER = (
+    "SELECT d.disease, p.name FROM disease d, patients p "
+    "WHERE d.patientid = p.patientid"
+)
+
+#: queries the lineage engine certifies: one run, no deletion re-run
+CERTIFIED_QUERIES = [
     # select-project-join (pure lineage, no tail)
     "SELECT name FROM patients WHERE age > 30",
     "SELECT p.name, d.disease FROM patients p, disease d "
     "WHERE p.patientid = d.patientid",
+    PATIENTS_INNER,
     "SELECT p1.name, p2.name FROM patients p1, patients p2 "
     "WHERE p1.zip = p2.zip AND p1.patientid < p2.patientid",
+    "SELECT p.name, d.disease FROM patients p "
+    "LEFT JOIN disease d ON p.patientid = d.patientid",
+    # semi join (IN) and anti join (uncorrelated NOT EXISTS)
+    "SELECT name FROM patients WHERE patientid IN "
+    "(SELECT patientid FROM disease WHERE disease = 'flu')",
+    "SELECT name FROM patients WHERE NOT EXISTS "
+    "(SELECT * FROM disease WHERE disease = 'cancer')",
+    # a derived table on the left: its lineage column shifts the join
+    "SELECT t.name, d.disease FROM "
+    "(SELECT patientid, name FROM patients WHERE age > 20) t, disease d "
+    "WHERE t.patientid = d.patientid",
     "SELECT DISTINCT zip FROM patients WHERE age IS NOT NULL",
+    "SELECT DISTINCT zip FROM patients ORDER BY zip",
     "SELECT name FROM patients ORDER BY age, name",
     # aggregate tails (incremental group re-derivation)
     "SELECT zip, COUNT(*) FROM patients GROUP BY zip",
@@ -201,6 +214,7 @@ spja_queries = st.sampled_from([
     "HAVING COUNT(*) >= 2",
     "SELECT MAX(age) FROM patients",
     "SELECT COUNT(DISTINCT zip) FROM patients",
+    "SELECT COUNT(*) FROM (SELECT DISTINCT zip FROM patients) t",
     "SELECT d.disease, COUNT(*) FROM patients p, disease d "
     "WHERE p.patientid = d.patientid GROUP BY d.disease",
     "SELECT zip, COUNT(*) FROM patients GROUP BY zip "
@@ -209,39 +223,54 @@ spja_queries = st.sampled_from([
     "SELECT name FROM patients ORDER BY age LIMIT 3",
     "SELECT name, age FROM patients WHERE age >= 0 "
     "ORDER BY age DESC LIMIT 4",
-])
+]
+
+#: a sensitive DISTINCT below a join: refused, so deletion testing answers
+DISTINCT_UNDER_JOIN = (
+    "SELECT t.age, d.disease FROM (SELECT DISTINCT age FROM patients) t, "
+    "disease d WHERE t.age = d.patientid"
+)
+
+spja_queries = st.sampled_from(CERTIFIED_QUERIES + [DISTINCT_UNDER_JOIN])
+
+
+def add_diseases(db, sick, patient_count):
+    for patient_id, disease in sick:
+        if patient_id <= patient_count:
+            db.execute(
+                f"INSERT INTO disease VALUES ({patient_id}, '{disease}')"
+            )
+
+
+def use_index_nl(db):
+    """Index both join columns and force index nested-loop joins."""
+    db.execute("CREATE INDEX disease_pid ON disease (patientid)")
+    db.join_strategy = "index-nl"
 
 
 class TestLineageDeletionDifferential:
-    @_SETTINGS
-    @given(patients=patient_rows, sick=disease_rows, query=spja_queries)
-    def test_identical_accessed_sets(self, patients, sick, query):
-        db = Database()
-        db.execute(
-            "CREATE TABLE patients (patientid INT PRIMARY KEY, "
-            "name VARCHAR, age INT, zip VARCHAR)"
-        )
-        db.execute("CREATE TABLE disease (patientid INT, disease VARCHAR)")
-        for index, (name, age, zip_code) in enumerate(patients, start=1):
-            age_sql = "NULL" if age is None else str(age)
-            db.execute(
-                f"INSERT INTO patients VALUES ({index}, '{name}', "
-                f"{age_sql}, '{zip_code}')"
-            )
-        for patient_id, disease in sick:
-            if patient_id <= len(patients):
-                db.execute(
-                    f"INSERT INTO disease VALUES ({patient_id}, "
-                    f"'{disease}')"
-                )
-        db.execute(
-            "CREATE AUDIT EXPRESSION audit_all AS SELECT * FROM patients "
-            "FOR SENSITIVE TABLE patients, PARTITION BY patientid"
-        )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        patients=patient_rows,
+        sick=disease_rows,
+        query=spja_queries,
+        index_nl=st.booleans(),
+    )
+    def test_identical_accessed_sets(self, patients, sick, query, index_nl):
+        db = make_db(patients)
+        add_diseases(db, sick, len(patients))
+        if index_nl:
+            use_index_nl(db)
         lineage = OfflineAuditor(db, mode="auto")
         deletion = OfflineAuditor(db, mode="deletion")
         assert lineage.audit(query, "audit_all") == \
             deletion.audit(query, "audit_all")
+
+    def test_index_nl_variant_seeks_patients_on_the_inner_side(self):
+        db = make_db([("Alice", 30, "11111")])
+        use_index_nl(db)
+        plan = db.explain(PATIENTS_INNER)
+        assert "IndexNestedLoopJoin(inner, patients.patients_pk" in plan
 
 
 class TestCertification:
@@ -285,6 +314,54 @@ class TestCertification:
             "(SELECT patientid FROM disease)",
         )
         assert isinstance(certification, Certification)
+
+    def test_sensitive_distinct_under_join_refused(self):
+        db = make_db([("Alice", 30, "11111")])
+        refusal = self.certification(db, DISTINCT_UNDER_JOIN)
+        assert refusal == "DISTINCT over sensitive rows below a join"
+
+    def test_sensitive_distinct_beneath_limit_refused(self):
+        db = make_db([("Alice", 30, "11111")])
+        refusal = self.certification(
+            db, "SELECT DISTINCT zip FROM patients ORDER BY zip LIMIT 2"
+        )
+        assert refusal == "DISTINCT over sensitive rows beneath a LIMIT"
+
+    def test_distinct_under_join_falls_back_and_still_agrees(self):
+        db = make_db([
+            ("Alice", 2, "11111"),
+            ("Bob", 2, "22222"),
+            ("Carol", 1, "11111"),
+        ])
+        add_diseases(db, [(1, "flu"), (2, "cancer")], 3)
+        auditor = OfflineAuditor(db)
+        accessed = auditor.audit(DISTINCT_UNDER_JOIN, "audit_all")
+        assert auditor.last_mode == "deletion"
+        assert auditor.last_fallback_reason == (
+            "DISTINCT over sensitive rows below a join"
+        )
+        truth = OfflineAuditor(db, mode="deletion").audit(
+            DISTINCT_UNDER_JOIN, "audit_all"
+        )
+        # the duplicated age 2 masks Alice and Bob; Carol's 1 joins
+        assert accessed == truth == {3}
+
+    @pytest.mark.parametrize("index_nl", [False, True])
+    @pytest.mark.parametrize("query", CERTIFIED_QUERIES)
+    def test_pool_certifies_without_deletion_runs(self, query, index_nl):
+        db = make_db([
+            ("Alice", 30, "11111"),
+            ("Bob", 45, "22222"),
+            ("Carol", 45, "11111"),
+            ("Dave", None, "33333"),
+        ])
+        add_diseases(db, [(1, "flu"), (2, "cancer"), (2, "flu")], 4)
+        if index_nl:
+            use_index_nl(db)
+        auditor = OfflineAuditor(db)
+        auditor.audit(query, "audit_all")
+        assert auditor.last_lineage_certified, auditor.last_fallback_reason
+        assert auditor.last_deletion_runs == 0
 
     def test_uncertified_plan_falls_back_and_still_agrees(self):
         db = make_db([
