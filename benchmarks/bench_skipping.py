@@ -10,9 +10,9 @@ Standalone usage (CI smoke runs this)::
 
 The full run writes ``benchmarks/results/BENCH_skipping.json`` —
 scan-under-audit and end-to-end times plus probe counts at several
-sensitive selectivities, with the ``skipping`` knob on vs off, in online
-and offline audit modes. Every timing is gated on the conservative-skip
-differential: ACCESSED sets and offline-audit verdicts must be identical
+sensitive selectivities, with the ``skipping`` knob on vs off. Every
+timing is gated on the conservative-skip differential: ACCESSED sets and
+offline-audit verdicts must be identical
 under both knob settings (``--quick`` runs a smaller scale factor,
 checks only the differential, not the speedup floor, and writes nothing).
 """
@@ -53,7 +53,6 @@ def _summarize(results: dict) -> str:
             f"({entry['scan_under_audit_speedup']:.1f}x), "
             f"probes {entry['probes_off']} -> {entry['probes_on']}, "
             f"query {entry['query_speedup']:.2f}x, "
-            f"offline {entry['offline_speedup']:.2f}x, "
             f"accessed equal: {entry['accessed_equal']}, "
             f"verdicts equal: {entry['offline_verdicts_equal']}"
         )

@@ -52,6 +52,14 @@ PYTHONPATH=src python -m pytest -q tests/test_offline_lineage.py \
     --hypothesis-profile=ci
 
 echo
+echo "== sharded-vs-single-node differential (hypothesis 'ci' profile) =="
+# the coordinator re-sorts the concatenated fragment outputs of an ORDER
+# BY; results, ACCESSED sets, the audit log and final tables must match
+# one node's on generated statement mixes
+PYTHONPATH=src python -m pytest -q tests/test_cluster_properties.py \
+    --hypothesis-profile=ci
+
+echo
 echo "== e2e benchmark: its own tests, then one traced workload =="
 # the run's gate checks armed == unarmed rows and micro-join ACCESSED ==
 # offline_audit; the traced pass goes through the staged driver, the one

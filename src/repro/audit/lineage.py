@@ -25,8 +25,9 @@ rewriting (Niu & Glavic):
   certifier splits the plan into the core and a cheap **tail**. The core
   runs once; per candidate, only the affected aggregate groups are
   re-derived (per-function sensitivity rules with an exact recompute
-  fallback) and the tail — operating on group rows, not base data — is
-  replayed and compared;
+  fallback). The rest of the tail is an ordinary plan over a ``Gather``
+  leaf, compiled by the same planner and run by ``collect_rows`` over
+  group rows, not base data, and its output bags are compared;
 * plan shapes with no exact lineage semantics (top-k or DISTINCT below
   a join, subqueries that read the sensitive table, outer/anti joins
   with the sensitive table on the inner side) are refused at
@@ -56,16 +57,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.datatypes import value_sort_key
-from repro.exec.operators.base import collect_rows
+from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.expr.aggregates import make_accumulator
-from repro.expr.compiler import (
-    compile_expression,
-    compile_predicate,
-    compile_projector,
-)
+from repro.expr.compiler import compile_expression
 from repro.expr.nodes import ColumnRef
 from repro.plan import logical as L
 from repro.plan.logical import AggregateSpec, LogicalPlan, PlanColumn
@@ -80,7 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 # ---------------------------------------------------------------------------
 # certification: which plan shapes the lineage engine handles exactly
 
-#: unary spine operators the tail replayer can re-evaluate over small
+#: unary spine operators that may sit above the core: the planner
+#: compiles them over a ``Gather`` leaf and they run on small
 #: intermediate row sets
 _TAIL_TYPES = (
     L.Project, L.Filter, L.Sort, L.Distinct, L.Limit, L.Aggregate, L.Audit,
@@ -89,8 +86,8 @@ _TAIL_TYPES = (
 
 @dataclass
 class Certification:
-    """Split of a plan into a lineage-certifiable core and a replayable
-    tail (spine operators above the core, bottom-up)."""
+    """Split of a plan into a lineage-certifiable core and a tail
+    (spine operators above the core, bottom-up)."""
 
     core: LogicalPlan
     tail: tuple[LogicalPlan, ...]
@@ -129,7 +126,7 @@ def certify_plan(
     ):
         # a deletion can move a distinct row's first occurrence, which
         # leaves tie order at the cut boundary underdetermined between
-        # the lineage replay and a real deletion re-run — refuse rather
+        # the compiled tail and a real deletion re-run — refuse rather
         # than risk an inexact answer
         return "DISTINCT over sensitive rows beneath a LIMIT"
     return Certification(core=core, tail=tuple(tail))
@@ -363,115 +360,6 @@ def aggregate_sensitivity(
 
 
 # ---------------------------------------------------------------------------
-# tail replay: cheap re-evaluation of spine operators over row lists
-
-TailStage = Callable[[list, "ExecutionContext"], list]
-
-
-def _tail_stage(node: LogicalPlan) -> TailStage:
-    """Compile one spine operator into a row-list transformer that matches
-    the physical operator's semantics (including tie order)."""
-    if isinstance(node, L.Project):
-        projector = compile_projector(node.expressions)
-        return lambda rows, context: [
-            projector(row, context) for row in rows
-        ]
-    if isinstance(node, L.Filter):
-        predicate = compile_predicate(node.predicate)
-        return lambda rows, context: [
-            row for row in rows if predicate(row, context) is True
-        ]
-    if isinstance(node, L.Sort):
-        keys = node.keys
-        compiled = tuple(
-            compile_expression(key.expression) for key in keys
-        )
-
-        def sort_stage(rows: list, context: "ExecutionContext") -> list:
-            ordered = list(rows)
-            for key, closure in zip(reversed(keys), reversed(compiled)):
-                ordered.sort(
-                    key=lambda row: value_sort_key(closure(row, context)),
-                    reverse=not key.ascending,
-                )
-            return ordered
-
-        return sort_stage
-    if isinstance(node, L.Distinct):
-
-        def distinct_stage(rows: list, context: "ExecutionContext") -> list:
-            seen: set = set()
-            out: list = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    out.append(row)
-            return out
-
-        return distinct_stage
-    if isinstance(node, L.Limit):
-        count = node.count
-        return lambda rows, context: rows[:count] if count > 0 else []
-    if isinstance(node, L.Audit):
-        return lambda rows, context: rows  # no-op viewer
-    if isinstance(node, L.Aggregate):
-        return _reaggregate_stage(node)
-    raise AssertionError(
-        f"uncertified tail operator {type(node).__name__}"
-    )  # pragma: no cover - certify_plan admits only _TAIL_TYPES
-
-
-def _reaggregate_stage(node: L.Aggregate) -> TailStage:
-    """Full re-aggregation stage (for aggregates above the first one —
-    their input is already a small intermediate row set)."""
-    group_closures = tuple(
-        compile_expression(expression)
-        for expression in node.group_expressions
-    )
-    arg_closures = tuple(
-        compile_expression(spec.argument)
-        if spec.argument is not None
-        else None
-        for spec in node.aggregates
-    )
-    specs = node.aggregates
-
-    def stage(rows: list, context: "ExecutionContext") -> list:
-        groups: dict[tuple, list] = {}
-        for row in rows:
-            key = tuple(closure(row, context) for closure in group_closures)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [
-                    make_accumulator(spec.name, spec.distinct)
-                    for spec in specs
-                ]
-                groups[key] = accumulators
-            for closure, accumulator in zip(arg_closures, accumulators):
-                accumulator.add(
-                    1 if closure is None else closure(row, context)
-                )
-        if not groups and not group_closures:
-            groups[()] = [
-                make_accumulator(spec.name, spec.distinct) for spec in specs
-            ]
-        return [
-            key + tuple(acc.result() for acc in accumulators)
-            for key, accumulators in groups.items()
-        ]
-
-    return stage
-
-
-def _replay(
-    stages: Iterable[TailStage], rows: list, context: "ExecutionContext"
-) -> list:
-    for stage in stages:
-        rows = stage(rows, context)
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # aggregate-group analysis (the first tail stage, handled incrementally)
 
 
@@ -492,7 +380,6 @@ class _AggregateAnalysis:
     "does deleting t change / vanish any of its groups" incrementally."""
 
     def __init__(self, node: L.Aggregate) -> None:
-        self._node = node
         self._specs = node.aggregates
         self._group_closures = tuple(
             compile_expression(expression)
@@ -612,6 +499,41 @@ class _AggregateAnalysis:
 
 
 # ---------------------------------------------------------------------------
+# the compiled lineage plan
+
+#: exchange key the tail's ``Gather`` leaf reads from ``context.gather_rows``
+_TAIL_KEY = 0
+
+
+@dataclass
+class LineagePlan:
+    """A certified plan, rewritten and compiled once for lineage runs
+    (the offline auditor keeps it in its per-query plan cache)."""
+
+    #: the rewritten core: one run tags every row with its lineage
+    core: PhysicalOperator
+    #: the core's own column count, and where the key columns follow it
+    arity: int
+    slots: tuple[int, ...]
+    key_width: int
+    #: a DISTINCT at the bottom of the tail: collapse duplicates first
+    distinct: bool
+    #: the first aggregate above the core, re-derived group by group
+    aggregate: L.Aggregate | None
+    #: the stages above those, over a Gather leaf; None when they only
+    #: sort, which cannot change the output bag
+    tail: PhysicalOperator | None
+
+
+def _run_tail(
+    tail: PhysicalOperator, rows: list, context: "ExecutionContext"
+) -> Counter:
+    """The bag ``tail`` makes of ``rows``."""
+    context.gather_rows = {_TAIL_KEY: rows}
+    return Counter(collect_rows(tail, context))
+
+
+# ---------------------------------------------------------------------------
 # the auditor
 
 
@@ -623,12 +545,6 @@ class LineageOutcome:
     accessed: set = field(default_factory=set)
     #: id -> primary keys the analysis could not decide (deletion fallback)
     undecided: dict = field(default_factory=dict)
-    #: rows the single run of the rewritten core produced
-    tagged_rows: int = 0
-    #: candidate tuples classified without any deletion run
-    decided_tuples: int = 0
-    #: 'spj' | 'aggregate' | 'replay' — which classification path ran
-    strategy: str = "spj"
 
 
 class LineageAuditor:
@@ -636,82 +552,98 @@ class LineageAuditor:
 
     def __init__(self, database: "Database") -> None:
         self._database = database
-        #: why the last plan was refused (None = certified)
-        self.last_refusal: str | None = None
 
     # ------------------------------------------------------------------
 
+    def compile(
+        self, plan: LogicalPlan, sensitive_table: str
+    ) -> LineagePlan | str:
+        """Certify, rewrite and compile ``plan``, or say why it cannot be
+        audited by lineage (the fallback telemetry)."""
+        certification = certify_plan(plan, sensitive_table)
+        if isinstance(certification, str):
+            return certification
+        database = self._database
+        compile_plan = database._optimizer.compile
+        core, slots = carry_lineage(certification.core, sensitive_table)
+        stages = list(certification.tail)
+        distinct = bool(stages) and isinstance(stages[0], L.Distinct)
+        if distinct:
+            del stages[0]
+        aggregate = None
+        columns = certification.core.columns
+        if stages and isinstance(stages[0], L.Aggregate):
+            aggregate = stages.pop(0)
+            columns = aggregate.columns
+        # the audit operator is a no-op on rows
+        stages = [stage for stage in stages if not isinstance(stage, L.Audit)]
+        tail = None
+        if not all(isinstance(stage, L.Sort) for stage in stages):
+            node: LogicalPlan = L.Gather(_TAIL_KEY, tuple(columns))
+            for stage in stages:
+                node = stage.replace_children((node,))
+            tail = compile_plan(node)
+        return LineagePlan(
+            core=compile_plan(core),
+            arity=certification.core.arity,
+            slots=slots,
+            key_width=len(
+                database.catalog.table(sensitive_table).schema.primary_key
+            ),
+            distinct=distinct,
+            aggregate=aggregate,
+            tail=tail,
+        )
+
     def analyze(
         self,
-        plan: LogicalPlan,
-        expression: "AuditExpression",
+        lineage: LineagePlan,
         parameters: dict[str, object] | None,
         tuples_by_id: dict[object, list[tuple]],
-    ) -> LineageOutcome | None:
-        """Classify every candidate tuple, or None if uncertifiable.
+    ) -> LineageOutcome:
+        """Classify every candidate tuple with one run of the core.
 
         ``tuples_by_id`` maps candidate partition-by IDs to the primary
         keys of their sensitive-table tuples (the same granularity the
         deletion tester uses).
         """
-        table_name = expression.sensitive_table
-        certification = certify_plan(plan, table_name)
-        if isinstance(certification, str):
-            self.last_refusal = certification
-            return None
-        self.last_refusal = None
-
-        database = self._database
-        core, slots = carry_lineage(certification.core, table_name)
-        context = database.make_context(parameters)
-        rows = collect_rows(database._optimizer.compile(core), context)
-        pk_width = len(
-            database.catalog.table(table_name).schema.primary_key
-        )
+        context = self._database.make_context(parameters)
         pairs = lineage_pairs(
-            rows, certification.core.arity, slots, pk_width
+            collect_rows(lineage.core, context),
+            lineage.arity,
+            lineage.slots,
+            lineage.key_width,
         )
+        if lineage.distinct:
+            pairs = collapse_distinct(pairs)
 
         pk_to_id: dict[tuple, object] = {}
         for id_value, pk_list in tuples_by_id.items():
             for pk in pk_list:
                 pk_to_id[pk] = id_value
 
-        outcome = LineageOutcome(tagged_rows=len(pairs))
-        tail = certification.tail
-        if tail and isinstance(tail[0], L.Distinct):
-            pairs = collapse_distinct(pairs)
-            tail = tail[1:]
-        if all(isinstance(stage, (L.Sort, L.Audit)) for stage in tail):
-            # order and the no-op viewer leave the output bag alone
-            self._classify_spj(pairs, pk_to_id, tuples_by_id, outcome)
-        elif isinstance(tail[0], L.Aggregate):
+        outcome = LineageOutcome()
+        if lineage.aggregate is not None:
             self._classify_aggregate(
-                tail, pairs, context, pk_to_id, tuples_by_id, outcome,
+                lineage, pairs, context, pk_to_id, tuples_by_id, outcome
+            )
+        elif lineage.tail is not None:
+            self._classify_replay(
+                lineage.tail, pairs, context, pk_to_id, tuples_by_id, outcome
             )
         else:
-            self._classify_replay(
-                tail, pairs, context, pk_to_id, tuples_by_id, outcome,
-            )
-        total = sum(len(pks) for pks in tuples_by_id.values())
-        outcome.decided_tuples = total - sum(
-            len(pks) for pks in outcome.undecided.values()
-        )
+            # order leaves the output bag alone
+            self._classify_spj(pairs, pk_to_id, outcome)
         return outcome
 
     # ------------------------------------------------------------------
     # classification strategies
 
     def _classify_spj(
-        self,
-        pairs: list,
-        pk_to_id: dict,
-        tuples_by_id: dict,
-        outcome: LineageOutcome,
+        self, pairs: list, pk_to_id: dict, outcome: LineageOutcome
     ) -> None:
         """Bag-semantics SPJ: accessed ⇔ the tuple is in some output
         row's lineage. One set union decides every candidate."""
-        outcome.strategy = "spj"
         accessed = outcome.accessed
         for _row, lineage in pairs:
             for pk in lineage:
@@ -721,7 +653,7 @@ class LineageAuditor:
 
     def _classify_aggregate(
         self,
-        tail: tuple[LogicalPlan, ...],
+        lineage: LineagePlan,
         pairs: list,
         context: "ExecutionContext",
         pk_to_id: dict,
@@ -729,24 +661,16 @@ class LineageAuditor:
         outcome: LineageOutcome,
     ) -> None:
         """Aggregate spine: group once, then per candidate re-derive only
-        the affected groups (and replay the cheap tail when it can remap
-        changed group rows onto unchanged final output)."""
-        outcome.strategy = "aggregate"
-        analysis = _AggregateAnalysis(tail[0])  # type: ignore[arg-type]
+        the affected groups (and run the compiled tail over the rebuilt
+        group rows when it can remap them onto unchanged final output)."""
+        analysis = _AggregateAnalysis(lineage.aggregate)
         analysis.consume(pairs, context, set(pk_to_id))
-        rest_nodes = tail[1:]
-        # Sort and Audit neither drop, merge, nor rewrite rows, and the
-        # final comparison is a bag comparison: group rows (which embed
-        # their distinct group keys) change iff the output changes
-        bag_neutral = all(
-            isinstance(node, (L.Sort, L.Audit)) for node in rest_nodes
-        )
-        rest = [_tail_stage(node) for node in rest_nodes]
+        tail = lineage.tail
+        # without a tail, group rows (which embed their distinct group
+        # keys) change iff the output bag changes
         baseline_final: Counter | None = None
-        if not bag_neutral:
-            baseline_final = Counter(
-                _replay(rest, analysis.baseline_rows(), context)
-            )
+        if tail is not None:
+            baseline_final = _run_tail(tail, analysis.baseline_rows(), context)
         accessed = outcome.accessed
         for id_value, pk_list in tuples_by_id.items():
             for pk in pk_list:
@@ -756,17 +680,15 @@ class LineageAuditor:
                 if not affected:
                     continue  # no group touches this tuple: unaccessed
                 try:
-                    if bag_neutral:
+                    if tail is None:
                         changed = any(
                             analysis.group_changed(key, pk)
                             for key in affected
                         )
                     else:
-                        rebuilt = analysis.rebuilt_rows(pk)
-                        changed = (
-                            Counter(_replay(rest, rebuilt, context))
-                            != baseline_final
-                        )
+                        changed = _run_tail(
+                            tail, analysis.rebuilt_rows(pk), context
+                        ) != baseline_final
                 except Exception:
                     outcome.undecided.setdefault(id_value, []).append(pk)
                     continue
@@ -775,20 +697,19 @@ class LineageAuditor:
 
     def _classify_replay(
         self,
-        tail: tuple[LogicalPlan, ...],
+        tail: PhysicalOperator,
         pairs: list,
         context: "ExecutionContext",
         pk_to_id: dict,
         tuples_by_id: dict,
         outcome: LineageOutcome,
     ) -> None:
-        """Generic spine (e.g. top-k over SPJ rows): replay the tail over
-        the surviving core rows per relevant candidate — still one base
-        execution, with per-candidate work linear in the core output."""
-        outcome.strategy = "replay"
-        stages = [_tail_stage(node) for node in tail]
-        base_rows = [row for row, _lineage in pairs]
-        baseline_final = Counter(_replay(stages, base_rows, context))
+        """Generic spine (e.g. top-k over SPJ rows): run the compiled tail
+        over the surviving core rows per relevant candidate — still one
+        base execution, with per-candidate work linear in the core output."""
+        baseline_final = _run_tail(
+            tail, [row for row, _lineage in pairs], context
+        )
         relevant: set = set()
         for _row, lineage in pairs:
             for pk in lineage:
@@ -806,8 +727,7 @@ class LineageAuditor:
                         row for row, lineage in pairs if pk not in lineage
                     ]
                     changed = (
-                        Counter(_replay(stages, survivors, context))
-                        != baseline_final
+                        _run_tail(tail, survivors, context) != baseline_final
                     )
                 except Exception:
                     outcome.undecided.setdefault(id_value, []).append(pk)

@@ -45,7 +45,7 @@ def _workloads(fixture: "BenchmarkFixture") -> dict[str, tuple[str, dict]]:
             micro_parameters(fixture, MICRO_SELECTIVITY),
         ),
         # aggregation + ORDER BY + LIMIT spine: incremental per-group
-        # re-derivation with a replayed top-k tail
+        # re-derivation, then the compiled top-k tail per candidate
         "tpch_q3": (QUERIES["Q3"], QUERY_PARAMETERS["Q3"]),
     }
 

@@ -17,9 +17,9 @@ Execution model (DESIGN.md §11):
   tables and ID views and executed shard after shard on the caller's
   thread (pure-Python fragments would not overlap under the GIL, and
   during trigger firing the caller holds every shard's write lock);
-* **gather** — per-shard rows are unioned (or k-way merged on the
-  fragment's ORDER BY run), per-shard ACCESSED sets are unioned, and the
-  merge stage runs over a ``Gather`` leaf at the coordinator;
+* **gather** — per-shard rows are concatenated in shard order,
+  per-shard ACCESSED sets are unioned, and the merge stage (which
+  re-sorts an ORDER BY) runs over a ``Gather`` leaf at the coordinator;
 * **one trigger runtime** — SELECT triggers fire exactly once, at the
   coordinator, with the transient ``accessed`` relation registered on
   every shard and body statements routed back through the coordinator
@@ -49,7 +49,6 @@ shard online, replaying its journal through the PR-4 recovery path.
 
 from __future__ import annotations
 
-import heapq
 import json
 import pathlib
 import random
@@ -69,7 +68,6 @@ from repro.concurrency import (
     interruptible_sleep,
 )
 from repro.database import Database, QueryResult
-from repro.datatypes import value_sort_key
 from repro.errors import (
     AccessDeniedError,
     ClusterDegradedError,
@@ -84,12 +82,11 @@ from repro.errors import (
 )
 from repro.exec.context import ExecutionContext, Session
 from repro.exec.operators.base import PhysicalOperator, collect_rows
-from repro.exec.operators.sort import _Reversed
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Literal, SubqueryExpression
 from repro.optimizer.physical import PhysicalPlanner
 from repro.plan.builder import Scope
-from repro.plan.logical import SortKey, format_plan
+from repro.plan.logical import format_plan
 from repro.plancache import PlanCache
 from repro.sql import ast
 from repro.sql.parser import parse_statement, parse_statements
@@ -123,7 +120,6 @@ class _CompiledSelect:
     #: per-shard compilations of the same logical fragment
     fragment_physicals: tuple[PhysicalOperator, ...] = ()
     upper_physical: PhysicalOperator | None = None
-    merge_keys: tuple[SortKey, ...] | None = None
     gather_key: int = 0
     sql: str = ""
     tags: tuple = ()
@@ -558,11 +554,8 @@ class ClusterDatabase:
             f"-- route: scatter across {len(self._shards)} shards --",
             "-- shard fragment --",
             format_plan(scatter.shard_plan),
+            "-- gather: union --",
         ]
-        if scatter.merge_sort_keys is not None:
-            parts.append("-- gather: ordered k-way merge --")
-        else:
-            parts.append("-- gather: union --")
         if scatter.upper is not None:
             parts.append("-- coordinator stage --")
             parts.append(format_plan(scatter.upper))
@@ -795,7 +788,6 @@ class ClusterDatabase:
             kind="scatter",
             fragment_physicals=tuple(fragments),
             upper_physical=upper_physical,
-            merge_keys=scatter.merge_sort_keys,
             gather_key=scatter.gather_key,
         )
 
@@ -1055,7 +1047,9 @@ class ClusterDatabase:
             for context in contexts:
                 _merge_accessed(accessed_out, context.accessed)
         self._absorb_degraded_read(failures)
-        merged = self._gather(per_shard, entry, parameters)
+        # shard order: the coordinator's stable sort then breaks ties by
+        # (shard index, position within the shard)
+        merged = [row for rows in per_shard for row in rows]
         if entry.upper_physical is None:
             return merged
         shard0 = shards[0]
@@ -1066,40 +1060,6 @@ class ClusterDatabase:
                 return collect_rows(entry.upper_physical, upper_context)
         finally:
             _merge_accessed(accessed_out, upper_context.accessed)
-
-    def _gather(
-        self,
-        per_shard: list[list[tuple]],
-        entry: _CompiledSelect,
-        parameters: dict[str, object] | None,
-    ) -> list[tuple]:
-        if entry.merge_keys is None:
-            merged: list[tuple] = []
-            for rows in per_shard:
-                merged.extend(rows)
-            return merged
-        # k-way merge of the fragments' sorted runs; ties break by
-        # (shard index, position), making the interleave deterministic
-        shard0 = self._shards[0]
-        keys = entry.merge_keys
-        with shard0._engine_lock.read():
-            context = self._shard_context(shard0, parameters)
-
-            def rank(row: tuple) -> tuple:
-                parts = []
-                for key in keys:
-                    value = value_sort_key(
-                        evaluate(key.expression, row, context)
-                    )
-                    parts.append(value if key.ascending else _Reversed(value))
-                return tuple(parts)
-
-            runs = [
-                [(rank(row), index, position, row)
-                 for position, row in enumerate(rows)]
-                for index, rows in enumerate(per_shard)
-            ]
-        return [item[3] for item in heapq.merge(*runs)]
 
     # ------------------------------------------------------------------
     # SELECT-trigger runtime (coordinator-level, fires exactly once)

@@ -26,12 +26,11 @@ highest *shard-safe* node:
     skipped every shard); AVG and
     DISTINCT aggregates fall back to gathering the aggregate's *input*
     rows and running the original operator at the coordinator;
-  - ``Sort`` pushes into the shards (each fragment emits its run in
-    order) and the gather performs a k-way heap merge on the same keys —
-    the coordinator never re-sorts;
-  - ``Distinct`` and ``Limit`` push a local copy into the shards (local
-    dedup / local top-k bounds what crosses the exchange) and re-apply
-    at the coordinator.
+  - ``Sort``, ``Distinct`` and ``Limit`` push a local copy into the
+    shards (local order / dedup / top-k bounds what crosses the
+    exchange) and re-apply at the coordinator. The gather concatenates
+    the fragments' outputs in shard order, so the coordinator's stable
+    sort breaks ties by (shard index, position within the shard).
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ class ScatterPlan:
 
     #: logical fragment every shard compiles and runs over its partition
     shard_plan: L.LogicalPlan
-    #: sort keys (bound over the fragment output) for an ordered k-way
-    #: merge at the gather; None = plain union in shard order
-    merge_sort_keys: tuple[L.SortKey, ...] | None
     #: coordinator-side plan over a Gather leaf; None when the gathered
     #: stream is already the final result
     upper: L.LogicalPlan | None
@@ -202,7 +198,6 @@ def split_plan(
     # fragment and a splittable Aggregate splits partial/final; the first
     # coordinator-only node ends adjacency.
     shard_plan = cut
-    merge_sort_keys: tuple[L.SortKey, ...] | None = None
     upper_nodes: list[L.LogicalPlan | tuple] = []  # bottom-first
     adjacent = True
     for node in reversed(chain):
@@ -214,16 +209,8 @@ def split_plan(
                 upper_nodes.append(node)
             adjacent = False
             continue
-        if adjacent and isinstance(node, L.Distinct):
-            shard_plan = L.Distinct(shard_plan)
-            upper_nodes.append(node)
-            continue
-        if adjacent and isinstance(node, L.Sort):
-            shard_plan = replace(node, child=shard_plan)
-            merge_sort_keys = node.keys
-            continue  # the ordered gather replaces the coordinator sort
-        if adjacent and isinstance(node, L.Limit):
-            shard_plan = replace(node, child=shard_plan)
+        if adjacent and isinstance(node, (L.Distinct, L.Sort, L.Limit)):
+            shard_plan = node.replace_children([shard_plan])
             upper_nodes.append(node)
             continue
         adjacent = False
@@ -247,7 +234,6 @@ def split_plan(
 
     return ScatterPlan(
         shard_plan=shard_plan,
-        merge_sort_keys=merge_sort_keys,
         upper=upper,
         gather_key=gather_key,
     )

@@ -7,7 +7,7 @@ from repro.exec.operators.project import ProjectOperator
 from repro.exec.operators.join import NestedLoopJoin, HashJoin
 from repro.exec.operators.apply import IndexNestedLoopJoin
 from repro.exec.operators.aggregate import HashAggregate
-from repro.exec.operators.sort import SortOperator, LimitOperator, TopKOperator
+from repro.exec.operators.sort import SortOperator, LimitOperator
 from repro.exec.operators.distinct import DistinctOperator
 from repro.exec.operators.cache import CacheOperator
 from repro.exec.operators.audit import AuditOperator
@@ -28,7 +28,6 @@ __all__ = [
     "HashAggregate",
     "SortOperator",
     "LimitOperator",
-    "TopKOperator",
     "DistinctOperator",
     "CacheOperator",
     "AuditOperator",

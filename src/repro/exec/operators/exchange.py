@@ -1,11 +1,14 @@
-"""Exchange operators for scatter-gather execution.
+"""Exchange operators: leaves over rows produced elsewhere.
 
 The cluster coordinator cuts a plan at the highest shard-safe node and
 runs the fragment below the cut on every shard. What remains above the
 cut is compiled over a :class:`GatherSource` — a leaf operator that
-replays the merged per-shard streams out of the execution context, so
-final aggregation, re-distinct, HAVING filters, and limit reapplication
-run through the exact same physical operators as single-node execution.
+replays the per-shard outputs, concatenated in shard order, out of the
+execution context, so final aggregation, re-distinct, HAVING filters,
+re-sorting and limit reapplication run through the exact same physical
+operators as single-node execution. The offline lineage auditor compiles
+the tail of a certified plan over the same leaf and feeds it rebuilt
+group rows or surviving core rows per candidate tuple.
 
 ``RowSource`` is the context-independent sibling: a leaf over an
 explicit row list, used wherever a compiled operator tree must run over
@@ -28,10 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 class GatherSource(PhysicalOperator):
     """Leaf replaying ``context.gather_rows[key]`` (the exchange input).
 
-    The coordinator materializes and merges the per-shard fragment
-    streams *before* the upper plan runs, so the gather is a plain list
-    replay: re-executable (the offline auditor re-runs cluster plans
-    with different tombstone sets).
+    Whoever runs the plan materializes its input *before* the plan runs,
+    so the gather is a plain list replay: re-executable (the offline
+    auditor re-runs cluster plans with different tombstone sets, and its
+    lineage tail once per candidate tuple).
     """
 
     def __init__(self, key: int) -> None:
@@ -42,7 +45,7 @@ class GatherSource(PhysicalOperator):
         if sources is None or self._key not in sources:
             raise ExecutionError(
                 f"no gathered rows for exchange key {self._key} "
-                "(plan executed outside a cluster coordinator)"
+                "(context.gather_rows was not set before the plan ran)"
             )
         return sources[self._key]
 

@@ -4,8 +4,8 @@ Mapping is 1:1 per node — deliberately so: the audit operator's position,
 fixed by the placement algorithm on the logical plan, must survive into
 execution (§IV-B). The planner's choices are local: access path per scan
 (full scan vs index seek vs index range), join algorithm (hash vs nested
-loop) with hash build side picked by estimated cardinality, and Sort+Limit
-fusion into a bounded-heap top-k.
+loop) with hash build side picked by estimated cardinality. ``ORDER BY
+... LIMIT`` stays ``Limit`` over ``Sort``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.exec.operators import (
     ProjectOperator,
     SortOperator,
     TableScan,
-    TopKOperator,
 )
 from repro.optimizer.cost import CostModel
 from repro.plan import logical as L
@@ -114,12 +113,6 @@ class PhysicalPlanner:
         if isinstance(plan, L.Sort):
             return SortOperator(self.compile(plan.child), plan.keys)
         if isinstance(plan, L.Limit):
-            if isinstance(plan.child, L.Sort):
-                return TopKOperator(
-                    self.compile(plan.child.child),
-                    plan.child.keys,
-                    plan.count,
-                )
             return LimitOperator(self.compile(plan.child), plan.count)
         if isinstance(plan, L.Distinct):
             return DistinctOperator(self.compile(plan.child))

@@ -288,14 +288,16 @@ class Audit(LogicalPlan):
 
 @dataclass(frozen=True)
 class Gather(LogicalPlan):
-    """Leaf standing for a scatter-gather exchange boundary.
+    """Leaf standing for rows materialized outside the plan.
 
     The cluster coordinator splits a plan at the highest shard-safe node,
     ships the subtree below the cut to every shard, and rebuilds the
-    remainder over a ``Gather`` leaf. At execution time the physical
-    :class:`~repro.exec.operators.exchange.GatherSource` reads the merged
-    per-shard streams out of ``context.gather_rows[key]`` — the leaf
-    itself carries only the fragment's output columns and that key.
+    remainder over a ``Gather`` leaf; the offline lineage auditor rebuilds
+    the tail above a certified core the same way. At execution time the
+    physical :class:`~repro.exec.operators.exchange.GatherSource` reads
+    the rows out of ``context.gather_rows[key]`` (for the cluster, the
+    per-shard outputs concatenated in shard order) — the leaf itself
+    carries only the input's columns and that key.
     """
 
     key: int

@@ -16,7 +16,9 @@ import datetime
 import pytest
 
 from repro.cluster import ClusterDatabase, Topology, shard_of
+from repro.cluster.fragments import split_plan
 from repro.database import Database
+from repro.datatypes import value_sort_key
 from repro.errors import (
     AccessDeniedError,
     ClusterError,
@@ -24,6 +26,7 @@ from repro.errors import (
     DurabilityError,
     TriggerError,
 )
+from repro.exec.operators.base import collect_rows
 from repro.testing import CrashError, FaultInjector
 
 pytestmark = pytest.mark.filterwarnings(
@@ -93,7 +96,8 @@ QUERIES = [
     # AVG is not splittable: falls back to gathering input rows
     ("SELECT AVG(age) FROM patients WHERE disease = 'flu'", False),
     ("SELECT COUNT(DISTINCT zip) FROM patients", False),
-    # ORDER BY: k-way merged, totally ordered by the pid tiebreak
+    # ORDER BY: sorted per shard, re-sorted at the coordinator; the pid
+    # tiebreak makes the order total
     ("SELECT pid, name FROM patients ORDER BY age DESC, pid", True),
     ("SELECT pid FROM patients WHERE disease = 'flu' ORDER BY pid", True),
     ("SELECT pid, age FROM patients ORDER BY age, pid LIMIT 5", True),
@@ -130,6 +134,56 @@ def test_shard_count_invariance(shards: int) -> None:
         assert disclosing > 0
         assert len(cluster.notifications) == disclosing
         assert len(single.notifications) == disclosing
+    finally:
+        single.close()
+        cluster.close()
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize(
+    "sql, descending, limit",
+    [
+        ("SELECT pid, age FROM patients ORDER BY age", False, None),
+        ("SELECT pid, age FROM patients ORDER BY age DESC LIMIT 9",
+         True, 9),
+    ],
+)
+def test_sort_ties_keep_shard_then_position_order(
+    shards: int, sql: str, descending: bool, limit: int | None
+) -> None:
+    """An ORDER BY that leaves ties returns the fragments' outputs
+    concatenated in shard order, then stably sorted: ties (NULLs
+    included) break by shard index, then position within the shard."""
+    single, cluster = _pair(shards=shards, rows=0)
+    try:
+        for pid in range(40):
+            age = "NULL" if pid % 5 == 0 else str(pid % 3)
+            for db in (single, cluster):
+                db.execute(
+                    f"INSERT INTO patients VALUES ({pid}, 'p{pid}', "
+                    f"'flu', {age}, '11111')"
+                )
+        shard_plan = split_plan(
+            cluster.shards[0].plan_query(sql), cluster.topology, 0
+        ).shard_plan
+        gathered = [
+            row
+            for shard in cluster.shards
+            for row in collect_rows(
+                shard._optimizer.compile(shard_plan), shard.make_context()
+            )
+        ]
+        expected = sorted(
+            gathered,
+            key=lambda row: value_sort_key(row[1]),
+            reverse=descending,
+        )[:limit]
+        rows = cluster.execute(sql).rows_list()
+        assert rows == expected
+        # the same ages as one node, in the same order, whatever the ties
+        assert [age for _, age in rows] == [
+            age for _, age in single.execute(sql).rows_list()
+        ]
     finally:
         single.close()
         cluster.close()

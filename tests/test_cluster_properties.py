@@ -22,8 +22,9 @@ from repro.cluster import ClusterDatabase
 from repro.database import Database
 from repro.errors import ReproError
 
+# max_examples comes from the hypothesis profile: 100 in tier-1, 1 000
+# under scripts/ci_smoke.sh's --hypothesis-profile=ci
 _SETTINGS = settings(
-    max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

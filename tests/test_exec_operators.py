@@ -22,7 +22,6 @@ from repro.exec.operators import (
     RowSource as Rows,
     SortOperator,
     TableScan,
-    TopKOperator,
 )
 from repro.exec.operators.base import (
     PhysicalOperator,
@@ -309,12 +308,16 @@ class TestSortLimitDistinct:
 
     def test_topk_ties_keep_first_seen(self):
         source = Rows([(1, "first"), (1, "second"), (0, "zero")])
-        top = TopKOperator(source, (SortKey(slot(0), True),), 2)
+        top = LimitOperator(
+            SortOperator(source, (SortKey(slot(0), True),)), 2
+        )
         assert run(top) == [(0, "zero"), (1, "first")]
 
     def test_topk_descending_with_nulls(self):
         source = Rows([(None,), (5,), (3,)])
-        top = TopKOperator(source, (SortKey(slot(0), False),), 2)
+        top = LimitOperator(
+            SortOperator(source, (SortKey(slot(0), False),)), 2
+        )
         # descending: NULLs (smallest rank) come last; top-2 is 5, 3
         assert run(top) == [(5,), (3,)]
 

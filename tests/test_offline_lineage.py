@@ -219,6 +219,14 @@ CERTIFIED_QUERIES = [
     "WHERE p.patientid = d.patientid GROUP BY d.disease",
     "SELECT zip, COUNT(*) FROM patients GROUP BY zip "
     "ORDER BY COUNT(*) DESC, zip LIMIT 2",
+    # stages above the first aggregate, compiled over a Gather leaf: a
+    # second aggregate, a DISTINCT, and HAVING + top-k with ties at the cut
+    "SELECT COUNT(*), MAX(n) FROM "
+    "(SELECT zip, COUNT(*) AS n FROM patients GROUP BY zip) t",
+    "SELECT DISTINCT n FROM "
+    "(SELECT zip, COUNT(*) AS n FROM patients GROUP BY zip) t",
+    "SELECT zip, COUNT(*) FROM patients GROUP BY zip "
+    "HAVING COUNT(*) >= 2 ORDER BY COUNT(*) LIMIT 2",
     # top-k tails (replay over surviving core rows)
     "SELECT name FROM patients ORDER BY age LIMIT 3",
     "SELECT name, age FROM patients WHERE age >= 0 "
@@ -503,3 +511,49 @@ class TestAuditorPlanLru:
         keys = [key[0] for key in auditor._plans]
         assert hot in keys
         assert "SELECT name FROM patients WHERE age > 0" not in keys
+
+    def count_compiles(self, monkeypatch):
+        """A list that grows by one per PhysicalPlanner.compile call."""
+        from repro.optimizer.physical import PhysicalPlanner
+
+        calls = []
+        compile_plan = PhysicalPlanner.compile
+
+        def counting(planner, plan):
+            calls.append(plan)
+            return compile_plan(planner, plan)
+
+        monkeypatch.setattr(PhysicalPlanner, "compile", counting)
+        return calls
+
+    def test_repeated_audit_compiles_nothing(self, monkeypatch):
+        # a core, an aggregate and a compiled tail above it
+        db = make_db([("Alice", 30, "11111"), ("Bob", 45, "22222")])
+        query = (
+            "SELECT zip, COUNT(*) FROM patients GROUP BY zip "
+            "ORDER BY COUNT(*) DESC, zip LIMIT 1"
+        )
+        auditor = OfflineAuditor(db)
+        calls = self.count_compiles(monkeypatch)
+        first = auditor.audit(query, "audit_all")
+        assert auditor.last_mode == "lineage"
+        assert calls
+        calls.clear()
+        assert auditor.audit(query, "audit_all") == first
+        assert calls == []
+        assert auditor.plan_cache_hits == 1
+
+    def test_create_index_recompiles_once(self, monkeypatch):
+        db = make_db([("Alice", 30, "11111"), ("Bob", 45, "22222")])
+        query = "SELECT name FROM patients WHERE age > 40 ORDER BY name"
+        auditor = OfflineAuditor(db)
+        assert auditor.audit(query, "audit_all") == {2}
+        db.execute("CREATE INDEX patients_age ON patients (age)")
+        calls = self.count_compiles(monkeypatch)
+        assert auditor.audit(query, "audit_all") == {2}
+        assert calls
+        assert auditor.plan_cache_misses == 2
+        calls.clear()
+        assert auditor.audit(query, "audit_all") == {2}
+        assert calls == []
+        assert auditor.plan_cache_misses == 2

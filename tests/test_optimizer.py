@@ -8,9 +8,10 @@ from repro.exec.operators import (
     IndexNestedLoopJoin,
     IndexRange,
     IndexSeek,
+    LimitOperator,
     NestedLoopJoin,
+    SortOperator,
     TableScan,
-    TopKOperator,
 )
 from repro.expr.nodes import Binary, conjuncts
 from repro.optimizer.rewrite import rewrite_plan
@@ -427,11 +428,15 @@ class TestIndexNestedLoopJoinPlanning:
 
 
 class TestTopKFusion:
-    def test_order_by_limit_becomes_topk(self, joined_db):
+    """Top-k is a logical shape only: no operator fuses Sort and Limit."""
+
+    def test_order_by_limit_compiles_to_limit_over_sort(self, joined_db):
         physical = physical_plan(
             joined_db, "SELECT x FROM a ORDER BY x DESC LIMIT 3"
         )
-        assert find_nodes(physical, TopKOperator)
+        (limit,) = find_nodes(physical, LimitOperator)
+        (sort,) = limit.children()
+        assert isinstance(sort, SortOperator)
 
     def test_topk_matches_full_sort(self, joined_db):
         top = joined_db.execute(
