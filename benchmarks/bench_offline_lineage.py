@@ -42,13 +42,17 @@ def write(results: dict) -> None:
 def _summarize(results: dict) -> str:
     lines = [
         f"offline audit benchmark (SF {results['scale_factor']}, "
-        f"best of {results['repeats']})"
+        f"best / median of {results['repeats']}, Python calls of one)"
     ]
     for name, entry in results["queries"].items():
         lines.append(
-            f"  {name}: lineage {entry['lineage_s'] * 1e3:.2f} ms "
+            f"  {name}: lineage {entry['lineage_s'] * 1e3:.2f} / "
+            f"{entry['lineage_median_s'] * 1e3:.2f} ms, "
+            f"{entry['lineage_calls']} calls "
             f"({entry['speedup_lineage']:.1f}x), "
-            f"deletion {entry['deletion_s'] * 1e3:.2f} ms "
+            f"deletion {entry['deletion_s'] * 1e3:.2f} / "
+            f"{entry['deletion_median_s'] * 1e3:.2f} ms, "
+            f"{entry['deletion_calls']} calls "
             f"({entry['deletion_runs']} runs); "
             f"runs avoided {entry['deletion_runs_avoided']}, "
             f"accessed sets equal: {entry['accessed_sets_equal']}"

@@ -12,13 +12,17 @@ Both strategies must return the identical accessed-ID set — the lineage
 engine is exact, not approximate — which this benchmark asserts before
 reporting timings (it doubles as the CI differential check). The output is
 a machine-readable dict that ``benchmarks/bench_offline_lineage.py``
-serializes to ``benchmarks/results/BENCH_offline.json``: wall-clock per
-strategy and the deletion runs performed and avoided.
+serializes to ``benchmarks/results/BENCH_offline.json``: per strategy the
+best and median wall clock of the warm audits, the Python calls of one (a
+``sys.setprofile`` count, steady where a few-millisecond timing is not),
+and the deletion runs performed and avoided.
 """
 
 from __future__ import annotations
 
 import gc
+import statistics
+import sys
 import time
 from typing import TYPE_CHECKING
 
@@ -33,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 #: the micro query's order-date selectivity point (§V-A's 40 %)
 MICRO_SELECTIVITY = 0.4
 
-DEFAULT_REPEATS = 3
+DEFAULT_REPEATS = 9
 QUICK_REPEATS = 1
 
 
@@ -50,24 +54,40 @@ def _workloads(fixture: "BenchmarkFixture") -> dict[str, tuple[str, dict]]:
     }
 
 
-def _time_audit(auditor, sql, parameters, repeats: int) -> tuple[float, set]:
-    """Best-of-N seconds for one full audit() call (plan cache warm)."""
+def _time_audit(auditor, sql, parameters, repeats: int) -> dict:
+    """Best and median seconds of ``repeats`` full audit() calls and the
+    Python calls of one, all with the plan cache warm; ``ids`` is the
+    accessed set they all returned."""
     accessed = auditor.audit(sql, AUDIT_NAME, parameters)  # warm-up
-    best = float("inf")
+    times = []
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for __ in range(repeats):
             start = time.perf_counter()
             result = auditor.audit(sql, AUDIT_NAME, parameters)
-            elapsed = time.perf_counter() - start
+            times.append(time.perf_counter() - start)
             assert result == accessed
-            if elapsed < best:
-                best = elapsed
     finally:
         if was_enabled:
             gc.enable()
-    return best, accessed
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = auditor.audit(sql, AUDIT_NAME, parameters)
+    finally:
+        sys.setprofile(None)
+    assert result == accessed
+    return {
+        "best": min(times), "median": statistics.median(times),
+        "calls": calls, "ids": accessed,
+    }
 
 
 def offline_lineage_benchmark(
@@ -87,25 +107,28 @@ def offline_lineage_benchmark(
         lineage = OfflineAuditor(database, mode="auto")
         deletion = OfflineAuditor(database, mode="deletion")
 
-        lineage_s, lineage_ids = _time_audit(
-            lineage, sql, parameters, repeats
-        )
-        deletion_s, deletion_ids = _time_audit(
-            deletion, sql, parameters, repeats
-        )
+        timed_lineage = _time_audit(lineage, sql, parameters, repeats)
+        timed_deletion = _time_audit(deletion, sql, parameters, repeats)
 
         entry = {
-            "lineage_s": lineage_s,
-            "deletion_s": deletion_s,
-            "speedup_lineage": _ratio(deletion_s, lineage_s),
-            "accessed_ids": len(deletion_ids),
+            "lineage_s": timed_lineage["best"],
+            "lineage_median_s": timed_lineage["median"],
+            "lineage_calls": timed_lineage["calls"],
+            "deletion_s": timed_deletion["best"],
+            "deletion_median_s": timed_deletion["median"],
+            "deletion_calls": timed_deletion["calls"],
+            "speedup_lineage": _ratio(
+                timed_deletion["best"], timed_lineage["best"]
+            ),
+            "accessed_ids": len(timed_deletion["ids"]),
             "candidates": deletion.last_candidate_count,
             "lineage_mode": lineage.last_mode,
             "lineage_certified": lineage.last_lineage_certified,
             "lineage_deletion_runs": lineage.last_deletion_runs,
             "deletion_runs": deletion.last_deletion_runs,
             "deletion_runs_avoided": lineage.last_deletion_runs_avoided,
-            "accessed_sets_equal": lineage_ids == deletion_ids,
+            "accessed_sets_equal":
+                timed_lineage["ids"] == timed_deletion["ids"],
         }
         results["queries"][name] = entry
     return results

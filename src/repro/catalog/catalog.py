@@ -53,15 +53,13 @@ class Catalog:
         #: plans costed against the old statistics, while steady small
         #: churn does not thrash the plan cache
         self.stats_version = 0
-        #: bucket (``len(table).bit_length()``) of each non-transient
-        #: table at the last check
+        #: bucket (``len(table).bit_length()``) of each table at the
+        #: last check
         self._stats_buckets: dict[str, int] = {}
         #: tables that reported a bucket crossing since the last check;
         #: a table reports under its own lock, so this is filled without
         #: the catalog lock (``set.add`` is atomic)
         self._crossed: set["Table"] = set()
-        #: registered ``transient=True`` tables, left out of the buckets
-        self._transient: set[str] = set()
         # Serializes registry mutation, version bumps, and the lazy
         # statistics cache against concurrent DDL / serving threads.
         self._lock = threading.RLock()
@@ -69,41 +67,29 @@ class Catalog:
     # ------------------------------------------------------------------
     # tables
 
-    def add_table(self, table: "Table", transient: bool = False) -> None:
-        """Register a table.
-
-        ``transient=True`` skips the DDL version bump and the statistics
-        epoch: the table is a short-lived system relation (the trigger
-        manager's ``accessed``) that no cached user plan can reference,
-        so registering it must not invalidate every compiled plan on
-        each trigger firing.
-        """
+    def add_table(self, table: "Table") -> None:
+        """Register a table."""
         with self._lock:
             name = table.schema.name.lower()
             if name in self._tables:
                 raise CatalogError(f"table {name!r} already exists")
             self._tables[name] = table
-            if transient:
-                self._transient.add(name)
-            else:
-                self.version += 1
-                self._stats_buckets[name] = len(table).bit_length()
-                table.on_bucket_change = self._crossed.add
+            self.version += 1
+            self._stats_buckets[name] = len(table).bit_length()
+            table.on_bucket_change = self._crossed.add
 
-    def drop_table(self, name: str, transient: bool = False) -> None:
+    def drop_table(self, name: str) -> None:
         with self._lock:
             key = name.lower()
             if key not in self._tables:
                 raise CatalogError(f"table {name!r} does not exist")
             table = self._tables.pop(key)
-            self._transient.discard(key)
-            if self._stats_buckets.pop(key, None) is not None:
-                table.on_bucket_change = None
+            self._stats_buckets.pop(key)
+            table.on_bucket_change = None
             self._statistics.pop(key, None)
             for index_name in self._table_indexes.pop(key, ()):
                 del self._indexes[index_name]
-            if not transient:
-                self.version += 1
+            self.version += 1
 
     def table(self, name: str) -> "Table":
         try:

@@ -21,12 +21,13 @@ Execution model (DESIGN.md §11):
   per-shard ACCESSED sets are unioned, and the merge stage (which
   re-sorts an ORDER BY) runs over a ``Gather`` leaf at the coordinator;
 * **one trigger runtime** — SELECT triggers fire exactly once, at the
-  coordinator, with the transient ``accessed`` relation registered on
-  every shard and body statements routed back through the coordinator
-  (so their DML broadcasts and their SELECTs scatter like any other
-  statement); per-shard audit journals record each shard's owned slice
-  of the intent, and recovery replays per-shard journals through the
-  same coordinator firing path, preserving per-user attribution.
+  coordinator, with ``accessed`` bound on every shard to one shared
+  row list (a ``Gather`` leaf the fragment split treats as replicated)
+  and body statements routed back through the coordinator (so their DML
+  broadcasts and their SELECTs scatter like any other statement);
+  per-shard audit journals record each shard's owned slice of the
+  intent, and recovery replays per-shard journals through the same
+  coordinator firing path, preserving per-user attribution.
 
 Routing: DML on a partitioned table goes to the owning shard(s) by
 partition key; everything else broadcasts (replicated tables) or runs on
@@ -362,11 +363,12 @@ class ClusterDatabase:
         self._gather_key_lock = threading.Lock()
         self._gather_key = 0
         self._trigger_local = threading.local()
-        #: ``accessed`` is registered on every shard (replicated-table
-        #: semantics: body SELECTs may join it with partitioned tables);
-        #: body statements route like any other statement
+        #: ``accessed`` is bound on every shard to the same rows
+        #: (replicated-relation semantics: body SELECTs may join it with
+        #: partitioned tables); body statements route like any other
+        #: statement
         self._firing = SelectFiring(
-            self, lambda: [shard.catalog for shard in self._shards],
+            self, lambda: [shard.accessed_rows for shard in self._shards],
             lambda statement: self._execute_routed(statement, None),
             self._enter_trigger, self._leave_trigger,
         )
@@ -820,6 +822,7 @@ class ClusterDatabase:
         context.data_skipping = self.skipping
         if tombstones:
             context.tombstones = tombstones
+        context.gather_rows = shard.accessed_rows.gather_rows()
         return context
 
     def _collect_result_rows(
@@ -1054,7 +1057,8 @@ class ClusterDatabase:
             return merged
         shard0 = shards[0]
         upper_context = self._shard_context(shard0, parameters, tombstones)
-        upper_context.gather_rows = {entry.gather_key: merged}
+        gathered = upper_context.gather_rows = upper_context.gather_rows or {}
+        gathered[entry.gather_key] = merged
         try:
             with shard0._engine_lock.read():
                 return collect_rows(entry.upper_physical, upper_context)

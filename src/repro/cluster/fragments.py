@@ -8,8 +8,9 @@ highest *shard-safe* node:
   Audit (and the no-FROM OneRow leaf). Run on every shard over its
   partition, the union of their outputs is exactly the single-node
   output — joins are sound because routing admits at most one
-  partitioned table per plan (everything else is replicated), and audit
-  operators are sound because the partition-by column is the
+  partitioned table per plan (everything else is replicated, as is a
+  trigger body's ``accessed`` Gather leaf, read whole on every shard),
+  and audit operators are sound because the partition-by column is the
   distribution key, so each shard's ID view answers global membership
   for the rows that shard stores. Under the paper's sound heuristics
   (leaf-node, HCN, cost) audit operators never rise above an Aggregate /
@@ -42,8 +43,9 @@ from repro.expr.nodes import ColumnRef, SubqueryExpression
 from repro.plan import logical as L
 from repro.plan.builder import OneRow
 
-#: operators whose per-shard union equals the single-node output
-_SHARD_SAFE = (L.Scan, L.Filter, L.Project, L.Join, L.Audit, OneRow)
+#: operators whose per-shard union equals the single-node output (the
+#: only Gather the binder makes is a trigger body's ``accessed``)
+_SHARD_SAFE = (L.Scan, L.Filter, L.Project, L.Join, L.Audit, OneRow, L.Gather)
 
 #: aggregate -> merge aggregate for the partial/final split
 _MERGE_AGGREGATE = {

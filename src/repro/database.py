@@ -55,6 +55,7 @@ from repro.errors import (
     PipelineClosedError,
     ReadOnlyReplicaError,
     ReproError,
+    TriggerError,
     UnsupportedSqlError,
 )
 from repro.durability.journal import encode_id
@@ -65,7 +66,7 @@ from repro.expr.compiler import compile_expression
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expression
 from repro.optimizer.optimizer import Optimizer
-from repro.plan.builder import PlanBuilder, Scope
+from repro.plan.builder import AccessedRows, PlanBuilder, Scope
 from repro.plancache import CachedPlan, PlanCache
 from repro.plan.logical import LogicalPlan, PlanColumn, Scan
 from repro.sql import ast
@@ -74,7 +75,7 @@ from repro.storage.blocks import DEFAULT_BLOCK_CAPACITY
 from repro.storage.table import Table
 from repro.storage.undo import UndoLog
 from repro.triggers.definitions import DmlTrigger, SelectTrigger
-from repro.triggers.manager import TriggerManager
+from repro.triggers.manager import ACCESSED_READ_ONLY, TriggerManager
 
 
 @dataclass
@@ -122,7 +123,9 @@ class Database:
     ) -> None:
         self.catalog = Catalog()
         self.session = Session(user_id=user_id, clock=clock)
-        self._builder = PlanBuilder(self.catalog)
+        #: set by the SELECT-trigger firing running on this thread
+        self.accessed_rows = AccessedRows()
+        self._builder = PlanBuilder(self.catalog, self.accessed_rows)
         self.audit_manager = AuditManager(
             self.catalog, self._materialize_ids, heuristic=audit_heuristic
         )
@@ -786,6 +789,7 @@ class Database:
         if tombstones:
             context.tombstones = tombstones
         context.data_skipping = self.skipping
+        context.gather_rows = self.accessed_rows.gather_rows()
         return context
 
     def plan_query(
@@ -1257,8 +1261,8 @@ class Database:
         if not self.trigger_manager.has_select_triggers(timing):
             return
         self.faults.fire("trigger-action")
-        # trigger actions mutate state (audit-log INSERTs, the transient
-        # ``accessed`` relation): exclusive write side
+        # trigger actions mutate state (audit-log INSERTs) and bind
+        # ``accessed`` to the firing's rows: exclusive write side
         with self._engine_lock.write():
             # §II-C: the action executes as its own *system transaction*
             # — its writes commit independently of any enclosing user
@@ -1576,6 +1580,9 @@ class Database:
     def _execute_create_index(
         self, statement: ast.CreateIndexStatement
     ) -> QueryResult:
+        if statement.table.lower() == "accessed" \
+                and self.accessed_rows.rows is not None:
+            raise TriggerError(ACCESSED_READ_ONLY)
         table = self.catalog.table(statement.table)
         table.create_secondary_index(
             statement.name.lower(), statement.columns,

@@ -164,8 +164,8 @@ class ExecutionContext:
         self.audit_blocks_skipped = 0
         #: per-row audit probes avoided by sketch-skipped blocks
         self.audit_probes_skipped = 0
-        #: gather key -> merged per-shard rows, installed by the cluster
-        #: coordinator before running a plan containing ``Gather`` leaves
+        #: gather key -> rows of the plan's ``Gather`` leaves: merged
+        #: per-shard rows, a lineage tail's input, or a firing's IDs
         self.gather_rows: dict[int, list[tuple]] | None = None
         #: cooperative cancellation token; ``collect_rows`` checkpoints
         #: raise ``OperationCancelledError`` once it is cancelled

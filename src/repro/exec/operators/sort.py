@@ -1,9 +1,10 @@
 """Sort and limit operators.
 
-``ORDER BY ... LIMIT k`` compiles to ``LimitOperator(SortOperator)``:
-there is no separate physical top-k. Top-k stays a property of the
-logical plan (``Limit`` over ``Sort``), which is where the paper's
-Example 3.2 shows it does not commute with the audit operator.
+``ORDER BY ... LIMIT k`` compiles to ``LimitOperator(SortOperator)``,
+the sort told ``k``: there is no separate physical top-k. Top-k stays a
+property of the logical plan (``Limit`` over ``Sort``), which is where
+the paper's Example 3.2 shows it does not commute with the audit
+operator.
 """
 
 from __future__ import annotations
@@ -27,12 +28,20 @@ class SortOperator(PhysicalOperator):
     the shards' runs concatenated in shard order, so ties keep
     (shard index, position), and a ``LimitOperator`` above cuts ties in
     first-seen order.
+
+    ``limit`` is the row count of a ``Limit`` directly above. The sort
+    then keeps only the first ``limit`` rows of what it has seen: once
+    its buffer (kept rows, then the new batches) reaches ``2 * limit``
+    rows it sorts it the same way and truncates. A kept row precedes
+    every later row it ties with, so the result is the unbounded sort's
+    first ``limit`` rows.
     """
 
-    def __init__(self, child: PhysicalOperator, keys: tuple[SortKey, ...]
-                 ) -> None:
+    def __init__(self, child: PhysicalOperator, keys: tuple[SortKey, ...],
+                 limit: int | None = None) -> None:
         self._child = child
         self._keys = keys
+        self._limit = limit
         self._compiled_keys = tuple(
             compile_expression(key.expression) for key in keys
         )
@@ -43,18 +52,36 @@ class SortOperator(PhysicalOperator):
     def rows_columnar(self, context: "ExecutionContext"):
         """A sort buffer needs whole tuples, so pivot at the boundary,
         run a stable multi-pass (last key first), re-pivot."""
-        buffered = collect_rows(self._child, context)
+        limit = self._limit
+        if limit is None:
+            buffered = collect_rows(self._child, context)
+        else:
+            token = context.cancel_token
+            buffered = []
+            for batch in self._child.rows_columnar(context):
+                if token is not None:
+                    token.raise_if_cancelled()
+                buffered.extend(batch.to_rows())
+                if len(buffered) >= 2 * limit:
+                    self._sort(buffered, context)
+                    del buffered[limit:]
+        self._sort(buffered, context)
+        if limit is not None:
+            del buffered[limit:]
+        yield from row_batches(buffered, context.batch_size)
+
+    def _sort(self, rows: list[tuple], context: "ExecutionContext") -> None:
         for key, compiled in zip(
             reversed(self._keys), reversed(self._compiled_keys)
         ):
-            buffered.sort(
+            rows.sort(
                 key=lambda row: value_sort_key(compiled(row, context)),
                 reverse=not key.ascending,
             )
-        yield from row_batches(buffered, context.batch_size)
 
     def describe(self) -> str:
-        return f"Sort({len(self._keys)} keys)"
+        keep = "" if self._limit is None else f", keep {self._limit}"
+        return f"Sort({len(self._keys)} keys{keep})"
 
 
 class LimitOperator(PhysicalOperator):

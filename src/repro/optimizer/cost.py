@@ -77,6 +77,8 @@ class CostModel:
             return min(float(plan.count), self.estimate_rows(plan.child))
         if isinstance(plan, L.Distinct):
             return max(1.0, self.estimate_rows(plan.child) / 2.0)
+        if isinstance(plan, L.Gather) and plan.rows is not None:
+            return float(plan.rows)
         return 1000.0
 
     # ------------------------------------------------------------------
@@ -217,13 +219,26 @@ class CostModel:
     def _slot_distinct(self, plan: L.LogicalPlan, slot: int
                        ) -> float | None:
         """Distinct count of a base-table column flowing out at ``slot``."""
-        column = plan.columns[slot] if slot < len(plan.columns) else None
-        if column is None or column.origin is None:
+        if slot >= len(plan.columns):
+            return None
+        return self.column_distinct(plan.columns[slot], plan)
+
+    def column_distinct(self, column: L.PlanColumn, plan: L.LogicalPlan
+                        ) -> float | None:
+        """Distinct count of base-table column ``column`` of ``plan``.
+        An ``accessed`` leaf's IDs are a set, so it has as many distinct
+        values as rows."""
+        if column.origin is None:
             return None
         table_name, column_name = column.origin
         try:
             stats = self._catalog.statistics(table_name)
         except Exception:
+            for node in plan.walk():
+                if isinstance(node, L.Gather) \
+                        and node.key == L.ACCESSED_KEY \
+                        and column in node.columns:
+                    return float(node.rows)
             return None
         column_stats = stats.columns.get(column_name)
         if column_stats is None or column_stats.distinct_count <= 0:

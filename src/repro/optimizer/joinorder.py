@@ -209,26 +209,16 @@ def _distinct_lookup(
     cost: CostModel,
 ) -> list[float]:
     """Per-conjunct selectivity estimate (equi: 1/max distinct, else 0.5)."""
-    global_columns: list[PlanColumn] = []
-    for leaf in leaves:
-        global_columns.extend(leaf.columns)
+    #: (column, leaf it comes from) per slot of the flattened join row
+    owners = [(column, leaf) for leaf in leaves for column in leaf.columns]
 
     def distinct_of(expression: Expression) -> float:
         if not isinstance(expression, ColumnRef) \
                 or expression.index is None \
-                or expression.index >= len(global_columns):
+                or expression.index >= len(owners):
             return 10.0
-        origin = global_columns[expression.index].origin
-        if origin is None:
-            return 10.0
-        try:
-            stats = cost._catalog.statistics(origin[0])
-        except Exception:
-            return 10.0
-        column = stats.columns.get(origin[1])
-        if column is None or column.distinct_count <= 0:
-            return 10.0
-        return float(column.distinct_count)
+        distinct = cost.column_distinct(*owners[expression.index])
+        return 10.0 if distinct is None else distinct
 
     selectivities = []
     for part in parts:

@@ -113,7 +113,16 @@ class PhysicalPlanner:
         if isinstance(plan, L.Sort):
             return SortOperator(self.compile(plan.child), plan.keys)
         if isinstance(plan, L.Limit):
-            return LimitOperator(self.compile(plan.child), plan.count)
+            below = plan.child
+            if isinstance(below, L.Sort):
+                # the sort keeps no more rows than the limit takes (left
+                # unwrapped: a subtree the wrapper caches ends higher up)
+                child = SortOperator(
+                    self.compile(below.child), below.keys, plan.count
+                )
+            else:
+                child = self.compile(below)
+            return LimitOperator(child, plan.count)
         if isinstance(plan, L.Distinct):
             return DistinctOperator(self.compile(plan.child))
         if isinstance(plan, L.Audit):

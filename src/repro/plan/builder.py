@@ -7,7 +7,9 @@ Responsibilities:
 * SELECT semantics: FROM joins, WHERE, GROUP BY/HAVING with aggregate
   extraction, DISTINCT, ORDER BY with hidden sort columns, LIMIT/TOP;
 * binding of subquery expressions — each gets its own logical plan stored
-  in the expression node's ``plan`` field.
+  in the expression node's ``plan`` field;
+* ``accessed``: a ``Gather`` leaf over the rows of the SELECT-trigger
+  firing running on this thread (:class:`AccessedRows`), else a table.
 
 The builder performs *no* optimization: it produces a canonical left-deep
 plan that the optimizer (``repro.optimizer``) then rewrites.
@@ -15,6 +17,7 @@ plan that the optimizer (``repro.optimizer``) then rewrites.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -31,10 +34,12 @@ from repro.expr.nodes import (
 )
 from repro.plan import logical
 from repro.plan.logical import (
+    ACCESSED_KEY,
     Aggregate,
     AggregateSpec,
     Distinct,
     Filter,
+    Gather,
     Join,
     Limit,
     LogicalPlan,
@@ -104,11 +109,26 @@ def expressions_match(left: Expression, right: Expression) -> bool:
     return normalize(left) == normalize(right)
 
 
+class AccessedRows(threading.local):
+    """The ``accessed`` column name and rows of the SELECT-trigger firing
+    running on this thread (``rows`` is None between firings)."""
+
+    column: str = ""
+    rows: list[tuple] | None = None
+
+    def gather_rows(self) -> dict[int, list[tuple]] | None:
+        """``gather_rows`` of an execution context made now."""
+        return None if self.rows is None else {ACCESSED_KEY: self.rows}
+
+
 class PlanBuilder:
     """Builds bound logical plans from parsed statements."""
 
-    def __init__(self, catalog: "Catalog") -> None:
+    def __init__(
+        self, catalog: "Catalog", accessed: AccessedRows | None = None
+    ) -> None:
         self._catalog = catalog
+        self._accessed = accessed
 
     # ------------------------------------------------------------------
     # public API
@@ -200,6 +220,14 @@ class PlanBuilder:
         self, item: ast.FromItem, outer_scope: Scope | None
     ) -> LogicalPlan:
         if isinstance(item, ast.TableRef):
+            accessed = self._accessed
+            if accessed is not None and accessed.rows is not None \
+                    and item.name.lower() == "accessed":
+                name = accessed.column
+                column = PlanColumn(
+                    name, item.binding_name.lower(), ("accessed", name)
+                )
+                return Gather(ACCESSED_KEY, (column,), len(accessed.rows))
             table = self._catalog.table(item.name)
             return Scan(
                 table_name=table.schema.name,

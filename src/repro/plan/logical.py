@@ -297,11 +297,20 @@ class Gather(LogicalPlan):
     physical :class:`~repro.exec.operators.exchange.GatherSource` reads
     the rows out of ``context.gather_rows[key]`` (for the cluster, the
     per-shard outputs concatenated in shard order) — the leaf itself
-    carries only the input's columns and that key.
+    carries only the input's columns and that key. A SELECT-trigger
+    body's ``accessed`` is one too (:data:`ACCESSED_KEY`), with the
+    firing's ID count as ``rows``, the cost model's estimate.
     """
 
     key: int
     columns: tuple[PlanColumn, ...]
+    rows: int | None = None
+
+
+#: exchange key of the ``accessed`` leaf: the rows of the SELECT-trigger
+#: firing running now (coordinator gather keys count up from 1, the
+#: lineage tail's is 0)
+ACCESSED_KEY = -1
 
 
 def map_expressions(plan: LogicalPlan, fn) -> LogicalPlan:

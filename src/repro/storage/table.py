@@ -24,7 +24,7 @@ row triggers) and the engine's undo log.
 per column, its input consumed lazily, and each row's change notified
 right after that row is placed, before the next row is validated — the
 order a loop of :meth:`Table.insert` calls gives, which row triggers and
-undo rely on. A non-transient table registered in a catalog reports each
+undo rely on. A table registered in a catalog reports each
 power-of-two crossing of its row count to that catalog's statistics
 epoch.
 """

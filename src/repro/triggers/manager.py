@@ -12,10 +12,12 @@ a SELECT that fires further SELECT triggers, and so on.
 
 A firing should cost an append, not a statement. SELECT triggers are
 indexed by timing and audit expression when created or dropped, so
-finding what a statement arms is a dictionary lookup. :class:`SelectFiring`
-keeps one ``accessed`` table per audit expression, refilled with one
-``bulk_load`` per firing, and compiles each body SELECT once; on a single
-node an ``INSERT … SELECT`` or bare SELECT body then runs as that plan
+finding what a statement arms is a dictionary lookup. ``accessed`` is no
+table: during a firing only, the binder resolves it to a ``Gather`` leaf
+over the firing's rows, which every context made meanwhile carries
+(:class:`~repro.plan.builder.AccessedRows`). :class:`SelectFiring`
+compiles each body SELECT once; on a single node an ``INSERT … SELECT``
+or bare SELECT body then runs as that plan
 (``Database.execute_trigger_body``) and appends its rows with one
 ``Table.insert_many``. A body that discloses IDs to an armed trigger is
 refused there (:meth:`TriggerManager.refuse_nested_firing`; a failing
@@ -28,7 +30,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.catalog.schema import Column, TableSchema
+from repro.catalog.schema import Column
 from repro.datatypes.values import coerce_value
 from repro.errors import AccessDeniedError, TriggerError
 from repro.storage.table import RowChange, Table
@@ -42,6 +44,10 @@ MAX_TRIGGER_DEPTH = 32
 ACCESSED_TAKEN = (
     "a relation named 'accessed' already exists; it is reserved for "
     "SELECT trigger actions"
+)
+
+ACCESSED_READ_ONLY = (
+    "'accessed' is the firing's read-only row set; it cannot be indexed"
 )
 
 
@@ -60,7 +66,7 @@ class TriggerManager:
         # triggers concurrently with serving threads' own cascades
         self._local = threading.local()
         self.firing = SelectFiring(
-            database, lambda: (database.catalog,),
+            database, lambda: (database.accessed_rows,),
             database.execute_trigger_body, self._enter, self._leave,
         )
 
@@ -148,8 +154,8 @@ class TriggerManager:
         """Raise if a trigger body disclosed IDs that would fire a
         trigger of one of ``timings`` inside the firing running now: the
         action would need its own ``accessed`` relation while the outer
-        one is registered, so it is refused, with the error that
-        registration raises."""
+        one is bound, so it is refused, with the error a nested
+        :meth:`SelectFiring.run` raises."""
         for timing in timings:
             for _ in self._armed(accessed, timing):
                 raise TriggerError(ACCESSED_TAKEN)
@@ -198,71 +204,64 @@ class TriggerManager:
 class SelectFiring:
     """Runs one engine's SELECT-trigger bodies, compiling each once.
 
-    ``accessed`` is one :class:`Table` per audit expression and catalog
-    (every shard's, on a cluster), filled and registered as transient
-    per firing only, so a compiled scan of it stays valid. :meth:`plan` keeps
-    a body SELECT per (trigger, statement index, ``len(ids)`` bucket)
-    while the engine's plan-cache tags hold. Firings run under the
-    engine's exclusive lock.
+    While the bodies run, ``bindings()`` (the engine's
+    :class:`~repro.plan.builder.AccessedRows`, or every shard's) hold
+    the firing's IDs as ``accessed``. :meth:`plan` keeps a body SELECT
+    per (trigger, statement index, ``len(ids)`` bucket) while the
+    engine's plan-cache tags hold. Firings run under the engine's
+    exclusive lock.
     """
 
-    def __init__(self, engine, catalogs, execute, enter, leave) -> None:
+    def __init__(self, engine, bindings, execute, enter, leave) -> None:
         self._engine = engine
-        self._catalogs = catalogs
+        self._bindings = bindings
         self._execute = execute
         self._enter = enter
         self._leave = leave
-        #: audit name -> ((catalog version, audit config version, catalog
-        #: count) they were built at, one ``accessed`` table per catalog)
-        self._accessed: dict[str, tuple] = {}
         #: (trigger name, statement index, size bucket) -> (trigger, plan)
         self._plans: dict[tuple, tuple] = {}
         #: (select, trigger, plan key) of the body statement running now
         self._body: tuple | None = None
 
     def run(self, trigger: SelectTrigger, audit_name: str, ids) -> None:
-        catalogs = self._catalogs()
-        for catalog in catalogs:
-            if catalog.has_table("accessed"):
-                raise TriggerError(ACCESSED_TAKEN)
-        rows = [(value,) for value in sorted(ids, key=repr)]
-        tables = self._tables(audit_name, len(catalogs))
-        registered = []
+        bindings = self._bindings()
+        if bindings[0].rows is not None \
+                or self._engine.catalog.has_table("accessed"):
+            raise TriggerError(ACCESSED_TAKEN)
+        column = self._id_column(audit_name)
+        data_type = column.data_type
+        rows = [
+            (coerce_value(value, data_type),)
+            for value in sorted(ids, key=repr)
+        ]
+        self._enter()
+        for binding in bindings:
+            binding.column = column.name
+            binding.rows = rows
         try:
-            for catalog, table in zip(catalogs, tables):
-                table.bulk_load(rows)
-                # transient: no DDL version bump or statistics-epoch move,
-                # or every firing would invalidate every cached plan
-                catalog.add_table(table, transient=True)
-                registered.append(catalog)
-            self._enter()
-            try:
-                for index, statement in enumerate(trigger.body):
-                    # an INSERT's SELECT, or the statement itself
-                    self._body = (
-                        getattr(statement, "select", statement), trigger,
-                        (trigger.name, index, len(ids).bit_length()),
-                    )
-                    self._execute(statement)
-            except AccessDeniedError:
-                if trigger.timing != "before":
-                    raise TriggerError(
-                        f"trigger {trigger.name!r}: DENY is only valid in "
-                        "BEFORE SELECT triggers"
-                    ) from None
-                raise
-            finally:
-                self._body = None
-                self._leave()
+            for index, statement in enumerate(trigger.body):
+                # an INSERT's SELECT, or the statement itself
+                self._body = (
+                    getattr(statement, "select", statement), trigger,
+                    (trigger.name, index, len(ids).bit_length()),
+                )
+                self._execute(statement)
+        except AccessDeniedError:
+            if trigger.timing != "before":
+                raise TriggerError(
+                    f"trigger {trigger.name!r}: DENY is only valid in "
+                    "BEFORE SELECT triggers"
+                ) from None
+            raise
         finally:
-            for catalog in registered:
-                catalog.drop_table("accessed", transient=True)
-            for table in tables:
-                table.truncate()  # no IDs held between firings
+            self._body = None
+            for binding in bindings:
+                binding.rows = None  # no IDs held between firings
+            self._leave()
 
     def check(self, audit_name: str, ids) -> None:
         """Raise if the ``accessed`` relation of ``audit_name`` cannot
-        store one of ``ids``, as :meth:`run` would."""
+        hold one of ``ids``, as :meth:`run` would."""
         data_type = self._id_column(audit_name).data_type
         for value in ids:
             coerce_value(value, data_type)
@@ -272,26 +271,6 @@ class SelectFiring:
         expression = self._engine.audit_manager.expression(audit_name)
         return self._engine.catalog.table(expression.sensitive_table) \
             .schema.column(expression.partition_by)
-
-    def _tables(self, audit_name: str, count: int) -> list[Table]:
-        """The ``accessed`` relations of ``audit_name``, one per catalog,
-        built again only after DDL or an audit configuration change
-        (which also recompiles every body plan that scans them)."""
-        engine = self._engine
-        stamp = (
-            engine.catalog.version, engine.audit_manager.config_version,
-            count,
-        )
-        cached = self._accessed.get(audit_name)
-        if cached is None or cached[0] != stamp:
-            column = self._id_column(audit_name)
-            schema = TableSchema(
-                "accessed", (Column(column.name, column.data_type),)
-            )
-            cached = self._accessed[audit_name] = (
-                stamp, [Table(schema) for _ in range(count)]
-            )
-        return cached[1]
 
     def plan(self, select, compile):
         """``compile()``'s entry for ``select``, kept across firings when

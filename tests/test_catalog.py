@@ -4,8 +4,9 @@ import pytest
 
 from repro.catalog.catalog import Catalog, IndexDefinition
 from repro.catalog.schema import Column, TableSchema
+from repro.cluster import ClusterDatabase
 from repro.datatypes import INTEGER, VARCHAR
-from repro.errors import CatalogError, ConstraintError
+from repro.errors import CatalogError, ConstraintError, TriggerError
 from repro.storage.table import Table
 
 
@@ -18,24 +19,42 @@ def make_table(name="t"):
 
 
 class TestStatisticsEpoch:
-    def test_transient_tables_leave_the_epoch_alone(self):
-        """A firing's ``accessed`` relation comes and goes; a reader
-        refreshing the epoch meanwhile must not see a cardinality move
-        (every move invalidates every cached plan)."""
-        catalog = Catalog()
-        table = make_table()
-        table.bulk_load([(1, "a"), (2, "b")])
-        catalog.add_table(table)
-        epoch = catalog.refresh_stats_version()
-        accessed = Table(TableSchema("accessed", (Column("id", INTEGER),)))
-        accessed.bulk_load([(1,), (2,), (3,)])
-        catalog.add_table(accessed, transient=True)
-        assert catalog.refresh_stats_version() == epoch
-        catalog.drop_table("accessed", transient=True)
-        assert catalog.refresh_stats_version() == epoch
-        table.bulk_load([(3, "c"), (4, "d")])
-        assert catalog.refresh_stats_version() == epoch + 1
+    def test_a_firing_leaves_version_and_epoch_alone(self, patients_db):
+        """A firing's ``accessed`` is bound, not registered: a reader
+        checking the DDL version or refreshing the epoch meanwhile sees
+        no move (every move invalidates every cached plan)."""
+        db = patients_db
+        db.execute_script(
+            "CREATE AUDIT EXPRESSION aud AS SELECT * FROM patients "
+            "FOR SENSITIVE TABLE patients, PARTITION BY patientid;"
+            "CREATE TRIGGER copy ON ACCESS TO aud AS "
+            "INSERT INTO log SELECT 'x', 'y', 'z', patientid FROM accessed"
+        )
+        catalog = db.catalog
+        # the log's own growth stays in one statistics bucket
+        catalog.table("log").bulk_load([("old", "", "", 0)] * 200)
 
+        def tags():
+            return (
+                catalog.version, catalog.refresh_stats_version(),
+                catalog.has_table("accessed"),
+            )
+
+        before = tags()
+        seen = []
+        firing = db.trigger_manager.firing
+        execute = firing._execute
+
+        def observing(statement):
+            seen.append(tags())
+            execute(statement)
+
+        firing._execute = observing
+        db.execute("SELECT name FROM patients WHERE patientid <= 3")
+        assert seen == [before] and tags() == before
+        assert db.execute(
+            "SELECT patientid FROM log WHERE ts = 'x'"
+        ).column() == [1, 2, 3]
 
     def test_every_kind_of_crossing_moves_the_epoch_once(self):
         """Inserts, deletes and truncate each report the bucket crossings
@@ -142,37 +161,35 @@ class TestCatalogRegistry:
         assert catalog.statistics("t") is not first
 
 
-class TestTransientIndexes:
-    def test_index_on_accessed_pruned_with_it(self, patients_db):
-        """A SELECT-trigger body may index its transient ``accessed``
-        table; dropping ``accessed`` after the firing prunes that index
-        and only that one."""
-        db = patients_db
-        db.execute(
-            "CREATE AUDIT EXPRESSION aud AS SELECT * FROM patients "
-            "FOR SENSITIVE TABLE patients, PARTITION BY patientid"
+class TestAccessedIndex:
+    def test_create_index_on_accessed_is_refused(self, patients_db):
+        """``accessed`` is the firing's row list, not a table: a body
+        that indexes it is refused on both engines, and the failed
+        firing leaves no index behind."""
+        cluster = ClusterDatabase(shards=2)
+        cluster.execute_script(
+            "CREATE TABLE patients (patientid INT PRIMARY KEY, "
+            "name VARCHAR);"
+            "INSERT INTO patients VALUES (1, 'Alice'), (2, 'Bob');"
         )
-        db.execute(
-            "CREATE TRIGGER idx ON ACCESS TO aud AS "
-            "CREATE INDEX acc_pid ON accessed (patientid)"
-        )
-        catalog = db.catalog
-        dropped_with: list[list[str]] = []
-        drop_table = catalog.drop_table
-
-        def spy(name, transient=False):
-            dropped_with.append([d.name for d in catalog.indexes_on(name)])
-            drop_table(name, transient)
-
-        catalog.drop_table = spy
-        for __ in range(2):  # the name is free again for the next firing
-            db.execute("SELECT name FROM patients WHERE patientid = 1")
-        assert db.trigger_errors == []
-        assert dropped_with == [["acc_pid"], ["acc_pid"]]
-        assert catalog.indexes_on("accessed") == []
-        assert [d.name for d in catalog.indexes_on("patients")] == [
-            "patients_pk"
-        ]
+        try:
+            for db in (patients_db, cluster):
+                db.execute_script(
+                    "CREATE AUDIT EXPRESSION aud AS SELECT * FROM patients "
+                    "FOR SENSITIVE TABLE patients, PARTITION BY patientid;"
+                    "CREATE TRIGGER idx ON ACCESS TO aud AS "
+                    "CREATE INDEX acc_pid ON accessed (patientid)"
+                )
+                for __ in range(2):
+                    with pytest.raises(TriggerError, match="cannot be indexed"):
+                        db.execute(
+                            "SELECT name FROM patients WHERE patientid = 1"
+                        )
+                assert db.catalog.indexes_on("accessed") == []
+                assert [d.name for d in db.catalog.indexes_on("patients")] \
+                    == ["patients_pk"]
+        finally:
+            cluster.close()
 
 
 class TestUniqueIndexes:

@@ -191,7 +191,7 @@ def test_sort_ties_keep_shard_then_position_order(
 
 def test_cluster_compiles_a_trigger_body_once(monkeypatch) -> None:
     """Repeated firings at the coordinator reuse one compiled body (and
-    one routed ``accessed`` scan per shard)."""
+    its routed compilation)."""
     compiled = []
     compile_select = ClusterDatabase._compile_select
 
@@ -240,6 +240,86 @@ def test_cluster_nested_firing_is_refused() -> None:
         assert not any(
             shard.catalog.has_table("accessed") for shard in cluster.shards
         )
+    finally:
+        single.close()
+        cluster.close()
+
+
+#: bodies reading ``accessed`` through each path that binds it: a join
+#: with a partitioned table the firing's expression does not audit, a DML
+#: subquery, a BEFORE IF subquery, and an AFTER INSERT row trigger the
+#: log append cascades into
+ACCESSED_READERS = """
+CREATE TABLE claims (cid INT PRIMARY KEY, pid INT, amount INT);
+CREATE TABLE seen (pid INT, ids INT);
+CREATE AUDIT EXPRESSION big_claims AS SELECT cid FROM claims
+    WHERE amount > 100000 FOR SENSITIVE TABLE claims, PARTITION BY cid;
+CREATE TRIGGER claim_log ON ACCESS TO sick AS
+    INSERT INTO audit_log SELECT 'claim', c.amount
+    FROM accessed a, claims c WHERE a.pid = c.pid;
+CREATE TRIGGER touch ON ACCESS TO sick AS
+    UPDATE visits SET cost = cost + 1
+    WHERE pid IN (SELECT pid FROM accessed);
+CREATE TRIGGER gate ON ACCESS TO sick BEFORE AS
+    IF ((SELECT COUNT(*) FROM accessed) > 2) DENY 'too many';
+CREATE TRIGGER log_access ON ACCESS TO sick AS
+    INSERT INTO audit_log SELECT user_id(), pid FROM accessed;
+CREATE TRIGGER count_seen ON audit_log AFTER INSERT AS
+    INSERT INTO seen SELECT new.pid, COUNT(*) FROM accessed;
+"""
+
+
+def test_bodies_reading_accessed_match_single_node() -> None:
+    """Every way a body reads ``accessed`` gives the single-node log,
+    table contents and ACCESSED sets on 2 shards, where ``accessed`` is
+    one row list every shard's contexts share."""
+    single, cluster = _pair(shards=2)
+    try:
+        for db in (single, cluster):
+            db.execute_script(ACCESSED_READERS)
+            for cid in range(30):
+                db.execute(
+                    f"INSERT INTO claims VALUES ({cid}, {cid % 12}, "
+                    f"{cid * 7})"
+                )
+        assert cluster.topology.is_partitioned("claims")
+        for user, sql in [
+            ("alice", "SELECT name FROM patients WHERE pid = 0"),
+            ("bob", "SELECT name FROM patients WHERE pid IN (4, 8)"),
+            ("carol", "SELECT name FROM patients WHERE disease = 'flu'"),
+            ("dave", "SELECT COUNT(*) FROM patients WHERE pid < 3"),
+        ]:
+            for db in (single, cluster):
+                db.session.user_id = user
+            if "flu" in sql:  # 6 IDs: the BEFORE gate denies
+                with pytest.raises(AccessDeniedError):
+                    single.execute(sql)
+                with pytest.raises(AccessDeniedError):
+                    cluster.execute(sql)
+            else:
+                _assert_same(single, cluster, sql)
+        for sql in (
+            "SELECT uid, pid FROM audit_log",
+            "SELECT pid, ids FROM seen",
+            "SELECT vid, pid, cost FROM visits",
+        ):
+            _assert_same(single, cluster, sql)
+        # the plain log append has no partitioned input: same order too
+        _assert_same(
+            single, cluster,
+            "SELECT uid, pid FROM audit_log WHERE uid <> 'claim'", True,
+        )
+        assert single.execute(
+            "SELECT COUNT(*) FROM audit_log WHERE uid = 'claim'"
+        ).scalar() > 0
+        assert single.execute(
+            "SELECT COUNT(*) FROM seen WHERE ids = 2"
+        ).scalar() > 0
+        # a user table named ``accessed`` still takes the name
+        for db in (single, cluster):
+            db.execute("CREATE TABLE accessed (x INT)")
+            with pytest.raises(TriggerError, match="already exists"):
+                db.execute("SELECT name FROM patients WHERE pid = 0")
     finally:
         single.close()
         cluster.close()

@@ -321,6 +321,34 @@ class TestSortLimitDistinct:
         # descending: NULLs (smallest rank) come last; top-2 is 5, 3
         assert run(top) == [(5,), (3,)]
 
+    @pytest.mark.parametrize("limit", [0, 1, 2, 5, 13, 40])
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_bounded_sort_is_the_sorted_prefix(self, limit, batch_size):
+        """A sort told the limit above it keeps exactly the unbounded
+        sort's first rows: ties in first-seen order, NULLs first when
+        ascending and last when descending, whatever the batch size."""
+        import random
+
+        from repro.datatypes import value_sort_key
+
+        rng = random.Random(limit * 100 + batch_size)
+        rows = [
+            (rng.choice([None, 1, 2, 3]), rng.choice([None, "a", "b"]),
+             position)
+            for position in range(37)
+        ]
+        keys = (SortKey(slot(0), False), SortKey(slot(1), True))
+        expected = sorted(
+            sorted(rows, key=lambda row: value_sort_key(row[1])),
+            key=lambda row: value_sort_key(row[0]), reverse=True,
+        )[:limit]
+        context = ExecutionContext()
+        context.batch_size = batch_size
+        bounded = SortOperator(Rows(rows), keys, limit)
+        assert run(bounded, context) == expected
+        assert run(LimitOperator(SortOperator(Rows(rows), keys), limit),
+                   context) == expected
+
     def test_distinct(self):
         source = Rows([(1,), (1,), (2,), (1,)])
         assert run(DistinctOperator(source)) == [(1,), (2,)]

@@ -8,12 +8,21 @@ import pytest
 
 from repro import Database
 from repro.audit.placement import HEURISTIC_LEAF
+from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
-from repro.errors import AccessDeniedError, ExecutionError, TriggerError
+from repro.cluster import ClusterDatabase
+from repro.errors import (
+    AccessDeniedError,
+    CatalogError,
+    ExecutionError,
+    TriggerError,
+)
 from repro.exec.operators.base import format_physical
+from repro.optimizer.cost import CostModel
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.builder import PlanBuilder
-from repro.plan.logical import format_plan
+from repro.plan.logical import ACCESSED_KEY, Gather, PlanColumn, format_plan
+from repro.sql.parser import parse_statement
 from repro.storage.table import Table
 from repro.testing import CrashError, FaultInjector
 
@@ -314,9 +323,28 @@ def _body_builds(db, built, trigger="log_alice", index=0) -> int:
     return sum(statement is select for statement in built)
 
 
+def _counter(monkeypatch):
+    """(calls, count): ``count(owner, name, key=None)`` tallies each call
+    of ``owner.name`` in ``calls`` under ``key(*args)``, else ``name``."""
+    calls: collections.Counter = collections.Counter()
+
+    def count(owner, name, key=None):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[key(*args) if key else name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    return calls, count
+
+
 class TestFiringWork:
     """A firing of a cached ``INSERT … SELECT`` body costs its plan and an
-    append: no statement path, no per-row insert, no fresh schema."""
+    append: no statement path, no per-row insert, no fresh schema, and
+    no table for ``accessed`` (the body reads the firing's rows through
+    a ``Gather`` leaf)."""
 
     def test_forty_firings_run_the_plan_and_append_once(
         self, logged_db, monkeypatch
@@ -328,36 +356,100 @@ class TestFiringWork:
                 {"audit_alice": frozenset({1})}, ALICE, "admin"
             )
 
-        fire()  # compiles the body and builds the accessed relation
-        calls: collections.Counter = collections.Counter()
-
-        def count(owner, name, key=None):
-            original = getattr(owner, name)
-
-            def counting(*args, **kwargs):
-                calls[key(*args) if key else name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counting)
-
+        fire()  # compiles the body
+        calls, count = _counter(monkeypatch)
         for name in ("_execute_statement", "_run_select", "make_context"):
             count(Database, name)
         count(Table, "insert")
-        count(Table, "insert_many",
-              lambda table, *args: ("insert_many", table.schema.name))
+        for name in ("insert_many", "bulk_load"):
+            count(Table, name,
+                  lambda table, *args, name=name: (name, table.schema.name))
+        count(Catalog, "add_table")
+        count(Catalog, "drop_table")
         count(TableSchema, "__post_init__", lambda *args: "TableSchema")
         for _ in range(40):
             fire()
-        # one context for the body's plan; one call refills ``accessed``
-        # and one appends the log rows
+        # one context for the body's plan and one append of the log rows;
+        # nothing fills, registers or drops an ``accessed`` table
         assert calls == {
             "make_context": 40,
-            ("insert_many", "accessed"): 40,
             ("insert_many", "log"): 40,
         }
         assert logged_db.execute(
             "SELECT COUNT(*) FROM log WHERE ts <> 'old'"
         ).scalar() == 41
+
+    def test_cluster_firings_build_and_fill_no_table(self, monkeypatch):
+        """At the coordinator too: 20 firings of a NOTIFY body and of an
+        ``INSERT … SELECT … FROM accessed`` body over 2 shards construct
+        no table and bulk-load nothing."""
+        cluster = ClusterDatabase(shards=2)
+        try:
+            cluster.execute_script(
+                "CREATE TABLE patients (pid INT PRIMARY KEY, name VARCHAR);"
+                "CREATE TABLE audit_log (uid VARCHAR, pid INT);"
+                "INSERT INTO patients VALUES (1, 'a'), (2, 'b'), (3, 'c'),"
+                " (4, 'd');"
+                "CREATE AUDIT EXPRESSION aud AS SELECT pid FROM patients "
+                "FOR SENSITIVE TABLE patients, PARTITION BY pid;"
+                "CREATE TRIGGER ping ON ACCESS TO aud AS NOTIFY 'hit';"
+                "CREATE TRIGGER log_pid ON ACCESS TO aud AS "
+                "INSERT INTO audit_log SELECT user_id(), pid FROM accessed"
+            )
+            cluster.bulk_load("audit_log", [("old", -1)] * 200)
+            read = "SELECT name FROM patients WHERE pid <= 3"
+            cluster.execute(read)  # compiles the bodies
+            calls, count = _counter(monkeypatch)
+            count(Table, "__init__", lambda *args: "Table")
+            count(Table, "bulk_load")
+            for _ in range(20):
+                cluster.execute(read)
+            assert calls == {}
+            assert len(cluster.notifications) == 21
+            assert cluster.execute(
+                "SELECT pid, COUNT(*) FROM audit_log WHERE pid > 0 "
+                "GROUP BY pid ORDER BY pid"
+            ).rows_list() == [(1, 21), (2, 21), (3, 21)]
+        finally:
+            cluster.close()
+
+
+class TestAccessedLeaf:
+    """``accessed`` is a ``Gather`` leaf over the firing's rows, bound on
+    the firing's thread while the firing runs and never otherwise."""
+
+    def test_bound_only_while_firing(self, logged_db):
+        with pytest.raises(CatalogError, match="does not exist"):
+            logged_db.execute("SELECT patientid FROM accessed")
+        firing = logged_db.trigger_manager.firing
+        execute = firing._execute
+        seen = []
+
+        def observing(statement):
+            plan = logged_db._builder.build_select(
+                parse_statement("SELECT a.patientid FROM accessed a")
+            ).child
+            context = logged_db.make_context()
+            seen.append((plan, context.gather_rows[ACCESSED_KEY]))
+            execute(statement)
+
+        firing._execute = observing
+        logged_db.apply_forwarded_intent(
+            {"audit_alice": frozenset({3, 1, 2})}, ALICE, "admin"
+        )
+        ((leaf, rows),) = seen
+        assert isinstance(leaf, Gather) and leaf.key == ACCESSED_KEY
+        assert leaf.columns == (
+            PlanColumn("patientid", "a", ("accessed", "patientid")),
+        )
+        assert rows == [(1,), (2,), (3,)]
+        # costed as the table it replaces: as many rows, all distinct
+        cost = CostModel(logged_db.catalog)
+        assert cost.estimate_rows(leaf) == 3
+        assert cost.column_distinct(leaf.columns[0], leaf) == 3
+        assert logged_db.make_context().gather_rows is None
+        with pytest.raises(CatalogError, match="does not exist"):
+            logged_db.execute("SELECT patientid FROM accessed")
 
 
 class TestCompiledBodies:
