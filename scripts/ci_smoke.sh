@@ -42,6 +42,15 @@ PYTHONPATH=src python -m pytest -q tests/test_insert_many.py \
     --hypothesis-profile=ci
 
 echo
+echo "== executor-vs-reference differential (hypothesis 'ci' profile) =="
+# the executor against a naive interpreter that shares no operator code;
+# the profile raises the aggregate property's budget, which checks rows,
+# group order and float bits of grouped, global, DISTINCT, HAVING and
+# empty aggregates at batch sizes 1, 3 and 1024 (about 80 s on 2 CPUs)
+PYTHONPATH=src python -m pytest -q tests/test_executor_reference.py \
+    --hypothesis-profile=ci
+
+echo
 echo "== offline lineage differential (hypothesis 'ci' profile) =="
 # the lineage auditor runs a rewritten plan whose rows carry their
 # sensitive primary keys as extra columns; it must name exactly the IDs

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
 from repro.exec.operators.base import PhysicalOperator, collect_rows
-from repro.expr.aggregates import make_accumulator
+from repro.expr.aggregates import aggregate_kernel, fold_group
 from repro.expr.compiler import compile_expression
 from repro.expr.nodes import ColumnRef
 from repro.plan import logical as L
@@ -381,6 +381,10 @@ class _AggregateAnalysis:
 
     def __init__(self, node: L.Aggregate) -> None:
         self._specs = node.aggregates
+        self._kernels = tuple(
+            aggregate_kernel(spec.name, spec.distinct, spec.argument is None)
+            for spec in node.aggregates
+        )
         self._group_closures = tuple(
             compile_expression(expression)
             for expression in node.group_expressions
@@ -426,14 +430,11 @@ class _AggregateAnalysis:
             )
 
     def _fold(self, contribution_rows: Iterable[tuple]) -> tuple:
-        accumulators = [
-            make_accumulator(spec.name, spec.distinct)
-            for spec in self._specs
-        ]
-        for values in contribution_rows:
-            for accumulator, value in zip(accumulators, values):
-                accumulator.add(value)
-        return tuple(accumulator.result() for accumulator in accumulators)
+        rows = list(contribution_rows)
+        return tuple(
+            fold_group(kernel, [values[position] for values in rows])
+            for position, kernel in enumerate(self._kernels)
+        )
 
     def baseline_rows(self) -> list:
         """Aggregate output rows in the engine's emission order."""
@@ -463,10 +464,9 @@ class _AggregateAnalysis:
                 group.baseline[position],
             )
             if verdict is None:
-                accumulator = make_accumulator(spec.name, spec.distinct)
-                for value in survivor_column:
-                    accumulator.add(value)
-                verdict = accumulator.result() != group.baseline[position]
+                verdict = fold_group(
+                    self._kernels[position], survivor_column
+                ) != group.baseline[position]
             if verdict:
                 return True
         return False

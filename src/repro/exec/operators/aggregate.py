@@ -1,12 +1,15 @@
-"""Hash aggregation operator."""
+"""Hash aggregation: group numbers, flat kernel state, columnar output.
+
+Nothing is allocated per group but its key, so a large GROUP BY leaves
+the cyclic garbage collector nothing to walk.
+"""
 
 from __future__ import annotations
 
-from operator import methodcaller
 from typing import TYPE_CHECKING
 
-from repro.exec.batch import row_batches
-from repro.expr.aggregates import accumulator_factory
+from repro.exec.batch import ColumnBatch
+from repro.expr.aggregates import aggregate_kernel
 from repro.expr.compiler import compile_expression
 from repro.exec.operators.base import PhysicalOperator
 from repro.plan.logical import AggregateSpec
@@ -14,8 +17,6 @@ from repro.expr.nodes import ColumnRef, Expression
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
-
-_result = methodcaller("result")
 
 
 def _input(expression: Expression | None) -> tuple:
@@ -52,8 +53,9 @@ class HashAggregate(PhysicalOperator):
         self._child = child
         self._group_expressions = group_expressions
         self._specs = specs
-        self._factories = tuple(
-            accumulator_factory(spec.name, spec.distinct) for spec in specs
+        self._kernels = tuple(
+            aggregate_kernel(spec.name, spec.distinct, spec.argument is None)
+            for spec in specs
         )
         self._inputs = tuple(
             _input(expression)
@@ -81,52 +83,51 @@ class HashAggregate(PhysicalOperator):
         return columns
 
     def rows_columnar(self, context: "ExecutionContext"):
-        """Per batch, bucket row positions by group key in one dict pass,
-        then hand each (group, aggregate) its values in row order with one
-        ``add_many`` call; a global aggregate folds whole columns. A
-        single group column keys the groups by bare value (no 1-tuples)."""
-        groups: dict = {}
-        factories = self._factories
+        """Per batch, one dict pass numbers each row's group in order of
+        first appearance (a single group column keys by bare value), then
+        each kernel folds its column into flat per-group state in row
+        order; a global aggregate folds whole columns. The output is cut
+        from the key list and the result columns: no row tuples."""
+        kernels = self._kernels
         group_count = len(self._group_expressions)
+        numbers: dict = {}  # group key -> group number, first-seen order
+        states = [
+            [] if group_count else list(kernel.initial)
+            for kernel in kernels
+        ]
         for batch in self._child.rows_columnar(context):
             columns = self._columns(batch, context)
-            arguments = [  # COUNT(*) counts row positions
+            arguments = [  # COUNT(*) measures its column, never reads it
                 range(batch.row_count) if column is None else column
                 for column in columns[group_count:]
             ]
-            buckets: dict = {(): None}  # global: every row of the batch
-            if group_count:
-                buckets = {}
-                get = buckets.get
-                keys = columns[0] if group_count == 1 \
-                    else zip(*columns[:group_count])
-                for position, key in enumerate(keys):
-                    bucket = get(key)
-                    if bucket is None:
-                        buckets[key] = [position]
-                    else:
-                        bucket.append(position)
-            for key, bucket in buckets.items():
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = groups[key] = [
-                        factory() for factory in factories
-                    ]
-                for accumulator, column in zip(accumulators, arguments):
-                    accumulator.add_many(
-                        column if bucket is None
-                        else [column[i] for i in bucket]
-                    )
-        if not groups and not group_count:
-            groups[()] = [factory() for factory in factories]
-        yield from row_batches(
-            [
-                ((key,) if group_count == 1 else key)
-                + tuple(map(_result, accumulators))
-                for key, accumulators in groups.items()
-            ],
-            context.batch_size,
-        )
+            if not group_count:
+                for kernel, state, column in zip(kernels, states, arguments):
+                    kernel.fold_all(state, column)
+                continue
+            keys = columns[0] if group_count == 1 \
+                else zip(*columns[:group_count])
+            known = len(numbers)
+            number = numbers.setdefault
+            groups = [number(key, len(numbers)) for key in keys]
+            added = len(numbers) - known
+            for kernel, state, column in zip(kernels, states, arguments):
+                if added:
+                    state.extend(kernel.initial * added)
+                kernel.fold(state, groups, column)
+        keys = list(numbers)
+        columns = [keys] if group_count == 1 \
+            else list(zip(*keys)) or [()] * group_count
+        columns += [
+            kernel.final(state) for kernel, state in zip(kernels, states)
+        ]
+        count = len(keys) if group_count else 1
+        size = context.batch_size
+        for start in range(0, count, size):
+            yield ColumnBatch(
+                tuple(column[start:start + size] for column in columns),
+                min(size, count - start),
+            )
 
     def describe(self) -> str:
         return (

@@ -8,7 +8,7 @@ from repro.expr.compiler import (
     compile_predicate,
     compile_projector,
 )
-from repro.expr.aggregates import is_aggregate_name, make_accumulator
+from repro.expr.aggregates import aggregate_kernel, is_aggregate_name
 
 __all__ = [
     "nodes",
@@ -18,5 +18,5 @@ __all__ = [
     "compile_predicate",
     "compile_projector",
     "is_aggregate_name",
-    "make_accumulator",
+    "aggregate_kernel",
 ]

@@ -1,13 +1,20 @@
-"""Aggregate accumulators: COUNT / COUNT DISTINCT / SUM / AVG / MIN / MAX.
+"""Aggregate kernels: COUNT, COUNT(*), SUM, AVG, MIN, MAX, ``count_merge``
+and the DISTINCT forms, each a fold over flat per-group state.
 
-The hash-aggregate operator keeps one accumulator per (group, aggregate)
-pair; accumulators follow SQL NULL rules (NULL inputs are ignored; an empty
-group yields NULL for everything except COUNT, which yields 0).
+A kernel's state is one list indexed by group number, ``len(initial)``
+slots per group (AVG keeps a total and a count side by side); ``fold``
+folds ``column[i]`` into group ``groups[i]`` in row order, ``fold_all`` a
+whole column into the one group of a global aggregate, and ``final`` is
+the result column. The hash aggregate and the offline lineage auditor
+both fold through these kernels, so the NULL rule (NULL inputs are
+ignored; a group of none is NULL, or 0 for COUNT), the numeric check and
+the fold order of each aggregate are defined here once.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from repro.errors import ExecutionError
 
@@ -24,195 +31,187 @@ def _check_numeric(value: object, aggregate: str) -> None:
         raise ExecutionError(f"{aggregate} over non-numeric value {value!r}")
 
 
-class Accumulator:
-    """Base accumulator interface."""
+class Kernel:
+    """Defaults: a global fold is a grouped fold into group 0, and the
+    states are their own results."""
 
-    def add(self, value: object) -> None:
+    initial: tuple = (None,)
+    #: SUM / AVG: the name their numeric check reports
+    numeric: str | None = None
+
+    def fold(self, states: list, groups: Iterable, column: Sequence):
         raise NotImplementedError
 
-    def add_many(self, values: Sequence) -> None:
-        """Fold ``values`` in order; same result as ``add`` on each."""
-        add = self.add
-        for value in values:
-            add(value)
+    def fold_all(self, states: list, column: Sequence) -> None:
+        self.fold(states, repeat(0), column)
 
-    def result(self) -> object:
-        raise NotImplementedError
+    def final(self, states: list) -> list:
+        return states
 
 
-class CountAccumulator(Accumulator):
-    """``COUNT(expr)``: counts non-NULL inputs (``COUNT(*)`` is fed row
-    positions, never NULL)."""
+class Count(Kernel):
+    """``COUNT(expr)``: counts non-NULL inputs."""
 
-    def __init__(self) -> None:
-        self._count = 0
+    initial = (0,)
 
-    def add(self, value: object) -> None:
-        if value is not None:
-            self._count += 1
+    def fold(self, states, groups, column):
+        for group, value in zip(groups, column):
+            if value is not None:
+                states[group] += 1
 
-    def add_many(self, values: Sequence) -> None:
-        self._count += len(values) - values.count(None)
-
-    def result(self) -> int:
-        return self._count
+    def fold_all(self, states, column):
+        states[0] += len(column) - column.count(None)
 
 
-class CountMergeAccumulator(Accumulator):
+class CountStar(Count):
+    """``COUNT(*)``: counts rows; its column is only measured."""
+
+    def fold(self, states, groups, column):
+        for group in groups:
+            states[group] += 1
+
+    def fold_all(self, states, column):
+        states[0] += len(column)
+
+
+class CountMerge(Kernel):
     """``count_merge``: the sum of partial ``COUNT`` results, which is 0
     when no partial arrives (a SUM over no rows is NULL; a COUNT never
     is). The cluster coordinator merges per-shard COUNTs with it; SQL
     text cannot name it."""
 
-    def __init__(self) -> None:
-        self._count = 0
+    initial = (0,)
 
-    def add(self, value: object) -> None:
-        if value is not None:
-            self._count += value
-
-    def result(self) -> int:
-        return self._count
+    def fold(self, states, groups, column):
+        for group, value in zip(groups, column):
+            if value is not None:
+                states[group] += value
 
 
-class CountDistinctAccumulator(Accumulator):
-    """``COUNT(DISTINCT expr)``."""
+class Sum(Kernel):
+    numeric = "SUM"
 
-    def __init__(self) -> None:
-        self._seen: set = set()
+    def fold(self, states, groups, column):
+        for group, value in zip(groups, column):
+            if value is None:
+                continue
+            if value.__class__ is not int and value.__class__ is not float:
+                _check_numeric(value, "SUM")
+            total = states[group]
+            states[group] = value if total is None else total + value
 
-    def add(self, value: object) -> None:
-        if value is not None:
-            self._seen.add(value)
-
-    def result(self) -> int:
-        return len(self._seen)
-
-
-class SumAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._total: float | int | None = None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        _check_numeric(value, "SUM")
-        self._total = value if self._total is None else self._total + value
-
-    def add_many(self, values: Sequence) -> None:
-        total = self._total
-        for value in values:
+    def fold_all(self, states, column):
+        total = states[0]
+        for value in column:
             if value is None:
                 continue
             if value.__class__ is not int and value.__class__ is not float:
                 _check_numeric(value, "SUM")
             total = value if total is None else total + value
-        self._total = total
-
-    def result(self) -> object:
-        return self._total
+        states[0] = total
 
 
-class AvgAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._count = 0
+class Avg(Kernel):
+    """Group ``g``'s running total is slot ``2g``, its count ``2g + 1``."""
 
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        _check_numeric(value, "AVG")
-        self._total += value
-        self._count += 1
+    initial = (0.0, 0)
+    numeric = "AVG"
 
-    def add_many(self, values: Sequence) -> None:
-        total = self._total
-        count = self._count
-        for value in values:
+    def fold(self, states, groups, column):
+        for group, value in zip(groups, column):
+            if value is None:
+                continue
+            if value.__class__ is not int and value.__class__ is not float:
+                _check_numeric(value, "AVG")
+            slot = group + group
+            states[slot] += value
+            states[slot + 1] += 1
+
+    def fold_all(self, states, column):
+        total, count = states
+        for value in column:
             if value is None:
                 continue
             if value.__class__ is not int and value.__class__ is not float:
                 _check_numeric(value, "AVG")
             total += value
             count += 1
-        self._total = total
-        self._count = count
+        states[:] = total, count
 
-    def result(self) -> object:
-        if self._count == 0:
-            return None
-        return self._total / self._count
-
-
-class MinAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._best: object = None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        if self._best is None or value < self._best:
-            self._best = value
-
-    def result(self) -> object:
-        return self._best
+    def final(self, states):
+        return [
+            None if count == 0 else total / count
+            for total, count in zip(states[::2], states[1::2])
+        ]
 
 
-class MaxAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._best: object = None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        if self._best is None or value > self._best:
-            self._best = value
-
-    def result(self) -> object:
-        return self._best
+class Min(Kernel):
+    def fold(self, states, groups, column):
+        for group, value in zip(groups, column):
+            if value is not None:
+                best = states[group]
+                if best is None or value < best:
+                    states[group] = value
 
 
-_FACTORIES = {
-    ("count", False): CountAccumulator,
-    ("count", True): CountDistinctAccumulator,
-    ("count_merge", False): CountMergeAccumulator,
-    ("sum", False): SumAccumulator,
-    ("avg", False): AvgAccumulator,
-    ("min", False): MinAccumulator,
-    ("max", False): MaxAccumulator,
-}
+class Max(Kernel):
+    def fold(self, states, groups, column):
+        for group, value in zip(groups, column):
+            if value is not None:
+                best = states[group]
+                if best is None or value > best:
+                    states[group] = value
 
 
-def accumulator_factory(name: str, distinct: bool = False):
-    """Resolve the named aggregate to a zero-argument constructor of
-    fresh accumulators (a grouped fold calls it once per group)."""
-    factory = _FACTORIES.get((name.lower(), distinct))
-    if factory is not None:
-        return factory
-    if distinct:
-        # SUM/AVG/MIN/MAX DISTINCT: deduplicate then delegate
-        inner = accumulator_factory(name, False)
-        return lambda: _DistinctWrapper(inner())
-    raise ExecutionError(f"unknown aggregate {name!r}")
+class Distinct(Kernel):
+    """``agg(DISTINCT expr)``: each group keeps an insertion-ordered
+    seen-dict, and the inner kernel folds its keys in first-seen order at
+    the end. SUM/AVG check a value when it is first seen, so the error
+    names the first offending value in input order."""
 
-
-def make_accumulator(name: str, distinct: bool = False) -> Accumulator:
-    """Create a fresh accumulator for the named aggregate."""
-    return accumulator_factory(name, distinct)()
-
-
-class _DistinctWrapper(Accumulator):
-    """DISTINCT variant for any aggregate: buffer distinct values."""
-
-    def __init__(self, inner: Accumulator) -> None:
+    def __init__(self, inner: Kernel) -> None:
         self._inner = inner
-        self._seen: set = set()
 
-    def add(self, value: object) -> None:
-        if value is None or value in self._seen:
-            return
-        self._seen.add(value)
-        self._inner.add(value)
+    def fold(self, states, groups, column):
+        numeric = self._inner.numeric
+        for group, value in zip(groups, column):
+            if value is None:
+                continue
+            seen = states[group]
+            if seen is None:
+                seen = states[group] = {}
+            elif value in seen:
+                continue
+            if numeric is not None:
+                _check_numeric(value, numeric)
+            seen[value] = None
 
-    def result(self) -> object:
-        return self._inner.result()
+    def final(self, states):
+        inner = self._inner
+        return [fold_group(inner, list(seen or ())) for seen in states]
+
+
+_KERNELS = {
+    "count": Count(), "count_merge": CountMerge(), "sum": Sum(),
+    "avg": Avg(), "min": Min(), "max": Max(),
+}
+_COUNT_STAR = CountStar()
+
+
+def aggregate_kernel(
+    name: str, distinct: bool = False, star: bool = False
+) -> Kernel:
+    """The kernel of the named aggregate; ``star`` is ``COUNT(*)``."""
+    kernel = _KERNELS.get(name.lower())
+    if kernel is None:
+        raise ExecutionError(f"unknown aggregate {name!r}")
+    if star:
+        return _COUNT_STAR
+    return Distinct(kernel) if distinct else kernel
+
+
+def fold_group(kernel: Kernel, values: Sequence) -> object:
+    """The kernel's result over one group's ``values``, folded in order."""
+    states = list(kernel.initial)
+    kernel.fold_all(states, values)
+    return kernel.final(states)[0]

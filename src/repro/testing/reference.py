@@ -17,6 +17,8 @@ meaningful under a total ORDER BY; compare as bags otherwise.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
 from repro.datatypes import value_sort_key
@@ -161,10 +163,13 @@ def _fold(
         return len(values)
     if not values:
         return None
+    # explicit left folds: from CPython 3.12 on, builtin sum() compensates
+    # float rounding, and the engine's result is the plain fold's, bit
+    # for bit
     if name == "sum":
-        return sum(values[1:], values[0])
+        return reduce(add, values)
     if name == "avg":
-        return sum(values, 0.0) / len(values)
+        return reduce(add, values, 0.0) / len(values)
     if name == "min":
         return min(values)
     if name == "max":

@@ -1,72 +1,59 @@
-"""Unit tests for aggregate accumulators."""
+"""Unit tests for the aggregate kernels."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
-from repro.expr.aggregates import is_aggregate_name, make_accumulator
+from repro.expr.aggregates import (
+    aggregate_kernel,
+    fold_group,
+    is_aggregate_name,
+)
+
+
+def result(name, values, distinct=False):
+    return fold_group(aggregate_kernel(name, distinct), values)
 
 
 class TestAccumulators:
     def test_count_ignores_nulls(self):
-        acc = make_accumulator("count")
-        for value in (1, None, "x", None):
-            acc.add(value)
-        assert acc.result() == 2
+        assert result("count", [1, None, "x", None]) == 2
 
     def test_count_empty_is_zero(self):
-        assert make_accumulator("count").result() == 0
+        assert result("count", []) == 0
 
     def test_count_distinct(self):
-        acc = make_accumulator("count", distinct=True)
-        for value in (1, 2, 2, None, 1):
-            acc.add(value)
-        assert acc.result() == 2
+        assert result("count", [1, 2, 2, None, 1], distinct=True) == 2
 
     def test_sum(self):
-        acc = make_accumulator("sum")
-        for value in (1, 2.5, None):
-            acc.add(value)
-        assert acc.result() == 3.5
+        assert result("sum", [1, 2.5, None]) == 3.5
 
     def test_sum_empty_is_null(self):
-        assert make_accumulator("sum").result() is None
+        assert result("sum", []) is None
 
     def test_sum_rejects_strings(self):
-        acc = make_accumulator("sum")
         with pytest.raises(ExecutionError):
-            acc.add("x")
+            result("sum", ["x"])
 
     def test_avg(self):
-        acc = make_accumulator("avg")
-        for value in (2, 4, None):
-            acc.add(value)
-        assert acc.result() == 3.0
+        assert result("avg", [2, 4, None]) == 3.0
 
     def test_avg_empty_is_null(self):
-        assert make_accumulator("avg").result() is None
+        assert result("avg", []) is None
 
     def test_min_max(self):
-        low = make_accumulator("min")
-        high = make_accumulator("max")
-        for value in (5, None, 2, 8):
-            low.add(value)
-            high.add(value)
-        assert low.result() == 2
-        assert high.result() == 8
+        assert result("min", [5, None, 2, 8]) == 2
+        assert result("max", [5, None, 2, 8]) == 8
 
     def test_min_empty_is_null(self):
-        assert make_accumulator("min").result() is None
+        assert result("min", []) is None
 
     def test_sum_distinct(self):
-        acc = make_accumulator("sum", distinct=True)
-        for value in (3, 3, 4):
-            acc.add(value)
-        assert acc.result() == 7
+        assert result("sum", [3, 3, 4], distinct=True) == 7
 
     def test_unknown_aggregate(self):
         with pytest.raises(ExecutionError):
-            make_accumulator("median")
+            aggregate_kernel("median")
 
     def test_is_aggregate_name(self):
         assert is_aggregate_name("COUNT")
@@ -87,50 +74,78 @@ numbers = st.one_of(
 )
 
 
-def fold(name, distinct, values, many):
-    accumulator = make_accumulator(name, distinct)
-    if many:
-        accumulator.add_many(values)
-    else:
+def fold(name, distinct, values, how):
+    """Fold ``values`` as one global column (``"all"``), one value per
+    ``fold_all`` call (``"each"``), or as group 1 of one grouped fold
+    whose rows interleave with those of groups 0 and 2 (``"grouped"``)."""
+    kernel = aggregate_kernel(name, distinct)
+    if how == "all":
+        return fold_group(kernel, values)
+    if how == "each":
+        states = list(kernel.initial)
         for value in values:
-            accumulator.add(value)
-    return accumulator.result()
+            kernel.fold_all(states, [value])
+        return kernel.final(states)[0]
+    states = list(kernel.initial) * 3
+    kernel.fold(
+        states, [0, 1, 2] * len(values),
+        [cell for value in values for cell in (-9, value, 9)],
+    )
+    return kernel.final(states)[1]
 
 
-def outcome(name, distinct, values, many):
+def outcome(name, distinct, values, how):
     """``repr`` of the result (so ``-0.0`` and int/float differ), or the
     error a fold raised."""
     try:
-        return repr(fold(name, distinct, values, many))
+        return repr(fold(name, distinct, values, how))
     except ExecutionError as error:
         return ("error", str(error))
 
 
 class TestAddMany:
-    """``add_many(xs)`` is ``for x in xs: add(x)``, value for value."""
+    """Folding a column at once is folding it value by value, and a
+    group of a grouped fold sees exactly its own values in row order."""
 
     @pytest.mark.parametrize("name, distinct", AGGREGATES)
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(numbers, max_size=12))
     def test_matches_add_loop(self, name, distinct, values):
-        assert outcome(name, distinct, values, True) == \
-            outcome(name, distinct, values, False)
+        folded = outcome(name, distinct, values, "all")
+        assert folded == outcome(name, distinct, values, "each")
+        assert folded == outcome(name, distinct, values, "grouped")
 
     @pytest.mark.parametrize("name", ["sum", "avg"])
     @pytest.mark.parametrize("distinct", [False, True])
     @pytest.mark.parametrize("bad", [True, "x"])
     def test_non_numeric_raises_alike(self, name, distinct, bad):
         values = [None, bad, 1, 2.5]
-        raised = outcome(name, distinct, values, True)
-        assert raised == outcome(name, distinct, values, False)
+        raised = outcome(name, distinct, values, "all")
+        assert raised == outcome(name, distinct, values, "each")
+        assert raised == outcome(name, distinct, values, "grouped")
         assert raised == (
             "error", f"{name.upper()} over non-numeric value {bad!r}"
         )
 
     def test_count_star_counts_positions(self):
-        accumulator = make_accumulator("count")
-        accumulator.add_many(range(5))
-        assert accumulator.result() == 5
+        kernel = aggregate_kernel("count", star=True)
+        assert fold_group(kernel, range(5)) == 5
+        states = list(kernel.initial) * 2
+        kernel.fold(states, [1, 0, 1], range(3))
+        assert kernel.final(states) == [1, 2]
+
+    @pytest.mark.parametrize("name", ["sum", "avg"])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_first_offending_value_in_input_order(self, name, distinct):
+        """Group 1's ``"b"`` comes before group 0's ``"a"`` in the input,
+        so it is the value named, grouped and global alike."""
+        kernel = aggregate_kernel(name, distinct)
+        message = f"{name.upper()} over non-numeric value 'b'"
+        states = list(kernel.initial) * 2
+        with pytest.raises(ExecutionError, match=message):
+            kernel.fold(states, [0, 1, 0, 1], [1, "b", "a", 2])
+        with pytest.raises(ExecutionError, match=message):
+            fold_group(kernel, [1, "b", "a", 2])
 
 
 class TestGroupOrder:

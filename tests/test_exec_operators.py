@@ -282,6 +282,34 @@ class TestAggregation:
         assert run(aggregate) == [(None, 2)]
 
 
+class TestAggregateWork:
+    """A grouped fold allocates no Python object per group: the net
+    GC-tracked objects alive when the first output batch appears grow
+    with the batch size, not with the number of groups."""
+
+    def test_twenty_thousand_groups_leave_the_collector_nothing(self):
+        import gc
+
+        rows = [(key, key % 7) for key in range(20_000)]
+        aggregate = HashAggregate(
+            Rows(rows), (slot(0),), (AggregateSpec("sum", slot(1)),)
+        )
+        context = ExecutionContext()
+        stream = aggregate.rows_columnar(context)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            first = next(stream)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert first.row_count == context.batch_size == 1024
+        assert first.to_rows()[:2] == [(0, 0), (1, 1)]
+        assert grown < 2 * context.batch_size, grown
+        assert sum(batch.row_count for batch in stream) == 20_000 - 1024
+
+
 class TestSortLimitDistinct:
     def test_sort_multi_key_stable(self):
         source = Rows([(2, "b"), (1, "z"), (2, "a"), (1, "a")])
