@@ -42,6 +42,17 @@ PYTHONPATH=src python -m pytest -q tests/test_insert_many.py \
     --hypothesis-profile=ci
 
 echo
+echo "== batch-kernel-vs-evaluator differential (hypothesis 'ci' profile) =="
+# every operator's scalar work runs as a batch kernel that folds
+# row-independent subtrees once per execution and narrows the selection
+# under AND, OR and CASE; per batch (sizes 1, 3, 1024) it must give what
+# the tree-walking evaluator gives row by row, or the same error class and
+# message, which this differential checks on generated expressions with
+# NULLs, parameters, IN lists, guarded divisions and subqueries
+PYTHONPATH=src python -m pytest -q tests/test_expr_compiler.py \
+    -k test_kernel_matches_evaluator --hypothesis-profile=ci
+
+echo
 echo "== executor-vs-reference differential (hypothesis 'ci' profile) =="
 # the executor against a naive interpreter that shares no operator code;
 # the profile raises the aggregate property's budget, which checks rows,

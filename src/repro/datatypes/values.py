@@ -199,6 +199,24 @@ _CONVERTERS = {
     BOOLEAN.name: _to_boolean,
 }
 
+#: type name -> the Python types its converter takes without a check
+#: that can fail (an INTEGER column's int, not float: ``int(inf)`` fails)
+_TAKES = {
+    INTEGER.name: int,
+    FLOAT.name: float,
+    DECIMAL.name: float,
+    VARCHAR.name: str,
+    DATE.name: datetime.date,
+    BOOLEAN.name: bool,
+}
+
+
+def converts_all(target: DataType, kinds: set) -> bool:
+    """True when ``coerce_value(·, target)`` cannot raise on a value whose
+    exact Python type is one of ``kinds``."""
+    taken = _TAKES.get(target.name)
+    return taken is None or kinds <= {taken, type(None)}
+
 
 #: sort rank that places NULLs first, mirroring "NULLS FIRST" ascending order
 _NULL_RANK = 0

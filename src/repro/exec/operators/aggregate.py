@@ -10,28 +10,23 @@ from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
 from repro.expr.aggregates import aggregate_kernel
-from repro.expr.compiler import compile_expression
+from repro.expr.compiler import compile_kernel, slot_of
 from repro.exec.operators.base import PhysicalOperator
 from repro.plan.logical import AggregateSpec
-from repro.expr.nodes import ColumnRef, Expression
+from repro.expr.nodes import Expression
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.exec.context import ExecutionContext
 
 
 def _input(expression: Expression | None) -> tuple:
-    """(slot, closure) for one group key or aggregate argument: a plain
-    column ref is read off the batch, anything computed is evaluated per
-    row, and COUNT(*) (no argument) is (None, None)."""
+    """(slot, kernel) for one group key or aggregate argument: a slot is
+    read off the batch, anything computed is a batch kernel, and
+    COUNT(*) (no argument) is (None, None)."""
     if expression is None:
         return None, None
-    if (
-        isinstance(expression, ColumnRef)
-        and expression.outer_level == 0
-        and expression.index is not None
-    ):
-        return expression.index, None
-    return None, compile_expression(expression)
+    slot = slot_of(expression)
+    return slot, None if slot is not None else compile_kernel(expression)
 
 
 class HashAggregate(PhysicalOperator):
@@ -66,22 +61,6 @@ class HashAggregate(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
-    def _columns(self, batch, context: "ExecutionContext") -> list:
-        """Every group key and aggregate argument of ``batch`` as one
-        column (None for COUNT(*)); rows are pivoted at most once."""
-        rows = None
-        columns = []
-        for slot, closure in self._inputs:
-            if slot is not None:
-                columns.append(batch.column(slot))
-            elif closure is None:
-                columns.append(None)
-            else:
-                if rows is None:
-                    rows = batch.to_rows()
-                columns.append([closure(row, context) for row in rows])
-        return columns
-
     def rows_columnar(self, context: "ExecutionContext"):
         """Per batch, one dict pass numbers each row's group in order of
         first appearance (a single group column keys by bare value), then
@@ -95,8 +74,19 @@ class HashAggregate(PhysicalOperator):
             [] if group_count else list(kernel.initial)
             for kernel in kernels
         ]
+        inputs = [
+            (slot, None if kernel is None else kernel(context))
+            for slot, kernel in self._inputs
+        ]
         for batch in self._child.rows_columnar(context):
-            columns = self._columns(batch, context)
+            # every group key and aggregate argument as one column
+            selection = batch.indices()
+            columns = [
+                batch.column(slot) if slot is not None
+                else None if kernel is None  # COUNT(*)
+                else kernel(batch.columns, selection)
+                for slot, kernel in inputs
+            ]
             arguments = [  # COUNT(*) measures its column, never reads it
                 range(batch.row_count) if column is None else column
                 for column in columns[group_count:]

@@ -18,10 +18,11 @@ from typing import TYPE_CHECKING
 
 from repro.errors import PlanError
 from repro.exec.batch import ColumnBatch, LazyColumns
-from repro.expr.compiler import compile_predicate
+from repro.expr.compiler import compile_filter
 from repro.expr.nodes import Expression
 from repro.exec.operators.audit import AuditOperator
 from repro.exec.operators.base import PhysicalOperator
+from repro.exec.operators.join import emit_joined
 from repro.exec.operators.scan import IndexSeek
 from repro.plan.logical import JOIN_INNER, JOIN_LEFT
 
@@ -63,8 +64,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
         self._seek = seek
         self._audits = tuple(audits)
         self._kind = kind
-        self._compiled_residual = (
-            compile_predicate(residual) if residual is not None else None
+        self._filter = (
+            compile_filter(residual) if residual is not None else None
         )
         self._inner_arity = inner_arity
         self._key_slot = key_slot
@@ -80,8 +81,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
         audits = self._audits
         key_slot = self._key_slot
         inner_arity = self._inner_arity
-        residual = self._compiled_residual
-        pad = self._kind == JOIN_LEFT
+        residual = None if self._filter is None else self._filter(context)
+        kind = self._kind
         null_extension = (None,) * inner_arity
         batch_size = context.batch_size
         out: list[tuple] = []
@@ -97,20 +98,12 @@ class IndexNestedLoopJoin(PhysicalOperator):
                 )
                 for audit in audits:
                     audit.probe(fetched, context)
-            unmatched = 0  # first outer ordinal not yet joined or padded
-            for ordinal, right_row in zip(ordinals, matches):
-                combined = left_rows[ordinal] + right_row
-                if residual is not None:
-                    if residual(combined, context) is not True:
-                        continue
-                if pad:
-                    for skipped in range(unmatched, ordinal):
-                        out.append(left_rows[skipped] + null_extension)
-                    unmatched = ordinal + 1
-                out.append(combined)
-            if pad:
-                for skipped in range(unmatched, len(left_rows)):
-                    out.append(left_rows[skipped] + null_extension)
+            emit_joined(
+                kind, residual, left_rows,
+                [left_rows[ordinal] + right_row
+                 for ordinal, right_row in zip(ordinals, matches)],
+                ordinals, null_extension, out,
+            )
             if len(out) >= batch_size:
                 yield ColumnBatch.from_rows(out)
                 out = []

@@ -41,13 +41,15 @@ class GatherSource(PhysicalOperator):
         self._key = key
 
     def _source(self, context: "ExecutionContext") -> list[tuple]:
+        """The rows, built first if the source is a function (``accessed``)."""
         sources = context.gather_rows
         if sources is None or self._key not in sources:
             raise ExecutionError(
                 f"no gathered rows for exchange key {self._key} "
                 "(context.gather_rows was not set before the plan ran)"
             )
-        return sources[self._key]
+        rows = sources[self._key]
+        return rows() if callable(rows) else rows
 
     def rows_columnar(self, context: "ExecutionContext"):
         yield from row_batches(self._source(context), context.batch_size)

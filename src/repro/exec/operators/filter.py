@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
-from repro.expr.compiler import compile_column_predicate
+from repro.expr.compiler import compile_filter
 from repro.expr.nodes import Expression
 from repro.exec.operators.base import PhysicalOperator
 
@@ -18,16 +18,16 @@ class FilterOperator(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         self._child = child
-        self._column_sweep = compile_column_predicate(predicate)
+        self._filter = compile_filter(predicate)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
     def rows_columnar(self, context: "ExecutionContext"):
         """Narrow the selection vector, share the columns."""
-        sweep = self._column_sweep
+        sweep = self._filter(context)
         for batch in self._child.rows_columnar(context):
-            kept = sweep(batch.columns, batch.indices(), context)
+            kept = sweep(batch.columns, batch.indices())
             if kept:
                 yield ColumnBatch(
                     batch.columns,

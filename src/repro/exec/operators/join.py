@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.batch import ColumnBatch
-from repro.expr.compiler import compile_predicate
+from repro.expr.compiler import compile_filter
 from repro.expr.nodes import Expression
 from repro.exec.operators.base import PhysicalOperator, collect_rows
 from repro.plan.logical import JOIN_ANTI, JOIN_INNER, JOIN_LEFT, JOIN_SEMI
@@ -26,6 +26,31 @@ def _join_keys(batch: ColumnBatch, slots: tuple[int, ...]):
     if len(slots) == 1:
         return batch.column(slots[0])
     return zip(*[batch.column(slot) for slot in slots])
+
+
+def emit_joined(kind, residual, left_rows, candidates, owners,
+                null_extension, out: list) -> None:
+    """Append to ``out`` what a join of ``kind`` emits for ``left_rows``,
+    given the ``left ++ right`` pairs whose keys matched (``candidates``,
+    in left order; ``owners``: the left ordinal of each), all swept at
+    once by the bound ``residual`` filter, if any."""
+    kept = range(len(candidates))
+    if residual is not None and candidates:
+        kept = residual(ColumnBatch.from_rows(candidates).columns, kept)
+    if kind == JOIN_INNER:
+        out.extend([candidates[i] for i in kept]
+                   if len(kept) < len(candidates) else candidates)
+    elif kind == JOIN_LEFT:
+        joined: dict[int, list] = {}
+        for i in kept:
+            joined.setdefault(owners[i], []).append(candidates[i])
+        for ordinal, row in enumerate(left_rows):
+            out.extend(joined.get(ordinal) or (row + null_extension,))
+    else:
+        matched = {owners[i] for i in kept}
+        semi = kind == JOIN_SEMI
+        out.extend([row for ordinal, row in enumerate(left_rows)
+                    if (ordinal in matched) is semi])
 
 
 class NestedLoopJoin(PhysicalOperator):
@@ -46,8 +71,8 @@ class NestedLoopJoin(PhysicalOperator):
         self._left = left
         self._right = right
         self._kind = kind
-        self._compiled_condition = (
-            compile_predicate(condition) if condition is not None else None
+        self._condition = (
+            compile_filter(condition) if condition is not None else None
         )
         self._right_arity = right_arity
 
@@ -55,30 +80,23 @@ class NestedLoopJoin(PhysicalOperator):
         return (self._left, self._right)
 
     def rows_columnar(self, context: "ExecutionContext"):
+        """One residual sweep over each left row's pairs."""
         right_rows = collect_rows(self._right, context)
-        condition = self._compiled_condition
+        condition = (
+            None if self._condition is None else self._condition(context)
+        )
         kind = self._kind
         null_extension = (None,) * self._right_arity
+        owners = [0] * len(right_rows)
         batch_size = context.batch_size
         out: list[tuple] = []
         for batch in self._left.rows_columnar(context):
             for left_row in batch.to_rows():
-                matched = False
-                for right_row in right_rows:
-                    combined = left_row + right_row
-                    if condition is not None:
-                        if condition(combined, context) is not True:
-                            continue
-                    matched = True
-                    if kind == JOIN_SEMI or kind == JOIN_ANTI:
-                        break
-                    out.append(combined)
-                if kind == JOIN_SEMI and matched:
-                    out.append(left_row)
-                elif kind == JOIN_ANTI and not matched:
-                    out.append(left_row)
-                elif kind == JOIN_LEFT and not matched:
-                    out.append(left_row + null_extension)
+                emit_joined(
+                    kind, condition, (left_row,),
+                    [left_row + right_row for right_row in right_rows],
+                    owners, null_extension, out,
+                )
                 if len(out) >= batch_size:
                     yield ColumnBatch.from_rows(out)
                     out = []
@@ -116,8 +134,8 @@ class HashJoin(PhysicalOperator):
         self._left_keys = left_keys
         self._right_keys = right_keys
         self._residual = residual
-        self._compiled_residual = (
-            compile_predicate(residual) if residual is not None else None
+        self._filter = (
+            compile_filter(residual) if residual is not None else None
         )
         self._right_arity = right_arity
         self._build_left = build_left and kind == JOIN_INNER
@@ -128,10 +146,54 @@ class HashJoin(PhysicalOperator):
     def rows_columnar(self, context: "ExecutionContext"):
         """Keys are read off the key columns; whole tuples are hashed
         into and concatenated out of the table, so both inputs are
-        pivoted at the boundary and the output wrapped per batch."""
-        if self._build_left:
-            return self._run_build_left(context)
-        return self._run_build_right(context)
+        pivoted at the boundary, the residual swept once over each probe
+        batch's matched pairs, and the output wrapped per batch."""
+        residual = None if self._filter is None else self._filter(context)
+        build_left, kind = self._build_left, self._kind
+        table = self._build_table(
+            *((self._left, self._left_keys) if build_left
+              else (self._right, self._right_keys)), context,
+        )
+        probe, probe_keys = (self._right, self._right_keys) if build_left \
+            else (self._left, self._left_keys)
+        bare = residual is None and kind in (JOIN_SEMI, JOIN_ANTI)
+        null_extension = (None,) * self._right_arity
+        empty: tuple = ()
+        get = table.get
+        out: list[tuple] = []
+        for batch in probe.rows_columnar(context):
+            keys = _join_keys(batch, probe_keys)
+            rows = batch.to_rows()
+            if bare:  # no pair to build: a key match decides
+                semi = kind == JOIN_SEMI
+                out.extend([row for key, row in zip(keys, rows)
+                            if (key in table) is semi])
+            elif build_left:
+                emit_joined(kind, residual, (), [
+                    match + row
+                    for key, row in zip(keys, rows)
+                    for match in get(key, empty)
+                ], (), (), out)
+            elif kind == JOIN_INNER:
+                emit_joined(kind, residual, (), [
+                    row + match
+                    for key, row in zip(keys, rows)
+                    for match in get(key, empty)
+                ], (), (), out)
+            else:
+                candidates: list[tuple] = []
+                owners: list[int] = []
+                for ordinal, (key, row) in enumerate(zip(keys, rows)):
+                    for match in get(key, empty):
+                        candidates.append(row + match)
+                        owners.append(ordinal)
+                emit_joined(kind, residual, rows, candidates, owners,
+                            null_extension, out)
+            if len(out) >= context.batch_size:
+                yield ColumnBatch.from_rows(out)
+                out = []
+        if out:
+            yield ColumnBatch.from_rows(out)
 
     def _build_table(
         self,
@@ -150,67 +212,6 @@ class HashJoin(PhysicalOperator):
                     continue
                 setdefault(key, []).append(row)
         return table
-
-    def _run_build_right(self, context: "ExecutionContext"):
-        table = self._build_table(self._right, self._right_keys, context)
-        residual = self._compiled_residual
-        kind = self._kind
-        left_keys = self._left_keys
-        bare = kind == JOIN_SEMI or kind == JOIN_ANTI
-        null_extension = (None,) * self._right_arity
-        empty: tuple = ()
-        batch_size = context.batch_size
-        get = table.get
-        out: list[tuple] = []
-        for batch in self._left.rows_columnar(context):
-            for key, left_row in zip(
-                _join_keys(batch, left_keys), batch.to_rows()
-            ):
-                matched = False
-                for right_row in get(key, empty):
-                    combined = left_row + right_row
-                    if residual is not None:
-                        if residual(combined, context) is not True:
-                            continue
-                    matched = True
-                    if bare:
-                        break
-                    out.append(combined)
-                if kind == JOIN_SEMI and matched:
-                    out.append(left_row)
-                elif kind == JOIN_ANTI and not matched:
-                    out.append(left_row)
-                elif kind == JOIN_LEFT and not matched:
-                    out.append(left_row + null_extension)
-            if len(out) >= batch_size:
-                yield ColumnBatch.from_rows(out)
-                out = []
-        if out:
-            yield ColumnBatch.from_rows(out)
-
-    def _run_build_left(self, context: "ExecutionContext"):
-        table = self._build_table(self._left, self._left_keys, context)
-        residual = self._compiled_residual
-        right_keys = self._right_keys
-        empty: tuple = ()
-        batch_size = context.batch_size
-        get = table.get
-        out: list[tuple] = []
-        for batch in self._right.rows_columnar(context):
-            for key, right_row in zip(
-                _join_keys(batch, right_keys), batch.to_rows()
-            ):
-                for left_row in get(key, empty):
-                    combined = left_row + right_row
-                    if residual is not None:
-                        if residual(combined, context) is not True:
-                            continue
-                    out.append(combined)
-            if len(out) >= batch_size:
-                yield ColumnBatch.from_rows(out)
-                out = []
-        if out:
-            yield ColumnBatch.from_rows(out)
 
     def describe(self) -> str:
         side = "build=left" if self._build_left else "build=right"

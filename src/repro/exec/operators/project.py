@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.exec.batch import ColumnBatch
-from repro.expr.compiler import compile_expression
-from repro.expr.nodes import ColumnRef, Expression
+from repro.exec.batch import ColumnBatch, LazyColumns
+from repro.expr.compiler import compile_kernel, slot_of
+from repro.expr.nodes import Expression
 from repro.exec.operators.base import PhysicalOperator
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -17,7 +18,10 @@ class ProjectOperator(PhysicalOperator):
     """Computes output rows from expressions over the child row.
 
     Projections that are pure column permutations (a common case after
-    binding) re-point columns instead of evaluating anything.
+    binding) evaluate nothing: over a row-backed batch they stay
+    row-backed, each output row picked out of its input row in one C
+    call, instead of pivoting every column; over a column-major batch
+    they re-point the columns. Computed columns come from batch kernels.
     """
 
     def __init__(
@@ -25,62 +29,47 @@ class ProjectOperator(PhysicalOperator):
     ) -> None:
         self._child = child
         self._expressions = expressions
-        self._simple_slots: tuple[int, ...] | None = None
-        if all(
-            isinstance(expression, ColumnRef)
-            and expression.outer_level == 0
-            and expression.index is not None
-            for expression in expressions
-        ):
-            self._simple_slots = tuple(
-                expression.index  # type: ignore[union-attr]
-                for expression in expressions
-            )
-        self._compiled_each = tuple(
-            compile_expression(expression) for expression in expressions
+        slots = tuple(map(slot_of, expressions))
+        self._slots = slots
+        self._pick = (
+            itemgetter(*slots)
+            if len(slots) > 1 and None not in slots else None
+        )
+        self._kernels = tuple(
+            compile_kernel(expression) if slot is None else None
+            for expression, slot in zip(expressions, slots)
         )
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._child,)
 
     def rows_columnar(self, context: "ExecutionContext"):
-        """Column permutations re-point the column tuple
-        (zero copy, selection shared); anything computed pivots once and
-        evaluates per output expression into a fresh dense column."""
-        slots = self._simple_slots
-        if slots is not None:
-            for batch in self._child.rows_columnar(context):
-                if batch.selection is None:
-                    yield ColumnBatch(
-                        tuple(batch.columns[slot] for slot in slots),
-                        batch.length,
-                    )
-                else:
-                    # gather through the selection now: pivoting whole
-                    # lazy columns to keep a sparse selection is wasted
-                    # work, and downstream sees a dense batch either way
-                    yield ColumnBatch(
-                        tuple(batch.column(slot) for slot in slots),
-                        batch.row_count,
-                    )
-            return
-        expressions = self._expressions
-        compiled = self._compiled_each
+        slots = self._slots
+        pick = self._pick
+        kernels = self._kernels
+        if pick is None:
+            kernels = [
+                None if kernel is None else kernel(context)
+                for kernel in kernels
+            ]
         for batch in self._child.rows_columnar(context):
-            rows = batch.to_rows()
+            rows = getattr(batch.columns, "rows", None)
+            if pick is not None and rows is not None:
+                if batch.selection is not None:
+                    rows = map(rows.__getitem__, batch.selection)
+                picked = list(map(pick, rows))
+                yield ColumnBatch(
+                    LazyColumns(picked, len(slots)), len(picked)
+                )
+                continue
+            selection = batch.indices()
             columns = []
-            for expression, closure in zip(expressions, compiled):
-                if (
-                    isinstance(expression, ColumnRef)
-                    and expression.outer_level == 0
-                    and expression.index is not None
-                ):
-                    columns.append(batch.column(expression.index))
-                else:
-                    columns.append(
-                        [closure(row, context) for row in rows]
-                    )
-            yield ColumnBatch(tuple(columns), len(rows))
+            for slot, kernel in zip(slots, kernels):
+                columns.append(
+                    batch.column(slot) if kernel is None
+                    else kernel(batch.columns, selection)
+                )
+            yield ColumnBatch(tuple(columns), batch.row_count)
 
     def describe(self) -> str:
         return f"Project({len(self._expressions)} cols)"

@@ -20,12 +20,7 @@ from typing import TYPE_CHECKING
 from repro.datatypes.values import check_comparable
 from repro.errors import ExecutionError
 from repro.exec.batch import ColumnBatch, LazyColumns, row_batches
-from repro.expr.compiler import (
-    CompiledExpression,
-    compile_column_predicate,
-    compile_predicate,
-)
-from repro.expr.evaluator import evaluate
+from repro.expr.compiler import compile_expression, compile_filter
 from repro.expr.nodes import (
     Between,
     Binary,
@@ -54,7 +49,7 @@ def _sargable_conjuncts(
 
     Matches ``col <cmp> <row-independent expr>`` (either side),
     ``col BETWEEN lo AND hi``, and ``col IS [NOT] NULL``. Bound
-    expressions are evaluated once per execution; anything else —
+    expressions are folded once per execution; anything else —
     subqueries, row-dependent bounds, OR trees — is simply not sargable
     and contributes no skip (conservative by omission).
     """
@@ -109,10 +104,15 @@ class _AccessPath(PhysicalOperator):
     ) -> None:
         self._table = table
         self._residual = (
-            compile_predicate(residual) if residual is not None else None
+            compile_filter(residual) if residual is not None else None
         )
         self._pk_positions = table.schema.primary_key_positions()
-        self._checks = tuple(bounds) + _sargable_conjuncts(residual)
+        self._checks = tuple(
+            (op, position, bound,
+             None if bound is None else compile_expression(bound))
+            for op, position, bound
+            in tuple(bounds) + _sargable_conjuncts(residual)
+        )
 
     @property
     def table(self) -> "Table":
@@ -136,13 +136,10 @@ class TableScan(_AccessPath):
                  ) -> None:
         super().__init__(table, predicate)
         self._predicate = predicate
-        self._column_sweep = (
-            compile_column_predicate(predicate)
-            if predicate is not None else None
-        )
 
-    def _kept_blocks(self, context: "ExecutionContext"):
-        """Yield ``(block, summary)`` per block the zone maps keep.
+    def _kept_blocks(self, context: "ExecutionContext", values: list):
+        """Yield ``(block, summary)`` per block the zone maps keep,
+        given the checks' folded ``values`` (:func:`_bound_values`).
 
         ``summary`` is the block's fresh :class:`BlockSummary` when the
         zone-map consult fetched one, else ``None`` — the audit operator's
@@ -151,27 +148,26 @@ class TableScan(_AccessPath):
         """
         table = self._table
         skipping = context.data_skipping
-        values = _bound_values(table, self._checks, context)
         for block in table.blocks():
             summary = None
             if skipping and values:
                 summary = table.fresh_summary(block)
                 if not all(
-                    summary.may_match(position, op, value)
-                    for (op, position, __), value in zip(self._checks, values)
+                    summary.may_match(check[1], check[0], value)
+                    for check, value in zip(self._checks, values)
                 ):
                     context.blocks_zone_skipped += 1
                     continue
             context.blocks_scanned += 1
             yield block, summary
 
-    def _live_blocks(self, context: "ExecutionContext"):
+    def _live_blocks(self, context: "ExecutionContext", values: list):
         """Yield ``(block, rows, summary)`` per kept block, rows tombstone-
         filtered but *not* yet predicate-filtered."""
         table = self._table
         hidden = context.tombstones.get(table.schema.name)
         pk_positions = self._pk_positions
-        for block, summary in self._kept_blocks(context):
+        for block, summary in self._kept_blocks(context, values):
             with table._lock:
                 rows = block.rows_snapshot()
             if hidden is not None and pk_positions:
@@ -192,17 +188,24 @@ class TableScan(_AccessPath):
         wrapped in a :class:`ColumnBatch` over :class:`LazyColumns` —
         only the columns an operator actually touches (predicate sweep,
         audit probe, projected slots) are ever pivoted out of the block —
-        with the compiled column sweep already applied as the selection
-        vector; the predicate never materializes row-tuples.
+        with the predicate's sweep already applied as the selection
+        vector. The sweep reuses the bounds the zone maps were checked
+        with: each is folded once per execution.
         """
-        sweep = self._column_sweep
+        values = _bound_values(self._table, self._checks, context)
+        sweep = None
+        if self._residual is not None:
+            sweep = self._residual(context, {
+                id(check[2]): value
+                for check, value in zip(self._checks, values)
+            })
         width = len(self._table.schema.columns)
-        for block, rows, summary in self._live_blocks(context):
+        for block, rows, summary in self._live_blocks(context, values):
             columns = LazyColumns(rows, width)
             length = len(rows)
             selection = None
             if sweep is not None:
-                selection = sweep(columns, range(length), context)
+                selection = sweep(columns, range(length))
                 if not selection:
                     continue
                 if len(selection) == length:
@@ -214,7 +217,8 @@ class TableScan(_AccessPath):
             yield batch
 
     def _rids(self, context: "ExecutionContext"):
-        for block, __ in self._kept_blocks(context):
+        values = _bound_values(self._table, self._checks, context)
+        for block, __ in self._kept_blocks(context, values):
             with self._table._lock:
                 yield from list(block.rows)
 
@@ -227,11 +231,12 @@ def _visible_rows(
     table: "Table",
     rid_groups,
     pk_positions: tuple[int, ...],
-    residual: CompiledExpression | None,
+    residual,
     context: "ExecutionContext",
 ) -> tuple[list[tuple], list[int]]:
     """Rows behind each group of index rids, minus tombstoned and failing
-    the compiled ``residual``, with the ordinal of the group of each."""
+    the ``residual`` filter (swept once over all of them), with the
+    ordinal of the group of each."""
     hidden = context.tombstones.get(table.schema.name)
     if not pk_positions:
         hidden = None
@@ -244,29 +249,33 @@ def _visible_rows(
             if hidden is not None:
                 if tuple(row[p] for p in pk_positions) in hidden:
                     continue
-            if residual is not None:
-                if residual(row, context) is not True:
-                    continue
             rows.append(row)
             ordinals.append(ordinal)
+    if residual is not None and rows:
+        kept = residual(context)(
+            LazyColumns(rows, len(table.schema.columns)), range(len(rows))
+        )
+        if len(kept) < len(rows):
+            rows = [rows[i] for i in kept]
+            ordinals = [ordinals[i] for i in kept]
     return rows, ordinals
 
 
 def _bound_values(
     table: "Table",
-    checks: tuple[tuple[str, int, Expression | None], ...],
+    checks: tuple,
     context: "ExecutionContext",
 ) -> list[object]:
-    """Evaluate row-independent bounds once per execution, before any row
+    """Fold row-independent bounds once per execution, before any row
     is read, so a bound its column cannot compare with raises the same
     :class:`ExecutionError` on every access path. A NULL bound stays
     (:meth:`BlockSummary.may_match` skips every block on it)."""
     columns = table.schema.columns
     values = []
-    for __, position, expression in checks:
+    for __, position, __, bound in checks:
         value = None
-        if expression is not None:
-            value = evaluate(expression, (), context)
+        if bound is not None:
+            value = bound((), context)
             if value is not None:
                 column = columns[position]
                 check_comparable(column.name, column.data_type, value)

@@ -5,8 +5,8 @@ from repro.expr.nodes import Expression
 from repro.expr.evaluator import evaluate
 from repro.expr.compiler import (
     compile_expression,
-    compile_predicate,
-    compile_projector,
+    compile_filter,
+    compile_kernel,
 )
 from repro.expr.aggregates import aggregate_kernel, is_aggregate_name
 
@@ -15,8 +15,8 @@ __all__ = [
     "Expression",
     "evaluate",
     "compile_expression",
-    "compile_predicate",
-    "compile_projector",
+    "compile_filter",
+    "compile_kernel",
     "is_aggregate_name",
     "aggregate_kernel",
 ]

@@ -82,7 +82,12 @@ def evaluate(
         answer = value is None
         return not answer if expression.negated else answer
     if isinstance(expression, Between):
-        return _between(expression, row, context)
+        result = between_value(
+            evaluate(expression.operand, row, context),
+            evaluate(expression.low, row, context),
+            evaluate(expression.high, row, context),
+        )
+        return sql_not(result) if expression.negated else result
     if isinstance(expression, Like):
         result = sql_like(
             evaluate(expression.operand, row, context),
@@ -90,9 +95,15 @@ def evaluate(
         )
         return sql_not(result) if expression.negated else result
     if isinstance(expression, InList):
-        return _in_list(expression, row, context)
+        value = evaluate(expression.operand, row, context)
+        return in_values(value, (
+            evaluate(item, row, context) for item in expression.items
+        ), expression.negated, value is None)
     if isinstance(expression, InSubquery):
-        return _in_subquery(expression, row, context)
+        value = evaluate(expression.operand, row, context)
+        rows = context.run_subquery(expression.plan, row)
+        return in_values(value, (subrow[0] for subrow in rows),
+                         expression.negated, value is None and bool(rows))
     if isinstance(expression, Exists):
         rows = context.run_subquery(expression.plan, row)
         answer = bool(rows)
@@ -202,54 +213,29 @@ def _unary(node: Unary, row: tuple, context: "ExecutionContext") -> object:
     raise ExecutionError(f"unknown unary operator {node.op!r}")
 
 
-def _between(
-    node: Between, row: tuple, context: "ExecutionContext"
-) -> object:
-    value = evaluate(node.operand, row, context)
-    low = evaluate(node.low, row, context)
-    high = evaluate(node.high, row, context)
+def between_value(value: object, low: object, high: object) -> object:
+    """SQL ``value BETWEEN low AND high`` over evaluated operands."""
     lower = sql_compare(value, low)
     upper = sql_compare(value, high)
-    result = sql_and(
+    return sql_and(
         None if lower is None else lower >= 0,
         None if upper is None else upper <= 0,
     )
-    return sql_not(result) if node.negated else result
 
 
-def _in_list(
-    node: InList, row: tuple, context: "ExecutionContext"
-) -> object:
-    value = evaluate(node.operand, row, context)
-    saw_null = value is None
-    for item in node.items:
-        member = evaluate(item, row, context)
+def in_values(value: object, members, negated: bool, saw_null: bool
+              ) -> object:
+    """SQL ``value [NOT] IN (members)``, reading ``members`` lazily up to
+    the first match (``saw_null``: an UNKNOWN was already seen)."""
+    for member in members:
         if member is None or value is None:
             saw_null = True
             continue
         if member == value:
-            return False if node.negated else True
+            return not negated
     if saw_null:
         return None
-    return True if node.negated else False
-
-
-def _in_subquery(
-    node: InSubquery, row: tuple, context: "ExecutionContext"
-) -> object:
-    value = evaluate(node.operand, row, context)
-    rows = context.run_subquery(node.plan, row)
-    saw_null = value is None and bool(rows)
-    for subrow in rows:
-        member = subrow[0]
-        if member is None or value is None:
-            saw_null = True
-            continue
-        if member == value:
-            return False if node.negated else True
-    if saw_null:
-        return None
-    return True if node.negated else False
+    return negated
 
 
 def _scalar_subquery(

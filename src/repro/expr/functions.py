@@ -21,7 +21,7 @@ ScalarFunction = Callable[["ExecutionContext", tuple], object]
 
 def _nulls_propagate(function: Callable[..., object]) -> ScalarFunction:
     def wrapper(context: "ExecutionContext", args: tuple) -> object:
-        if any(argument is None for argument in args):
+        if None in args:
             return None
         return function(*args)
 
@@ -130,3 +130,8 @@ def lookup_function(name: str) -> ScalarFunction:
 
 def is_scalar_function(name: str) -> bool:
     return name.lower() in _REGISTRY
+
+
+def is_session_function(name: str) -> bool:
+    """True for the functions that read the session: live per call."""
+    return _REGISTRY.get(name.lower()) in (_now, _user_id, _sql_text)

@@ -111,13 +111,26 @@ def expressions_match(left: Expression, right: Expression) -> bool:
 
 class AccessedRows(threading.local):
     """The ``accessed`` column name and rows of the SELECT-trigger firing
-    running on this thread (``rows`` is None between firings)."""
+    running on this thread (``rows`` is None between firings).
+
+    A firing may set ``rows`` to a function that builds them: the first
+    read calls it (binding ``accessed`` through :meth:`built`, or running
+    a ``Gather`` leaf of it), so a firing none of whose statements reads
+    ``accessed`` builds no rows."""
 
     column: str = ""
-    rows: list[tuple] | None = None
+    rows = None
 
-    def gather_rows(self) -> dict[int, list[tuple]] | None:
-        """``gather_rows`` of an execution context made now."""
+    def built(self) -> list[tuple]:
+        """The rows, built now if they were not yet."""
+        rows = self.rows
+        if callable(rows):
+            rows = self.rows = rows()
+        return rows
+
+    def gather_rows(self) -> dict[int, object] | None:
+        """``gather_rows`` of an execution context made now (the rows, or
+        the function building them)."""
         return None if self.rows is None else {ACCESSED_KEY: self.rows}
 
 
@@ -227,7 +240,7 @@ class PlanBuilder:
                 column = PlanColumn(
                     name, item.binding_name.lower(), ("accessed", name)
                 )
-                return Gather(ACCESSED_KEY, (column,), len(accessed.rows))
+                return Gather(ACCESSED_KEY, (column,), len(accessed.built()))
             table = self._catalog.table(item.name)
             return Scan(
                 table_name=table.schema.name,

@@ -15,7 +15,8 @@ indexed by timing and audit expression when created or dropped, so
 finding what a statement arms is a dictionary lookup. ``accessed`` is no
 table: during a firing only, the binder resolves it to a ``Gather`` leaf
 over the firing's rows, which every context made meanwhile carries
-(:class:`~repro.plan.builder.AccessedRows`). :class:`SelectFiring`
+(:class:`~repro.plan.builder.AccessedRows`); the rows are sorted and
+coerced only if a statement reads them. :class:`SelectFiring`
 compiles each body SELECT once; on a single node an ``INSERT … SELECT``
 or bare SELECT body then runs as that plan
 (``Database.execute_trigger_body``) and appends its rows with one
@@ -31,7 +32,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.catalog.schema import Column
-from repro.datatypes.values import coerce_value
+from repro.datatypes.values import converts_all, value_converter
 from repro.errors import AccessDeniedError, TriggerError
 from repro.storage.table import RowChange, Table
 from repro.triggers.definitions import DmlTrigger, SelectTrigger
@@ -229,11 +230,7 @@ class SelectFiring:
                 or self._engine.catalog.has_table("accessed"):
             raise TriggerError(ACCESSED_TAKEN)
         column = self._id_column(audit_name)
-        data_type = column.data_type
-        rows = [
-            (coerce_value(value, data_type),)
-            for value in sorted(ids, key=repr)
-        ]
+        rows = _accessed_rows(ids, column.data_type)
         self._enter()
         for binding in bindings:
             binding.column = column.name
@@ -262,9 +259,7 @@ class SelectFiring:
     def check(self, audit_name: str, ids) -> None:
         """Raise if the ``accessed`` relation of ``audit_name`` cannot
         hold one of ``ids``, as :meth:`run` would."""
-        data_type = self._id_column(audit_name).data_type
-        for value in ids:
-            coerce_value(value, data_type)
+        _accessed_rows(ids, self._id_column(audit_name).data_type)
 
     def _id_column(self, audit_name: str) -> Column:
         """The sensitive column the IDs of ``audit_name`` are keys of."""
@@ -292,6 +287,26 @@ class SelectFiring:
             key: value for key, value in self._plans.items()
             if key[0] != name.lower()
         }
+
+
+def _accessed_rows(ids, data_type):
+    """The ``accessed`` rows of ``ids``, sorted by ``repr`` and coerced to
+    ``data_type`` — or, when no ID can fail to coerce, a function building
+    them once, on first read. A coercion failure is raised here, before
+    any body statement runs, naming the first bad ID in ``repr`` order."""
+    ids = tuple(ids)
+    convert = value_converter(data_type)
+    built: list = []
+
+    def build() -> list[tuple]:
+        if not built:
+            built.append([
+                (convert(value),) for value in sorted(ids, key=repr)
+            ])
+        return built[0]
+
+    return build if converts_all(data_type, set(map(type, ids))) \
+        else build()
 
 
 def _trigger_row(table: Table, change: RowChange):

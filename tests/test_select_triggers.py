@@ -414,6 +414,47 @@ class TestFiringWork:
             cluster.close()
 
 
+    def test_rows_nobody_reads_are_not_built(self, monkeypatch):
+        """IDs become sorted, coerced ``accessed`` rows only when a body
+        statement reads them: a NOTIFY body's firing converts none, an
+        ``INSERT … SELECT … FROM accessed`` body's converts each ID once,
+        and an ID that cannot be stored still fails the firing before
+        its first statement, naming the first bad ID in ``repr`` order."""
+        from repro.errors import ExecutionError
+        from repro.triggers import manager
+
+        converted = []
+        converter = manager.value_converter
+        monkeypatch.setattr(
+            manager, "value_converter",
+            lambda data_type: lambda value: (
+                converted.append(value) or converter(data_type)(value)
+            ),
+        )
+        db = Database(user_id="u")
+        db.execute_script(
+            "CREATE TABLE patients (pid INT PRIMARY KEY, name VARCHAR);"
+            "CREATE TABLE log (pid INT);"
+            "INSERT INTO patients VALUES (1, 'a'), (2, 'b'), (3, 'c');"
+            "CREATE AUDIT EXPRESSION aud AS SELECT pid FROM patients "
+            "FOR SENSITIVE TABLE patients, PARTITION BY pid;"
+            "CREATE TRIGGER ping ON ACCESS TO aud AS NOTIFY 'hit'"
+        )
+        db.execute("SELECT name FROM patients")
+        assert converted == [] and db.notifications == ["hit"]
+        db.execute("CREATE TRIGGER keep ON ACCESS TO aud AS "
+                   "INSERT INTO log SELECT pid FROM accessed")
+        db.execute("SELECT name FROM patients")
+        assert converted == [1, 2, 3]
+        assert db.execute("SELECT pid FROM log ORDER BY pid").column(0) \
+            == [1, 2, 3]
+        with pytest.raises(ExecutionError, match="cannot store 'x'"):
+            db.apply_forwarded_intent(
+                {"aud": frozenset({4, "y", "x"})}, "SELECT 1", "u"
+            )
+        assert db.notifications == ["hit", "hit"]
+
+
 class TestAccessedLeaf:
     """``accessed`` is a ``Gather`` leaf over the firing's rows, bound on
     the firing's thread while the firing runs and never otherwise."""
